@@ -1,0 +1,66 @@
+"""Split-ladder parameter families for the quartic and quintic series."""
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass
+
+from .errors import PoleError
+from .numcore import POLE_TOL, is_nonpositive_integer
+
+
+class Family(enum.Enum):
+    """Which split ladder generates the upper/lower parameter lists."""
+
+    SPLIT3 = 3  # z * 4F3(a, b/3, (b+1)/3, (b+2)/3; c/3, (c+1)/3, (c+2)/3; z)
+    SPLIT4 = 4  # z * 5F4(a, b/4, ..., (b+3)/4; c/4, ..., (c+3)/4; z)
+
+    @property
+    def order(self) -> int:
+        return self.value
+
+
+def parse_family(name: str) -> Family:
+    key = name.strip().lower()
+    if key in ("split3", "3", "4f3"):
+        return Family.SPLIT3
+    if key in ("split4", "4", "5f4"):
+        return Family.SPLIT4
+    raise ValueError(f"unknown family {name!r}; expected split3 or split4")
+
+
+@dataclass(frozen=True)
+class FamilyParams:
+    """The triple (a, b, c) feeding a split-ladder hypergeometric function.
+
+    a and b may be complex but must be nonzero; c is real positive so the
+    lower ladder stays clear of gamma poles.
+    """
+
+    a: complex
+    b: complex
+    c: float
+    family: Family = Family.SPLIT3
+
+    def __post_init__(self) -> None:
+        if abs(complex(self.a)) <= POLE_TOL:
+            raise ValueError("a must be nonzero")
+        if abs(complex(self.b)) <= POLE_TOL:
+            raise ValueError("b must be nonzero")
+        if not self.c > 0:
+            raise ValueError("c must be positive")
+        k = self.family.order
+        for j in range(k):
+            if is_nonpositive_integer((self.c + j) / k):
+                raise PoleError(f"lower ladder entry (c+{j})/{k} is a gamma pole")
+
+    @property
+    def order(self) -> int:
+        return self.family.order
+
+    def upper_params(self) -> tuple[complex, ...]:
+        k = self.order
+        return (complex(self.a),) + tuple((complex(self.b) + j) / k for j in range(k))
+
+    def lower_params(self) -> tuple[complex, ...]:
+        k = self.order
+        return tuple(complex(self.c + j) / k for j in range(k))
