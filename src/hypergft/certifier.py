@@ -123,8 +123,8 @@ def _assemble(
         blk = ladder_sum_block(k, am, bm, c, shift, policy)
         value += coeff * blk.value.real
         tail += abs(coeff) * (blk.tail_bound + abs(blk.value.imag))
-    lhs = pref * value + lhs_affine
-    tail = abs(pref) * tail + _GAMMA_EVAL_REL * (abs(lhs) + 1.0)
+    lhs = float(pref * value + lhs_affine)
+    tail = float(abs(pref) * tail + _GAMMA_EVAL_REL * (abs(lhs) + 1.0))
     return lhs, tail
 
 

@@ -13,11 +13,10 @@ Exit codes
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from . import closedforms
@@ -39,50 +38,20 @@ from .errors import (
     QuadratureError,
 )
 from .families import Family, FamilyParams, parse_family
-from .numcore import DEFAULT_POLICY, PrecisionPolicy, pochhammer_split_residual
+from .numcore import DEFAULT_POLICY, PrecisionPolicy
 from .oracle import (
+    IDENTITIES,
+    IdentityPoint,
     OracleReport,
     coefficient_condition_check,
     disc_sample_check,
-    identity_residual,
     worst_case_coefficients,
 )
 from .series import EvalResult, PFQParams, pfq_eval
 
 SCHEMA = "hypergft/1"
 
-IDENTITY_TAGS = (
-    "pochhammer-split",
-    "gauss",
-    "shpot-srivastava",
-    "4f3-at-1",
-    "5f4-at-1",
-    "lemma-sec2-part1",
-    "lemma-sec2-part2",
-    "lemma-sec2-part3",
-    "lemma-sec2-part4",
-    "lemma-sec3-part1",
-    "lemma-sec3-part2",
-    "lemma-sec3-part3",
-    "lemma-sec3-part4",
-    "euler-2f1",
-    "euler-3f2quad",
-    "euler-4f3",
-)
-
-DEFAULT_TOLERANCES = {
-    "pochhammer-split": 1e-10,
-    "gauss": 1e-8,
-    "shpot-srivastava": 1e-7,
-    "4f3-at-1": 1e-6,
-    "5f4-at-1": 1e-6,
-    "euler-2f1": 1e-7,
-    "euler-3f2quad": 1e-7,
-    "euler-4f3": 1e-7,
-}
-for _sec in (2, 3):
-    for _part in (1, 2, 3, 4):
-        DEFAULT_TOLERANCES[f"lemma-sec{_sec}-part{_part}"] = 1e-6
+DEFAULT_TOLERANCES = {tag: identity.tolerance for tag, identity in IDENTITIES.items()}
 
 
 @dataclass
@@ -90,7 +59,6 @@ class RunConfig:
     """Parsed invocation: one command plus its fully-resolved options."""
 
     command: str
-    options: dict[str, Any] = field(default_factory=dict)
     policy: PrecisionPolicy = DEFAULT_POLICY
     fmt: str = "json"
     seed: int = 0
@@ -195,12 +163,9 @@ def _emit(text: str, out) -> None:
         out.write("\n")
 
 
-_CONFIG_FLOAT_KEYS = {"rel_tol", "abs_tol", "quad_tol", "tolerance", "beta", "lam", "c"}
-_CONFIG_INT_KEYS = {"max_terms", "draws", "seed", "oracle_order"}
-
-
-def _read_config_file(path: str) -> dict[str, Any]:
-    out: dict[str, Any] = {}
+def _read_config_file(path: str) -> dict[str, str]:
+    """key = value lines, keys spelled as dests (lambda -> lam, - -> _)."""
+    out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -210,18 +175,11 @@ def _read_config_file(path: str) -> dict[str, Any]:
                 raise ValueError(f"config line must be key=value: {raw.rstrip()}")
             key, val = (p.strip() for p in line.split("=", 1))
             key = key.replace("-", "_")
-            if key == "lambda":
-                key = "lam"
-            if key in _CONFIG_FLOAT_KEYS:
-                out[key] = float(val)
-            elif key in _CONFIG_INT_KEYS:
-                out[key] = int(val)
-            else:
-                out[key] = val
+            out["lam" if key == "lambda" else key] = val
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="hypergft",
         description="Evaluate split-ladder hypergeometric identities and certify class membership.",
@@ -268,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(pc)
 
     pv = sub.add_parser("verify", help="run seeded residual draws for an identity")
-    pv.add_argument("--identity", required=True, choices=IDENTITY_TAGS)
+    pv.add_argument("--identity", required=True, choices=tuple(IDENTITIES))
     pv.add_argument("--draws", type=int, default=100)
     pv.add_argument("--tolerance", type=float, default=None)
     pv.add_argument("--a", default=None)
@@ -288,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--lambda", dest="lam", default=None)
     ps.add_argument("--beta", default=None)
     common(ps)
-    return parser
+    return parser, sub.choices
 
 
 def _policy_from(args: argparse.Namespace) -> PrecisionPolicy:
@@ -340,13 +298,10 @@ def _eval_closed(args: argparse.Namespace, config: RunConfig, out) -> int:
         fn = closedforms.four_f3_at_1 if tag == "4f3" else closedforms.five_f4_at_1
         res = fn(fp, config.policy)
         params = {"closed": tag, "a": fp.a, "b": fp.b, "c": fp.c, "family": family.name.lower()}
-    elif tag.startswith("lemma-"):
-        _, sec, part = tag.split("-")
-        section = closedforms.Section(sec)
-        fp = _family_from_args(args, section.family)
-        res = closedforms.lemma_closed_form(
-            closedforms.LemmaId(section, int(part.removeprefix("part"))), fp, config.policy
-        )
+    elif tag in closedforms.LEMMAS:
+        lemma = closedforms.LEMMAS[tag]
+        fp = _family_from_args(args, lemma.section.family)
+        res = closedforms.lemma_closed_form(lemma, fp, config.policy)
         params = {"closed": tag, "a": fp.a, "b": fp.b, "c": fp.c}
     else:
         raise ValueError(f"unknown closed form {args.closed!r}")
@@ -481,84 +436,19 @@ def cmd_certify(args: argparse.Namespace, config: RunConfig, out) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _draw_residual(tag: str, rng: random.Random, policy: PrecisionPolicy) -> float:
-    """One seeded residual draw inside the identity's validity region."""
-    if tag == "pochhammer-split":
-        mag = rng.uniform(0.05, 10.0)
-        phase = rng.uniform(-3.141592653589793, 3.141592653589793)
-        a = cmath.rect(mag, phase)
-        return pochhammer_split_residual(a, rng.randint(1, 5), rng.randint(0, 30))
-    if tag == "gauss":
-        a, b = rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)
-        fp = FamilyParams(a, b, a + b + rng.uniform(1.0, 5.0), Family.SPLIT3)
-        return identity_residual(tag, fp, policy=policy)
-    if tag == "shpot-srivastava":
-        a = rng.uniform(0.05, 0.5)
-        b = rng.uniform(0.1, 4.0)
-        c = rng.uniform(0.1, 4.0)
-        while abs(c - b) < 0.05:
-            c = rng.uniform(0.1, 4.0)
-        return identity_residual(tag, FamilyParams(a, b, c, Family.SPLIT3), policy=policy)
-    if tag == "4f3-at-1":
-        a, b = rng.uniform(0.05, 1.5), rng.uniform(0.1, 4.0)
-        fp = FamilyParams(a, b, a + b + rng.uniform(0.75, 5.0), Family.SPLIT3)
-        return identity_residual(tag, fp, policy=policy)
-    if tag == "5f4-at-1":
-        a, b = rng.uniform(0.05, 0.45), rng.uniform(0.1, 3.0)
-        fp = FamilyParams(a, b, a + b + rng.uniform(1.25, 5.0), Family.SPLIT4)
-        return identity_residual(tag, fp, policy=policy)
-    if tag.startswith("lemma-"):
-        part = int(tag[-1])
-        family = Family.SPLIT3 if "sec2" in tag else Family.SPLIT4
-        k = family.order
-        if part == 4:
-            a = rng.uniform(1.3, 2.8)
-            b = rng.uniform(k + 0.6, k + 4.0)
-            c = max(a + k - 1, a + b - 1) + rng.uniform(1.0, 4.0)
-        else:
-            a = rng.uniform(0.05, 0.5)
-            b = rng.uniform(0.1, 2.5)
-            c = a + b + part + rng.uniform(1.5, 4.0)
-        return identity_residual(tag, FamilyParams(a, b, c, family), policy=policy)
-    if tag.startswith("euler-"):
-        a = rng.uniform(0.2, 1.2)
-        b = rng.uniform(0.4, 2.0)
-        c = a + b + rng.uniform(0.8, 3.0)
-        z = rng.uniform(0.05, 0.7)
-        fp = FamilyParams(a, b, c, Family.SPLIT3)
-        return identity_residual(tag, fp, z=z, policy=policy)
-    raise ValueError(f"unknown identity tag {tag!r}")
-
-
 def cmd_verify(args: argparse.Namespace, config: RunConfig, out) -> int:
     tag = args.identity
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCES[tag]
-    residuals: list[float] = []
+    identity = IDENTITIES[tag]
+    tolerance = args.tolerance if args.tolerance is not None else identity.tolerance
     if args.a is not None:
         a = _parse_complex(args.a)
         b = _parse_complex(args.b) if args.b is not None else 1.0
         c = args.c if args.c is not None else 4.0
-        if tag == "gauss":
-            # plain 2F1 parameters: no ladder carrier needed, a = 0 is fine
-            closed = closedforms.gauss_2f1_at_1(a, b, c)
-            series = pfq_eval(PFQParams((a, b), (c,)), 1.0, config.policy)
-            residuals.append(float(abs(series.value - closed) / max(abs(closed), 1e-300)))
-        elif tag == "shpot-srivastava":
-            closed = closedforms.shpot_srivastava_3f2(complex(a).real, complex(b).real, c)
-            series = pfq_eval(
-                PFQParams((complex(a).real, complex(b).real, c), (complex(b).real + 1, c + 1)),
-                1.0,
-                config.policy,
-            )
-            residuals.append(float(abs(series.value - closed) / max(abs(closed), 1e-300)))
-        else:
-            family = Family.SPLIT4 if "sec3" in tag or tag == "5f4-at-1" else Family.SPLIT3
-            fp = FamilyParams(a, b, c, family)
-            residuals.append(float(identity_residual(tag, fp, policy=config.policy)))
+        points = [IdentityPoint(a, b, c, identity.family.order)]
     else:
         rng = random.Random(config.seed)
-        for _ in range(args.draws):
-            residuals.append(float(_draw_residual(tag, rng, config.policy)))
+        points = [identity.sample(rng) for _ in range(args.draws)]
+    residuals = [float(identity.residual(p, config.policy)) for p in points]
     worst = float(max(residuals))
     passed = bool(worst <= tolerance)
     body: dict[str, Any] = {
@@ -661,29 +551,26 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig, out) -> int:
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         prelim, _ = parser.parse_known_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    overrides: dict[str, Any] = {}
-    if getattr(prelim, "config", None):
+    if prelim.config:
         try:
-            overrides = _read_config_file(prelim.config)
+            entries = _read_config_file(prelim.config)
         except (OSError, ValueError) as exc:
             print(f"bad config file: {exc}", file=sys.stderr)
             return 1
+        # Config values become the command's string defaults: argparse parses
+        # them with each flag's own type, and any explicit flag form wins.
+        # Only the command's own flags take them, never config or command.
+        own = vars(prelim).keys() - {"config", "command"}
+        commands[prelim.command].set_defaults(**{k: v for k, v in entries.items() if k in own})
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    # Config entries apply only where no explicit flag was given; subparser
-    # defaults would otherwise shadow set_defaults on the root parser.
-    given = set(argv or sys.argv[1:])
-    for key, value in overrides.items():
-        flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
-        if flag not in given and hasattr(args, key):
-            setattr(args, key, value)
 
     try:
         policy = _policy_from(args)

@@ -81,6 +81,14 @@ class LemmaId:
         if self.part not in (1, 2, 3, 4):
             raise ValueError("lemma part must be 1..4")
 
+    @property
+    def weight(self) -> str:
+        """Weight of the direct-sum side: (n+1), (n+1)^2, (n+1)^3 or 1/(n+1)."""
+        return ("linear", "square", "cube", "inv")[self.part - 1]
+
+
+LEMMAS = {f"lemma-{s.value}-part{p}": LemmaId(s, p) for s in Section for p in (1, 2, 3, 4)}
+
 
 def family_prefactor(order: int, a: complex, b: complex, c: complex) -> complex:
     """Gamma(c) Gamma(c-a-b) / (Gamma(b) Gamma(c-b))."""

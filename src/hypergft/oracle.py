@@ -8,14 +8,23 @@ Two kinds of evidence, deliberately unsophisticated:
   on a radial-angular grid.  Sampling a truncation is a falsifier near the
   boundary, not a prover, so reports carry a truncation disclaimer when the
   dropped coefficients could still matter.
+
+``IDENTITIES`` registers the checked identities behind ``hypergft verify``
+and ``identity_residual``.
 """
 from __future__ import annotations
 
+import cmath
 import enum
+import math
+import random
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import closedforms
 from .classes import ClassKind, ClassSpec, SourceClass, SourceKind
 from .errors import (
     DivisionNearZeroError,
@@ -25,6 +34,7 @@ from .errors import (
 from .families import Family, FamilyParams
 from .numcore import DEFAULT_POLICY, PrecisionPolicy, pochhammer_split_residual
 from .powerseries import PowerSeries
+from .series import PFQParams, pfq_eval, weighted_pochhammer_sum
 
 
 class CheckKind(enum.Enum):
@@ -218,7 +228,154 @@ def worst_case_coefficients(source: SourceClass, N: int) -> PowerSeries:
     return PowerSeries((1.0,) + tuple(coeffs))
 
 
-_LEMMA_WEIGHTS = {1: "linear", 2: "square", 3: "cube", 4: "inv"}
+# ---------------------------------------------------------------- identities
+
+
+class IdentityPoint(NamedTuple):
+    """Plain parameters: only sides that need a ladder build (and so check) a
+    FamilyParams, which keeps Gauss at a = 0.  k is the ladder or splitting
+    order, n the splitting length, z the Euler-integral argument."""
+
+    a: complex
+    b: complex
+    c: float
+    k: int
+    n: int = 16
+    z: complex = 0.3
+
+
+@dataclass(frozen=True)
+class Identity:
+    """A checked identity: ``sample`` draws a point of its validity region,
+    ``residual`` is the relative difference of its two independently computed
+    sides there, ``family`` the ladder of a point given by (a, b, c) alone."""
+
+    tolerance: float
+    family: Family
+    sample: Callable[[random.Random], IdentityPoint]
+    residual: Callable[[IdentityPoint, PrecisionPolicy], float]
+
+
+def _reldiff(x, y):
+    return abs(x - y) / max(abs(x), abs(y), 1e-300)
+
+
+def _ladder(p: IdentityPoint) -> FamilyParams:
+    return FamilyParams(p.a, p.b, p.c, Family(p.k))
+
+
+def _ladder_params(p: IdentityPoint) -> PFQParams:
+    fp = _ladder(p)
+    return PFQParams(fp.upper_params(), fp.lower_params())
+
+
+def _above(a_range, b_range, gap, k):
+    """Sampler: a and b from their ranges, c above a + b by a draw from gap."""
+
+    def sample(rng):
+        a = rng.uniform(*a_range)
+        b = rng.uniform(*b_range)
+        return IdentityPoint(a, b, a + b + rng.uniform(*gap), k)
+
+    return sample
+
+
+def _sample_pochhammer_split(rng):
+    a = cmath.rect(rng.uniform(0.05, 10.0), rng.uniform(-math.pi, math.pi))
+    return IdentityPoint(a, 1.0, 4.0, rng.randint(1, 5), rng.randint(0, 30))
+
+
+def _gauss(p, policy):
+    closed = closedforms.gauss_2f1_at_1(p.a, p.b, p.c)
+    series = pfq_eval(PFQParams((p.a, p.b), (p.c,)), 1.0, policy)
+    return _reldiff(series.value, closed)
+
+
+def _sample_shpot_srivastava(rng):
+    a, b, c = rng.uniform(0.05, 0.5), rng.uniform(0.1, 4.0), rng.uniform(0.1, 4.0)
+    while abs(c - b) < 0.05:
+        c = rng.uniform(0.1, 4.0)
+    return IdentityPoint(a, b, c, 3)
+
+
+def _shpot_srivastava(p, policy):
+    a, b, c = complex(p.a).real, complex(p.b).real, float(p.c)
+    closed = closedforms.shpot_srivastava_3f2(a, b, c)
+    series = pfq_eval(PFQParams((a, b, c), (b + 1.0, c + 1.0)), 1.0, policy)
+    return _reldiff(series.value, closed)
+
+
+def _split_at_1(closed_form, p, policy):
+    fp = _ladder(p)
+    closed = closed_form(fp, policy)
+    series = pfq_eval(PFQParams(fp.upper_params(), fp.lower_params()), 1.0, policy)
+    return _reldiff(series.value, closed.value)
+
+
+def _sample_lemma(lemma, rng):
+    k = lemma.section.family.order
+    if lemma.part == 4:
+        a = rng.uniform(1.3, 2.8)
+        b = rng.uniform(k + 0.6, k + 4.0)
+        c = max(a + k - 1, a + b - 1) + rng.uniform(1.0, 4.0)
+    else:
+        a, b = rng.uniform(0.05, 0.5), rng.uniform(0.1, 2.5)
+        c = a + b + lemma.part + rng.uniform(1.5, 4.0)
+    return IdentityPoint(a, b, c, k)
+
+
+def _lemma(lemma, p, policy):
+    fp = _ladder(p)
+    lhs = weighted_pochhammer_sum(fp, lemma.weight, policy)
+    rhs = closedforms.lemma_closed_form(lemma, fp, policy)
+    return _reldiff(lhs.value, rhs.value)
+
+
+# Series each Euler-integral level represents at a point.
+_EULER_PARAMS = {
+    "2f1": lambda p: PFQParams((p.b, p.a), (p.c,)),
+    "3f2quad": lambda p: PFQParams((p.a, p.b / 2, (p.b + 1) / 2), (p.c / 2, (p.c + 1) / 2)),
+    "4f3": _ladder_params,
+}
+
+
+def _sample_euler(rng):
+    a, b = rng.uniform(0.2, 1.2), rng.uniform(0.4, 2.0)
+    c = a + b + rng.uniform(0.8, 3.0)
+    return IdentityPoint(a, b, c, 3, z=rng.uniform(0.05, 0.7))
+
+
+def _euler(level, p, policy):
+    params = _EULER_PARAMS[level](p)
+    quad = closedforms.euler_integral(level, params, p.z, 1e-10, policy)
+    series = pfq_eval(params, p.z, policy)
+    return _reldiff(series.value, quad.value)
+
+
+IDENTITIES: dict[str, Identity] = {
+    "pochhammer-split": Identity(
+        1e-10, Family.SPLIT3, _sample_pochhammer_split,
+        lambda p, policy: pochhammer_split_residual(p.a, p.k, p.n),
+    ),
+    "gauss": Identity(1e-8, Family.SPLIT3, _above((0.05, 3.0), (0.05, 3.0), (1.0, 5.0), 3), _gauss),
+    "shpot-srivastava": Identity(1e-7, Family.SPLIT3, _sample_shpot_srivastava, _shpot_srivastava),
+    "4f3-at-1": Identity(
+        1e-6, Family.SPLIT3, _above((0.05, 1.5), (0.1, 4.0), (0.75, 5.0), 3),
+        lambda p, policy: _split_at_1(closedforms.four_f3_at_1, p, policy),
+    ),
+    "5f4-at-1": Identity(
+        1e-6, Family.SPLIT4, _above((0.05, 0.45), (0.1, 3.0), (1.25, 5.0), 4),
+        lambda p, policy: _split_at_1(closedforms.five_f4_at_1, p, policy),
+    ),
+}
+IDENTITIES.update(
+    (tag, Identity(1e-6, lemma.section.family, partial(_sample_lemma, lemma), partial(_lemma, lemma)))
+    for tag, lemma in closedforms.LEMMAS.items()
+)
+IDENTITIES.update(
+    (f"euler-{level}", Identity(1e-7, Family.SPLIT3, _sample_euler, partial(_euler, level)))
+    for level in _EULER_PARAMS
+)
 
 
 def identity_residual(
@@ -230,65 +387,12 @@ def identity_residual(
 ) -> float:
     """Relative residual between the two independently computed sides of an identity.
 
-    Tags: pochhammer-split, gauss, shpot-srivastava, 4f3-at-1, 5f4-at-1,
-    lemma-sec{2,3}-part{1..4}, euler-{2f1,3f2quad,4f3}.
+    Tags are the keys of ``IDENTITIES``.  The point is fp's parameters with
+    fp's ladder order (the split order k of pochhammer-split).
     """
-    from . import closedforms
-    from .series import PFQParams, pfq_eval, weighted_pochhammer_sum
-
+    try:
+        identity = IDENTITIES[tag.strip().lower()]
+    except KeyError:
+        raise ValueError(f"unknown identity tag {tag!r}") from None
     policy = policy or PrecisionPolicy(rel_tol=1e-12, max_terms=400_000)
-    tag = tag.strip().lower()
-    a, b, c = fp.a, fp.b, fp.c
-
-    def reldiff(x, y, extra=0.0):
-        return abs(x - y) / max(abs(x), abs(y), 1e-300)
-
-    if tag == "pochhammer-split":
-        return pochhammer_split_residual(a, fp.order, n)
-    if tag == "gauss":
-        closed = closedforms.gauss_2f1_at_1(a, b, c)
-        series = pfq_eval(PFQParams((a, b), (c,)), 1.0, policy)
-        return reldiff(series.value, closed)
-    if tag == "shpot-srivastava":
-        closed = closedforms.shpot_srivastava_3f2(
-            complex(a).real, complex(b).real, float(c)
-        )
-        series = pfq_eval(
-            PFQParams(
-                (complex(a).real, complex(b).real, float(c)),
-                (complex(b).real + 1.0, float(c) + 1.0),
-            ),
-            1.0,
-            policy,
-        )
-        return reldiff(series.value, closed)
-    if tag == "4f3-at-1":
-        closed = closedforms.four_f3_at_1(fp, policy)
-        series = pfq_eval(PFQParams(fp.upper_params(), fp.lower_params()), 1.0, policy)
-        return reldiff(series.value, closed.value)
-    if tag == "5f4-at-1":
-        closed = closedforms.five_f4_at_1(fp, policy)
-        series = pfq_eval(PFQParams(fp.upper_params(), fp.lower_params()), 1.0, policy)
-        return reldiff(series.value, closed.value)
-    if tag.startswith("lemma-"):
-        try:
-            _, sec, part = tag.split("-")
-            section = closedforms.Section(sec)
-            pnum = int(part.removeprefix("part"))
-        except (ValueError, KeyError) as exc:
-            raise ValueError(f"malformed lemma tag {tag!r}") from exc
-        lhs = weighted_pochhammer_sum(fp, _LEMMA_WEIGHTS[pnum], policy)
-        rhs = closedforms.lemma_closed_form(closedforms.LemmaId(section, pnum), fp, policy)
-        return reldiff(lhs.value, rhs.value)
-    if tag.startswith("euler-"):
-        level = tag.removeprefix("euler-")
-        if level == "2f1":
-            params = PFQParams((b, a), (c,))
-        elif level == "3f2quad":
-            params = PFQParams((a, b / 2, (b + 1) / 2), (c / 2, (c + 1) / 2))
-        else:
-            params = PFQParams(fp.upper_params(), fp.lower_params())
-        quad = closedforms.euler_integral(level, params, z, 1e-10, policy)
-        series = pfq_eval(params, z, policy)
-        return reldiff(series.value, quad.value)
-    raise ValueError(f"unknown identity tag {tag!r}")
+    return identity.residual(IdentityPoint(fp.a, fp.b, fp.c, fp.order, n, z), policy)

@@ -2,7 +2,12 @@ import io
 import json
 import math
 
-from hypergft.cli import main
+import pytest
+
+from hypergft.cli import DEFAULT_TOLERANCES, _build_parser, main
+from hypergft.families import Family, FamilyParams
+from hypergft.numcore import DEFAULT_POLICY
+from hypergft.oracle import IDENTITIES, identity_residual
 
 
 def run(*argv):
@@ -124,6 +129,15 @@ class TestCertify:
         assert disc["passed"] is True
         assert disc["check"] == "disc_sample"
 
+    def test_text_format_prints_plain_floats(self):
+        code, text = run(
+            "certify", "--family", "split3", "--a", "0.1", "--b", "0.1", "--c", "20",
+            "--class", "starlike", "--lambda", "1", "--format", "text",
+        )
+        assert code == 0
+        assert "lhs = 1.0000" in text
+        assert "np." not in text
+
     def test_lambda_out_of_range(self):
         code, _ = run(
             "certify", "--family", "split4", "--a", "0.1", "--b", "0.1", "--c", "20",
@@ -155,6 +169,23 @@ class TestVerify:
         assert code == 5
         entry = doc["verification"]["typo_ledger_entry"]
         assert entry["identity"] == "gauss"
+
+    def test_tags_are_the_registry_keys(self):
+        _, commands = _build_parser()
+        choices = next(a.choices for a in commands["verify"]._actions if a.dest == "identity")
+        assert len(IDENTITIES) == 16
+        assert tuple(choices) == tuple(IDENTITIES)
+        assert tuple(DEFAULT_TOLERANCES) == tuple(IDENTITIES)
+
+    @pytest.mark.parametrize(
+        "tag, a, b, c",
+        [("gauss", 0.5, 1.0, 3.0), ("shpot-srivastava", 0.3, 1.0, 2.0), ("lemma-sec2-part1", 0.3, 1.0, 6.0)],
+    )
+    def test_single_point_is_identity_residual(self, tag, a, b, c):
+        code, doc = run_json("verify", "--identity", tag, "--a", str(a), "--b", str(b), "--c", str(c))
+        assert code == 0
+        expected = identity_residual(tag, FamilyParams(a, b, c, Family.SPLIT3), policy=DEFAULT_POLICY)
+        assert doc["verification"]["residuals"] == [expected]
 
     def test_deterministic_reports(self):
         _, first = run("verify", "--identity", "5f4-at-1", "--draws", "5", "--seed", "11")
@@ -225,3 +256,24 @@ class TestConfigFile:
             "--seed", "4",
         )
         assert doc["seed"] == 4
+
+    def test_equals_form_beats_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c = 30\n")
+        base = ("certify", "--family", "split3", "--a", "0.1", "--b", "0.1",
+                "--class", "starlike", "--lambda", "1")
+        for given in (("--c=20",), ("--c", "20")):
+            code, doc = run_json("--config", str(cfg), *base, *given)
+            assert code == 0
+            assert doc["params"]["c"] == 20.0
+
+    def test_sweep_takes_config_ranges(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c = 30\nlambda = 0.5\n")
+        code, text = run(
+            "--config", str(cfg), "sweep", "--family", "split3", "--class", "starlike",
+            "--a", "0.5", "--b", "0.5",
+        )
+        assert code == 0
+        rows = [r.split(",") for r in text.strip().splitlines()[1:]]
+        assert [(r[5], r[6]) for r in rows] == [("30", "0.5")]

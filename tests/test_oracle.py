@@ -6,9 +6,13 @@ from hypothesis import strategies as st
 
 from hypergft.classes import ClassKind, ClassSpec, SourceClass, SourceKind
 from hypergft.errors import InsufficientOrderError, NormalizationError
+from hypergft.closedforms import LEMMAS
 from hypergft.families import Family, FamilyParams
+from hypergft.numcore import PrecisionPolicy
 from hypergft.oracle import (
+    IDENTITIES,
     GridSpec,
+    IdentityPoint,
     coefficient_condition_check,
     disc_sample_check,
     identity_residual,
@@ -198,3 +202,24 @@ class TestIdentityResidual:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             identity_residual("nope", FamilyParams(1.0, 1.0, 3.0))
+
+
+class TestIdentityRegistry:
+    def test_lemma_entries_follow_their_section(self):
+        for tag, lemma in LEMMAS.items():
+            assert IDENTITIES[tag].family is lemma.section.family
+
+    def test_samplers_are_seeded(self):
+        for identity in IDENTITIES.values():
+            one, two = random.Random(5), random.Random(5)
+            assert [identity.sample(one) for _ in range(3)] == [identity.sample(two) for _ in range(3)]
+
+    def test_residual_is_identity_residual_at_the_same_point(self):
+        fp = FamilyParams(0.4, 1.5, 7.0, Family.SPLIT3)
+        policy = PrecisionPolicy(rel_tol=1e-12, max_terms=400_000)
+        residual = IDENTITIES["lemma-sec2-part2"].residual(IdentityPoint(0.4, 1.5, 7.0, 3), policy)
+        assert residual == identity_residual("lemma-sec2-part2", fp)
+
+    def test_malformed_lemma_tag_is_unknown(self):
+        with pytest.raises(ValueError):
+            identity_residual("lemma-sec2-part9", FamilyParams(1.0, 1.0, 3.0))
