@@ -34,19 +34,12 @@ import numpy as np
 
 from .classes import ClassKind, ClassSpec, SourceClass, SourceKind
 from .closedforms import family_prefactor, ladder_sum_block
-from .errors import HypothesisError, NormalizationError, PoleError
+from .errors import HypothesisError, NormalizationError
 from .families import Family, FamilyParams
-from .numcore import (
-    DEFAULT_POLICY,
-    POLE_TOL,
-    PrecisionPolicy,
-    is_nonpositive_integer,
-    pochhammer,
-)
+from .numcore import DEFAULT_POLICY, GAMMA_EVAL_REL, POLE_TOL, PrecisionPolicy, pochhammer
 from .oracle import OracleReport
 from .powerseries import NORMALIZATION_TOL, PowerSeries
-
-_GAMMA_EVAL_REL = 5e-14
+from .series import term_ratios
 
 
 class Verdict(enum.Enum):
@@ -124,7 +117,7 @@ def _assemble(
         value += coeff * blk.value.real
         tail += abs(coeff) * (blk.tail_bound + abs(blk.value.imag))
     lhs = float(pref * value + lhs_affine)
-    tail = float(abs(pref) * tail + _GAMMA_EVAL_REL * (abs(lhs) + 1.0))
+    tail = float(abs(pref) * tail + GAMMA_EVAL_REL * (abs(lhs) + 1.0))
     return lhs, tail
 
 
@@ -221,20 +214,10 @@ def hypergeometric_coefficients(fp: FamilyParams, N: int) -> PowerSeries:
     """Taylor coefficients A_1..A_N of z * (split-ladder series) by stable recurrence."""
     if N < 1:
         raise ValueError("need N >= 1")
-    upper = np.array(fp.upper_params(), dtype=complex)
-    lower = np.array(fp.lower_params(), dtype=complex)
-    for l in lower:
-        if is_nonpositive_integer(l):
-            raise PoleError(f"ladder denominator {l} is a gamma pole")
     if N == 1:
         return PowerSeries((1.0,))
-    ns = np.arange(1.0, N, dtype=float)  # A_{n+1}/A_n at n = 1..N-1
-    ratios = np.ones(N - 1, dtype=complex)
-    for u in upper:
-        ratios *= u + ns - 1.0
-    for l in lower:
-        ratios /= l + ns - 1.0
-    ratios /= ns
+    # A_{n+1}/A_n is the series term ratio at z = 1 and index n - 1.
+    ratios = term_ratios(fp.upper_params(), fp.lower_params(), 1.0, np.arange(N - 1))
     coeffs = np.concatenate(([1.0 + 0.0j], np.cumprod(ratios)))
     return PowerSeries(tuple(coeffs))
 

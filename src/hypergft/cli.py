@@ -38,7 +38,7 @@ from .errors import (
     QuadratureError,
 )
 from .families import Family, FamilyParams, parse_family
-from .numcore import DEFAULT_POLICY, PrecisionPolicy
+from .numcore import DEFAULT_POLICY, GAMMA_EVAL_REL, PrecisionPolicy
 from .oracle import (
     IDENTITIES,
     IdentityPoint,
@@ -179,6 +179,24 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _apply_config(command: argparse.ArgumentParser, entries: dict[str, str]) -> None:
+    """Make config entries the command's defaults, which satisfy required flags.
+
+    Values stay strings for argparse to parse, so explicit flags win; a
+    store_true flag takes true or false.
+    """
+    for action in command._actions:
+        if action.dest not in entries or action.default is argparse.SUPPRESS:
+            continue
+        value: str | bool = entries[action.dest]
+        if isinstance(action, argparse._StoreTrueAction):
+            if value.lower() not in ("true", "false"):
+                raise ValueError(f"{action.dest} must be true or false, got {value!r}")
+            value = value.lower() == "true"
+        action.default = value
+        action.required = False
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="hypergft",
@@ -285,12 +303,12 @@ def _eval_closed(args: argparse.Namespace, config: RunConfig, out) -> int:
     if tag == "gauss":
         a, b = _parse_complex(args.a), _parse_complex(args.b)
         value = closedforms.gauss_2f1_at_1(a, b, args.c)
-        res = EvalResult(value, 5e-14 * abs(value), 1, True)
+        res = EvalResult(value, GAMMA_EVAL_REL * abs(value), 1, True)
         params = {"closed": tag, "a": a, "b": b, "c": args.c}
     elif tag in ("shpot", "shpot-srivastava"):
         a, b = _parse_complex(args.a).real, _parse_complex(args.b).real
         value = closedforms.shpot_srivastava_3f2(a, b, args.c)
-        res = EvalResult(complex(value), 5e-14 * abs(value), 1, True)
+        res = EvalResult(complex(value), GAMMA_EVAL_REL * abs(value), 1, True)
         params = {"closed": tag, "a": a, "b": b, "c": args.c}
     elif tag in ("4f3", "5f4"):
         family = Family.SPLIT3 if tag == "4f3" else Family.SPLIT4
@@ -446,6 +464,8 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig, out) -> int:
         c = args.c if args.c is not None else 4.0
         points = [IdentityPoint(a, b, c, identity.family.order)]
     else:
+        if args.draws < 1:
+            raise ValueError(f"--draws must be at least 1, got {args.draws}")
         rng = random.Random(config.seed)
         points = [identity.sample(rng) for _ in range(args.draws)]
     residuals = [float(identity.residual(p, config.policy)) for p in points]
@@ -552,21 +572,22 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig, out) -> int:
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     parser, commands = _build_parser()
+    # Read --config first so its values can fill required flags (no
+    # abbreviations: --c must not match --config).
+    early = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    early.add_argument("--config")
     try:
-        prelim, _ = parser.parse_known_args(argv)
+        config_path = early.parse_known_args(argv)[0].config
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if prelim.config:
+    if config_path:
         try:
-            entries = _read_config_file(prelim.config)
+            entries = _read_config_file(config_path)
+            for command in commands.values():
+                _apply_config(command, entries)
         except (OSError, ValueError) as exc:
             print(f"bad config file: {exc}", file=sys.stderr)
             return 1
-        # Config values become the command's string defaults: argparse parses
-        # them with each flag's own type, and any explicit flag form wins.
-        # Only the command's own flags take them, never config or command.
-        own = vars(prelim).keys() - {"config", "command"}
-        commands[prelim.command].set_defaults(**{k: v for k, v in entries.items() if k in own})
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

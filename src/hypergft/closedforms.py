@@ -27,6 +27,10 @@ b+km, c+km),
                       - (c-k)_k / ((a-1)(b-k)_k),
 
 the affine term sitting outside the prefactor product.
+
+The outer expansion S is summed by the package's one engine,
+``series.chunked_sum``, with the inner 2F1(-1) tails of each chunk added to
+the bound; ``split_outer_sum`` passes the order's tail certifier.
 """
 from __future__ import annotations
 
@@ -41,6 +45,7 @@ from .errors import ConstraintError, NoConvergenceError, PoleError
 from .families import Family, FamilyParams
 from .numcore import (
     DEFAULT_POLICY,
+    GAMMA_EVAL_REL,
     POLE_TOL,
     PrecisionPolicy,
     gamma_ratio,
@@ -50,15 +55,10 @@ from .numcore import (
     pochhammer,
 )
 from .quadrature import DEFAULT_BUDGET, adaptive_quad
-from .series import EvalResult, PFQParams, pfq_eval
+from .series import _RAABE_WINDOW, EvalResult, PFQParams, chunked_sum, pfq_eval, raabe_gammas
 
-# Relative allowance for the gamma-prefactor evaluations folded into tails.
-_GAMMA_EVAL_REL = 5e-14
-
-_OUTER_CHUNKS = (32, 128, 512, 2048, 8192)
 _INNER_STOP_REL = 1e-17
 _INNER_MAX_ITERS = 4096
-_CERT_WINDOW = 16
 
 
 class Section(enum.Enum):
@@ -131,10 +131,10 @@ def split_outer_sum(
 ) -> EvalResult:
     """The outer expansion S(a, b, c) for the given split order (3 or 4).
 
-    For order 3 the term ratio tends to 1/2 and a geometric certificate
-    applies; for order 4 the terms decay polynomially with alternating
-    signs, certified by the alternating-tail bound (real parameters) or a
-    Raabe bound on the magnitudes.
+    For order 3 the term ratio tends to 1/2 and the largest ratio over the
+    window certifies a geometric tail; for order 4 the terms decay
+    polynomially with alternating signs, certified by the alternating-tail
+    bound (real parameters) or a Raabe bound on the magnitudes.
     """
     if order not in (3, 4):
         raise ValueError("split order must be 3 or 4")
@@ -147,27 +147,8 @@ def split_outer_sum(
         raise PoleError(f"outer seed 1/Gamma({c - a}) is at a pole")
     w_run = cmath.exp(log_gamma(b) - log_gamma(c - a))
 
-    terminal: int | None = None
-    if is_nonpositive_integer(a):
-        terminal = -nonpositive_integer_value(a)
-
-    real_params = abs(a.imag) == 0.0 and abs(b.imag) == 0.0 and abs(c.imag) == 0.0
-
-    total = 0.0 + 0.0j
-    inner_err = 0.0
-    n = 0
-    chunk_idx = 0
-    best_tail = float("inf")
-    while n < policy.max_terms:
-        chunk = _OUTER_CHUNKS[min(chunk_idx, len(_OUTER_CHUNKS) - 1)]
-        chunk_idx += 1
-        chunk = min(chunk, policy.max_terms - n)
-        if terminal is not None:
-            chunk = min(chunk, terminal + 1 - n)
-            if chunk <= 0:
-                ok = inner_err <= policy.rel_tol * abs(total) + policy.abs_tol
-                return EvalResult(total, inner_err, n, ok)
-        js = np.arange(n, n + chunk)
+    def chunk_terms(js: np.ndarray) -> tuple[np.ndarray, float]:
+        nonlocal w_run
         wr = (
             -(a + js)
             / (js + 1.0)
@@ -177,61 +158,40 @@ def split_outer_sum(
         )
         w = w_run * np.concatenate(([1.0 + 0.0j], np.cumprod(wr[:-1])))
         w_run = w[-1] * wr[-1]
-
         A = a + s_shift * js
         C = c - a + 2.0 * js
         M, inner_tails = _inner_2f1_batch(A.astype(complex), m_fix, C.astype(complex))
-        terms = w * M
-        total += terms.sum()
-        inner_err += float((np.abs(w) * inner_tails).sum())
-        n += chunk
+        return w * M, float((np.abs(w) * inner_tails).sum())
 
-        if terminal is not None:
-            if n >= terminal + 1:
-                ok = inner_err <= policy.rel_tol * abs(total) + policy.abs_tol
-                return EvalResult(total, inner_err, n, ok)
-            continue
+    real_params = abs(a.imag) == 0.0 and abs(b.imag) == 0.0 and abs(c.imag) == 0.0
 
-        tmags = np.abs(terms)
-        scale = policy.rel_tol * abs(total) + policy.abs_tol
-        trunc: float | None = None
-        wlen = min(_CERT_WINDOW, chunk - 1)
+    def outer_tail(js: np.ndarray, terms: np.ndarray, total: complex):
+        wlen = min(_RAABE_WINDOW, len(js) - 1)
         if wlen < 2:
-            continue
+            return None
+        recent = terms[-(wlen + 1):]
+        wm = np.abs(recent)
         if order == 3:
-            window = tmags[-(wlen + 1):]
-            if np.all(window[:-1] > 0):
-                rho = float(np.max(window[1:] / window[:-1]))
-                if rho <= 0.95:
-                    trunc = float(window[-1]) * rho / (1.0 - rho)
-        elif chunk > wlen:
-            window = terms[-(wlen + 1):]
-            wm = np.abs(window)
-            jwin = js[-(wlen + 1):].astype(float)
-            if real_params and np.all(wm > 0):
-                signs = np.sign(window.real)
-                alternating = bool(np.all(signs[1:] * signs[:-1] < 0))
-                descending = bool(np.all(np.diff(wm) <= wm[:-1] * 1e-9))
-                descending = descending and wm[-1] < wm[0] * (1.0 - 1e-7)
-                if alternating and descending:
-                    trunc = float(wm[-1])
-            if trunc is None and np.all(wm > 0):
-                # Raabe bound on magnitudes: gamma_j = j (1 - |t_{j+1}|/|t_j|).
-                ratios = wm[1:] / wm[:-1]
-                gammas = jwin[:-1] * (1.0 - ratios)
-                if np.all(np.diff(gammas) >= -1e-9 * np.maximum(1.0, np.abs(gammas[:-1]))):
-                    gamma_hat = float(gammas.min())
-                    if gamma_hat > 1.0 + 1e-9:
-                        trunc = float(wm[-1]) * (n + 1) / (gamma_hat - 1.0)
-        if trunc is not None:
-            best_tail = min(best_tail, trunc + inner_err)
-            if trunc + inner_err <= scale:
-                return EvalResult(total, trunc + inner_err, n, True)
-    if np.isfinite(best_tail):
-        return EvalResult(total, best_tail, n, False)
-    raise NoConvergenceError(
-        f"outer ladder expansion not certified within {policy.max_terms} terms"
-    )
+            if not np.all(wm[:-1] > 0):
+                return None
+            rho = float(np.max(wm[1:] / wm[:-1]))
+            return (total, float(wm[-1]) * rho / (1.0 - rho)) if rho <= 0.95 else None
+        if not np.all(wm > 0):
+            return None
+        if real_params:
+            signs = np.sign(recent.real)
+            alternating = bool(np.all(signs[1:] * signs[:-1] < 0))
+            descending = bool(np.all(np.diff(wm) <= wm[:-1] * 1e-9))
+            if alternating and descending and wm[-1] < wm[0] * (1.0 - 1e-7):
+                return total, float(wm[-1])
+        jwin = js[-(wlen + 1):].astype(float)
+        gammas = raabe_gammas(jwin[:-1], wm[1:] / wm[:-1])
+        if gammas is None:
+            return None
+        return total, float(wm[-1]) * (int(js[-1]) + 2) / (float(gammas.min()) - 1.0)
+
+    terminal = -nonpositive_integer_value(a) if is_nonpositive_integer(a) else None
+    return chunked_sum(chunk_terms, outer_tail, policy, terminal)
 
 
 def ladder_sum_block(
@@ -300,7 +260,7 @@ def _split_series_at_1(fp: FamilyParams, policy: PrecisionPolicy) -> EvalResult:
     pref = family_prefactor(fp.order, a, b, c)
     s = split_outer_sum(fp.order, a, b, c, policy)
     value = pref * s.value
-    tail = abs(pref) * s.tail_bound + _GAMMA_EVAL_REL * abs(value)
+    tail = abs(pref) * s.tail_bound + GAMMA_EVAL_REL * abs(value)
     return EvalResult(value, tail, s.terms_used, s.converged)
 
 
@@ -351,7 +311,7 @@ def lemma_closed_form(
             terms += blk.terms_used
             converged = converged and blk.converged
         value *= pref
-        tail = abs(pref) * tail + _GAMMA_EVAL_REL * abs(value)
+        tail = abs(pref) * tail + GAMMA_EVAL_REL * abs(value)
         return EvalResult(value, tail, terms, converged)
 
     if abs(a - 1.0) <= POLE_TOL:
@@ -365,7 +325,7 @@ def lemma_closed_form(
     blk = ladder_sum_block(k, a, b, c, -1, policy)
     affine = pochhammer(c - k, k) / ((a - 1.0) * pochhammer(b - k, k))
     value = pref * blk.value - affine
-    tail = abs(pref) * blk.tail_bound + _GAMMA_EVAL_REL * (abs(value) + abs(affine))
+    tail = abs(pref) * blk.tail_bound + GAMMA_EVAL_REL * (abs(value) + abs(affine))
     return EvalResult(value, tail, blk.terms_used, blk.converged)
 
 
@@ -496,5 +456,5 @@ def euler_integral(
     evals += res.evaluations
 
     value = pref * total
-    tail = abs(pref) * err + inner_allow + _GAMMA_EVAL_REL * abs(value)
-    return EvalResult(value, tail, evals, tail <= quad_tol + _GAMMA_EVAL_REL * abs(value))
+    tail = abs(pref) * err + inner_allow + GAMMA_EVAL_REL * abs(value)
+    return EvalResult(value, tail, evals, tail <= quad_tol + GAMMA_EVAL_REL * abs(value))

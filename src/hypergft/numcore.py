@@ -15,6 +15,10 @@ from .errors import PoleError, ZeroError
 # Radius around 0, -1, -2, ... inside which an argument counts as a gamma pole.
 POLE_TOL = 1e-12
 
+# Relative allowance for a gamma-ratio evaluation, folded into the error
+# bounds of closed forms and certificates.
+GAMMA_EVAL_REL = 5e-14
+
 # Direct-product cutoff for Pochhammer symbols; beyond this the gamma ratio
 # in log space avoids O(n) rounding accumulation.
 _POCHHAMMER_DIRECT_LIMIT = 64

@@ -1,21 +1,26 @@
-"""Direct series evaluation with certified truncation tails.
+"""Direct series evaluation on the package's one chunked summation engine.
 
-The summation engine is shared by plain pFq evaluation and the weighted
-ladder sums: terms are generated by the one-step ratio recurrence in chunks,
-and the loop stops only once one of two tail certificates holds:
+``chunked_sum`` owns the chunk ramp, the running sum, the terminating stop,
+the budget and the ``rel_tol * |total| + abs_tol`` test; each caller passes a
+chunk-term function and a tail certifier.  Plain pFq series and the weighted
+ladder sums (terms from the one-step ratio recurrence) use one of two:
 
 * geometric - for |z| < 1 (or p <= q) the future term ratios are bounded by
   a monotone rational envelope R(n) built from parameter moduli, giving
   tail <= |t_{n+1}| / (1 - R(n+1));
 * Raabe - on the unit circle the ratios approach 1 like 1 - gamma/n; once the
   observed gamma_n = n(1 - |t_{n+1}/t_n|) settles above 1 the tail is bounded
-  by |t_{n+1}| (n+1) / (gamma - 1).
+  by |t_{n+1}| (n+1) / (gamma - 1), tightened to a bracket midpoint for
+  positive real terms.
+
+``closedforms.split_outer_sum`` is the other caller, with its own certifiers.
 """
 from __future__ import annotations
 
 import cmath
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -132,6 +137,78 @@ def _geometric_ratio_envelope(
     return out
 
 
+def chunked_sum(
+    chunk_terms: Callable[[np.ndarray], tuple[np.ndarray, float]],
+    certify_tail: Callable[[np.ndarray, np.ndarray, complex], tuple[complex, float] | None],
+    policy: PrecisionPolicy,
+    terminal: int | None = None,
+) -> EvalResult:
+    """Sum a series chunk by chunk until a certified tail meets the policy.
+
+    chunk_terms(ns) gives the terms at indices ns and the inner-series error
+    they carry; certify_tail(ns, terms, total) gives (value, truncation
+    bound) or None.  The accumulated inner error is added to every bound.
+    terminal, when given, is the index of the last nonzero term: the sum
+    stops there exactly.  An exhausted budget returns the last certified
+    pair with converged=False; no certificate at all raises.
+    """
+    total = 0.0 + 0.0j
+    inner_err = 0.0
+    n = 0
+    chunk_idx = 0
+    pending: tuple[complex, float] | None = None
+    while n < policy.max_terms:
+        chunk = _CHUNK_RAMP[min(chunk_idx, len(_CHUNK_RAMP) - 1)]
+        chunk_idx += 1
+        chunk = min(chunk, policy.max_terms - n)
+        if terminal is not None:
+            chunk = min(chunk, terminal + 1 - n)
+        ns = np.arange(n, n + chunk)
+        terms, err = chunk_terms(ns)
+        total += terms.sum()
+        inner_err += err
+        n += chunk
+        scale = policy.rel_tol * abs(total) + policy.abs_tol
+        if terminal is not None:
+            if n > terminal:
+                return EvalResult(complex(total), inner_err, n, bool(inner_err <= scale))
+            continue
+        cert = certify_tail(ns, terms, total)
+        if cert is not None:
+            pending = (cert[0], cert[1] + inner_err)
+            if pending[1] <= scale:
+                return EvalResult(complex(pending[0]), float(pending[1]), n, True)
+    if pending is not None:
+        return EvalResult(complex(pending[0]), float(pending[1]), n, False)
+    raise NoConvergenceError(f"tail not certified within {policy.max_terms} terms")
+
+
+def term_ratios(
+    upper: tuple[complex, ...], lower: tuple[complex, ...], z: complex, ns: np.ndarray
+) -> np.ndarray:
+    """One-step ratios t_{n+1}/t_n = z prod(a+n) / (prod(b+n) (n+1)) of pFq at the indices ns."""
+    ratios = np.ones(len(ns), dtype=complex) * z
+    for a in upper:
+        ratios *= a + ns
+    for b in lower:
+        ratios /= b + ns
+    ratios /= ns + 1
+    return ratios
+
+
+def raabe_gammas(ms: np.ndarray, ratio_mods: np.ndarray) -> np.ndarray | None:
+    """Observed Raabe rates gamma_m = m (1 - |t_{m+1}/t_m|) over a window.
+
+    Returns them only when they have settled (nondecreasing along the
+    window) above 1, the condition for the Raabe tail bound; else None.
+    """
+    gammas = ms * (1.0 - ratio_mods)
+    settled = bool(np.all(np.diff(gammas) >= -1e-9 * np.maximum(1.0, gammas[:-1])))
+    if settled and float(gammas.min()) > _RAABE_MIN_GAMMA:
+        return gammas
+    return None
+
+
 def _series_sum(
     upper: tuple[complex, ...],
     lower: tuple[complex, ...],
@@ -141,104 +218,58 @@ def _series_sum(
 ) -> EvalResult:
     """Sum sum_n (n+1)^weight_power * prod(a)_n/prod(b)_n/(1)_n * z^n with a certified tail."""
     z = complex(z)
-    ua = np.array(upper, dtype=complex)
-    la = np.array(lower, dtype=complex)
     az = abs(z)
-    on_circle = abs(az - 1.0) <= _UNIT_CIRCLE_TOL
-    term_order = _terminating_order(upper)
+    t = 1.0 + 0.0j  # first term of the next chunk
+    ratios = None  # of the last chunk, for the Raabe certificate
 
-    total = 0.0 + 0.0j
-    t = 1.0 + 0.0j
-    n = 0
-    chunk_idx = 0
-    pending: tuple[complex, float] | None = None
-    while n < policy.max_terms:
-        chunk = _CHUNK_RAMP[min(chunk_idx, len(_CHUNK_RAMP) - 1)]
-        chunk_idx += 1
-        chunk = min(chunk, policy.max_terms - n)
-        if term_order is not None:
-            chunk = min(chunk, term_order + 1 - n)
-            if chunk <= 0:
-                return EvalResult(total, 0.0, n, True)
-        ns = np.arange(n, n + chunk)
-        ratios = np.ones(chunk, dtype=complex) * z
-        for a in ua:
-            ratios *= a + ns
-        for b in la:
-            ratios /= b + ns
-        ratios /= ns + 1
+    def chunk_terms(ns: np.ndarray) -> tuple[np.ndarray, float]:
+        nonlocal t, ratios
+        ratios = term_ratios(upper, lower, z, ns)
         if weight_power:
             ratios *= ((ns + 2.0) / (ns + 1.0)) ** weight_power
         terms = t * np.concatenate(([1.0 + 0.0j], np.cumprod(ratios[:-1])))
-        total += terms.sum()
         t = terms[-1] * ratios[-1]
-        n += chunk
+        return terms, 0.0
 
-        if term_order is not None:
-            if n >= term_order + 1:
-                return EvalResult(total, 0.0, n, True)
-            continue
+    def geometric_tail(ns: np.ndarray, terms: np.ndarray, total: complex):
+        n = int(ns[-1]) + 1
+        rho = _geometric_ratio_envelope(upper, lower, az, n)
+        if weight_power > 0:
+            rho *= ((n + 2.0) / (n + 1.0)) ** weight_power
+        if rho < 1.0:
+            return total, abs(t) / (1.0 - rho)
+        return None
 
-        scale = policy.rel_tol * abs(total) + policy.abs_tol
-        if not on_circle:
-            rho = _geometric_ratio_envelope(upper, lower, az, n)
-            if weight_power > 0:
-                rho *= ((n + 2.0) / (n + 1.0)) ** weight_power
-            if rho < 1.0:
-                tail = abs(t) / (1.0 - rho)
-                pending = (total, tail)
-                if tail <= scale:
-                    return EvalResult(total, tail, n, True)
-        else:
-            window = min(_RAABE_WINDOW, chunk)
-            mods = np.abs(ratios[-window:])
-            ms = ns[-window:].astype(float)
-            gammas = ms * (1.0 - mods)
-            gamma_hat = float(gammas.min())
-            settled = bool(np.all(np.diff(gammas) >= -1e-9 * np.maximum(1.0, gammas[:-1])))
-            burn_in = 4.0 * (1.0 + max(
-                max((abs(u) for u in upper), default=0.0),
-                max((abs(l) for l in lower), default=0.0),
-            ))
-            if settled and gamma_hat > _RAABE_MIN_GAMMA and n > burn_in:
-                upper_tail = abs(t) * (n + 1) / (gamma_hat - 1.0)
-                pending = (total, upper_tail)
-                # When gamma_n climbs toward its exact limit sigma from below
-                # and the recent terms are positive reals, the tail is also
-                # bounded below by |t| n/(sigma-1); adding the bracket
-                # midpoint shrinks the certified error to the half-width.
-                sigma = (
-                    1.0
-                    + sum(l.real for l in lower)
-                    - sum(u.real for u in upper)
-                    - weight_power
-                )
-                recent = terms[-window:]
-                positive_real = bool(
-                    np.all(recent.real > 0)
-                    and np.all(np.abs(recent.imag) <= 1e-12 * recent.real)
-                )
-                if (
-                    positive_real
-                    and sigma > 1.0
-                    and float(gammas.max()) <= sigma * (1.0 + 1e-9)
-                ):
-                    lower_tail = abs(t) * n / (sigma - 1.0)
-                    if lower_tail <= upper_tail:
-                        mid = total + 0.5 * (upper_tail + lower_tail)
-                        # 1e-14 covers summation rounding over ~1e6 terms
-                        tail = 0.5 * (upper_tail - lower_tail) + 1e-14 * abs(mid)
-                        pending = (mid, tail)
-                if pending[1] <= scale:
-                    return EvalResult(pending[0], pending[1], n, True)
-    if pending is not None:
-        # Budget exhausted before the policy target, but the tail is still
-        # rigorously bounded; hand the caller the honest bound.
-        value, tail = pending
-        return EvalResult(value, tail, n, False)
-    raise NoConvergenceError(
-        f"series tail not certified within {policy.max_terms} terms"
-    )
+    def raabe_tail(ns: np.ndarray, terms: np.ndarray, total: complex):
+        n = int(ns[-1]) + 1
+        window = min(_RAABE_WINDOW, len(ns))
+        gammas = raabe_gammas(ns[-window:].astype(float), np.abs(ratios[-window:]))
+        burn_in = 4.0 * (1.0 + max(
+            max((abs(u) for u in upper), default=0.0),
+            max((abs(l) for l in lower), default=0.0),
+        ))
+        if gammas is None or n <= burn_in:
+            return None
+        upper_tail = abs(t) * (n + 1) / (float(gammas.min()) - 1.0)
+        # When gamma_n climbs toward its exact limit sigma from below and the
+        # recent terms are positive reals, the tail is also bounded below by
+        # |t| n/(sigma-1); adding the bracket midpoint shrinks the certified
+        # error to the half-width.
+        sigma = 1.0 + sum(l.real for l in lower) - sum(u.real for u in upper) - weight_power
+        recent = terms[-window:]
+        positive_real = bool(
+            np.all(recent.real > 0) and np.all(np.abs(recent.imag) <= 1e-12 * recent.real)
+        )
+        if positive_real and sigma > 1.0 and float(gammas.max()) <= sigma * (1.0 + 1e-9):
+            lower_tail = abs(t) * n / (sigma - 1.0)
+            if lower_tail <= upper_tail:
+                mid = total + 0.5 * (upper_tail + lower_tail)
+                # 1e-14 covers summation rounding over ~1e6 terms
+                return mid, 0.5 * (upper_tail - lower_tail) + 1e-14 * abs(mid)
+        return total, upper_tail
+
+    certify = raabe_tail if abs(az - 1.0) <= _UNIT_CIRCLE_TOL else geometric_tail
+    return chunked_sum(chunk_terms, certify, policy, _terminating_order(upper))
 
 
 def pfq_eval(params: PFQParams, z: complex, policy: PrecisionPolicy = DEFAULT_POLICY) -> EvalResult:
@@ -261,9 +292,9 @@ def two_f1_neg1(
 ) -> EvalResult:
     """2F1(a, b; c; -1).
 
-    Terminating cases (a or b a nonpositive integer) are summed exactly as
-    polynomials.  Otherwise the series is routed through the half-argument
-    transform 2F1(a,b;c;-1) = 2^(-a) 2F1(a, c-b; c; 1/2), whose positive,
+    Terminating cases (a or b a nonpositive integer) are summed exactly at
+    -1.  Otherwise the series is routed through the half-argument transform
+    2F1(a,b;c;-1) = 2^(-a) 2F1(a, c-b; c; 1/2), whose positive,
     geometrically decaying terms certify cleanly; the direct alternating sum
     at -1 stalls once b and c grow.
     """
@@ -271,15 +302,7 @@ def two_f1_neg1(
     if is_nonpositive_integer(c):
         raise PoleError(f"lower parameter c={c} is a nonpositive integer")
     if is_nonpositive_integer(a) or is_nonpositive_integer(b):
-        if is_nonpositive_integer(b) and not is_nonpositive_integer(a):
-            a, b = b, a
-        k = -nonpositive_integer_value(a)
-        total = 0.0 + 0.0j
-        u = 1.0 + 0.0j
-        for j in range(k + 1):
-            total += u
-            u *= (k - j) / (j + 1.0) * (b + j) / (c + j)
-        return EvalResult(total, 0.0, k + 1, True)
+        return _series_sum((a, b), (c,), -1.0, policy)
     res = _series_sum((a, c - b), (c,), 0.5, policy)
     scale = cmath.exp(-a * cmath.log(2.0))
     return EvalResult(res.value * scale, res.tail_bound * abs(scale), res.terms_used, res.converged)

@@ -67,6 +67,16 @@ class TestEval:
         assert code == 0
         assert doc["result"]["value"]["re"] > 1.0
 
+    @pytest.mark.parametrize("argv", [
+        ("--pfq", "2F1", "--upper", "1.5,2", "--lower", "3", "--z", "0.5"),
+        ("--closed", "4f3", "--a", "0.3", "--b", "0.7", "--c", "6"),
+    ])
+    def test_text_format_prints_plain_floats(self, argv):
+        code, text = run("eval", *argv, "--format", "text")
+        assert code == 0
+        assert "tail_bound = " in text
+        assert "np." not in text
+
     def test_csv_format(self):
         code, text = run("eval", "--pfq", "1F0", "--upper", "2", "--lower", "", "--z", "0.25",
                          "--format", "csv")
@@ -169,6 +179,12 @@ class TestVerify:
         assert code == 5
         entry = doc["verification"]["typo_ledger_entry"]
         assert entry["identity"] == "gauss"
+
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_draws_below_one_rejected(self, draws, capsys):
+        code, _ = run("verify", "--identity", "gauss", "--draws", draws)
+        assert code == 1
+        assert "--draws" in capsys.readouterr().err
 
     def test_tags_are_the_registry_keys(self):
         _, commands = _build_parser()
@@ -277,3 +293,35 @@ class TestConfigFile:
         assert code == 0
         rows = [r.split(",") for r in text.strip().splitlines()[1:]]
         assert [(r[5], r[6]) for r in rows] == [("30", "0.5")]
+
+    @pytest.mark.parametrize("value,attached", [("false", False), ("False", False), ("true", True)])
+    def test_store_true_key_is_a_strict_boolean(self, tmp_path, value, attached):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"with-oracle = {value}\noracle-order = 50\n")
+        code, doc = run_json(
+            "--config", str(cfg), "certify", "--family", "split3", "--a", "0.1", "--b", "0.1",
+            "--c", "25", "--class", "sp",
+        )
+        assert code == 0
+        assert (doc["certificate"]["oracle"] is not None) is attached
+        assert ("disc_oracle" in doc["certificate"]) is attached
+
+    def test_store_true_key_rejects_non_boolean(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("with-oracle = maybe\n")
+        code, _ = run(
+            "--config", str(cfg), "certify", "--family", "split3", "--a", "0.1", "--b", "0.1",
+            "--c", "25", "--class", "sp",
+        )
+        assert code == 1
+        assert "bad config file" in capsys.readouterr().err
+
+    def test_config_satisfies_required_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c = 30\n")
+        code, doc = run_json(
+            "--config", str(cfg), "certify", "--family", "split3", "--a", "0.5", "--b", "0.5",
+            "--class", "ucv",
+        )
+        assert code == 0
+        assert doc["params"]["c"] == 30.0

@@ -14,7 +14,7 @@ from hypergft.closedforms import (
     shpot_srivastava_3f2,
     split_outer_sum,
 )
-from hypergft.errors import ConstraintError, QuadratureError
+from hypergft.errors import ConstraintError, NoConvergenceError, QuadratureError
 from hypergft.families import Family, FamilyParams
 from hypergft.numcore import PrecisionPolicy
 from hypergft.series import PFQParams, pfq_eval, two_f1_neg1, weighted_pochhammer_sum
@@ -122,6 +122,32 @@ class TestFiveF4AtOne:
         assert abs(closed.value - series.value) <= (
             1e-9 * abs(series.value) + closed.tail_bound + series.tail_bound
         )
+
+
+class TestOuterEngineExits:
+    """The three ways the chunked summation engine stops, on the outer caller."""
+
+    def test_budget_exhausted_keeps_certified_bound(self):
+        res = split_outer_sum(4, 0.3, 0.9, 6.0, PrecisionPolicy(max_terms=64))
+        ref = split_outer_sum(4, 0.3, 0.9, 6.0)
+        assert not res.converged and res.terms_used == 64
+        assert math.isfinite(res.tail_bound)
+        assert abs(res.value - ref.value) <= res.tail_bound + ref.tail_bound
+
+    def test_no_certificate_raises(self):
+        # Outer terms of S(3.25, 12.5, 18) stop decaying: no tail can be certified.
+        with pytest.raises(NoConvergenceError):
+            split_outer_sum(4, 3.25, 12.5, 18.0, PrecisionPolicy(max_terms=64))
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_terminating_is_exact(self, order):
+        # a = -2 ends the outer sum after three terms, each with a terminating inner 2F1.
+        fp = FamilyParams(-2.0, 0.7, 3.5, Family(order))
+        res = split_outer_sum(order, -2.0, 0.7, 3.5)
+        series = pfq_eval(PFQParams(fp.upper_params(), fp.lower_params()), 1.0)
+        assert res.converged and res.tail_bound == 0.0 and res.terms_used == 3
+        pref = family_prefactor(order, -2.0, 0.7, 3.5)
+        assert_close(pref * res.value, series.value, rel=1e-12)
 
 
 class TestLadderCollapse:

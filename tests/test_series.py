@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +191,46 @@ class TestTwoF1Neg1:
     def test_pole_in_c(self):
         with pytest.raises(PoleError):
             two_f1_neg1(0.5, 1.0, -1.0)
+
+
+class TestEngineExits:
+    """The three ways the chunked summation engine stops, on the pFq caller."""
+
+    SHORT = PrecisionPolicy(max_terms=64)
+
+    def test_budget_exhausted_keeps_certified_bound(self):
+        params = PFQParams((1.5, 2.0), (3.0,))
+        res = pfq_eval(params, 0.99, self.SHORT)
+        ref = pfq_eval(params, 0.99)
+        assert not res.converged and res.terms_used == 64
+        assert math.isfinite(res.tail_bound)
+        assert abs(res.value - ref.value) <= res.tail_bound + ref.tail_bound
+
+    def test_no_certificate_raises(self):
+        with pytest.raises(NoConvergenceError):
+            pfq_eval(PFQParams((0.5, 1.0), (3.0,)), 1.0, self.SHORT)
+
+    def test_terminating_is_exact(self):
+        # 2F1(-3, 2; 5; 7/10) summed in exact rationals.
+        z = Fraction(7, 10)
+        exact = sum(
+            Fraction(math.prod(range(-3, -3 + j)) * math.prod(range(2, 2 + j)))
+            / (math.prod(range(5, 5 + j)) * math.factorial(j)) * z ** j
+            for j in range(4)
+        )
+        res = pfq_eval(PFQParams((-3.0, 2.0), (5.0,)), 0.7)
+        assert res.converged and res.tail_bound == 0.0 and res.terms_used == 4
+        assert rel_err(res.value, float(exact)) < 1e-15
+
+    def test_plain_python_numbers(self):
+        for res in (
+            pfq_eval(PFQParams((1.5, 2.0), (3.0,)), 0.5),
+            pfq_eval(PFQParams((1.0, 1.0), (3.0,)), 1.0),
+            pfq_eval(PFQParams((-3.0, 2.0), (5.0,)), 0.7),
+            two_f1_neg1(0.5, 1.0, 2.5),
+        ):
+            assert type(res.value) is complex and type(res.tail_bound) is float
+            assert type(res.converged) is bool
 
 
 def fp3(a, b, c):
