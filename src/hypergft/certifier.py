@@ -24,6 +24,10 @@ Blocks are indexed by shift m; with pref = Gamma(c)Gamma(c-|a|-|b|) /
 with corr = (c-k)_k / ((|a|-1)(|b|-k)_k).  At lam = 1 the quartic
 rbeta -> starlike case drops its G_-1 term and the hypothesis relaxes to
 c > |a| + |b|.
+
+Each left side and its bound come from ``closedforms.block_combination``;
+a verdict allows that bound plus |Im lhs| (rounding, the blocks are real)
+plus an absolute GAMMA_EVAL_REL floor.
 """
 from __future__ import annotations
 
@@ -33,10 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import ClassKind, ClassSpec, SourceClass, SourceKind
-from .closedforms import family_prefactor, ladder_sum_block
+from .closedforms import block_combination, part4_affine
+from .closedforms import ladder_sum_block  # noqa: F401  (re-exported)
 from .errors import HypothesisError, NormalizationError
 from .families import Family, FamilyParams
-from .numcore import DEFAULT_POLICY, GAMMA_EVAL_REL, POLE_TOL, PrecisionPolicy, pochhammer
+from .numcore import DEFAULT_POLICY, GAMMA_EVAL_REL, POLE_TOL, PrecisionPolicy
 from .oracle import OracleReport
 from .powerseries import NORMALIZATION_TOL, PowerSeries
 from .series import term_ratios
@@ -92,33 +97,15 @@ def _part4_hypothesis(am: float, bm: float, c: float, k: int) -> None:
     )
 
 
-def _correction(am: float, bm: float, c: float, k: int) -> float:
-    return float(
-        (pochhammer(c - k, k) / ((am - 1.0) * pochhammer(bm - k, k))).real
-    )
-
-
-def _assemble(
-    fp: FamilyParams,
-    combo: list[tuple[int, float]],
-    policy: PrecisionPolicy,
-    lhs_affine: float = 0.0,
-) -> tuple[float, float]:
-    """pref * sum(coeff * G_shift) + affine, with accumulated tail bound."""
+def _certificate(
+    fp: FamilyParams, combo: list[tuple[int, float]], rhs: float, tag: str,
+    policy: PrecisionPolicy, affine: float = 0.0,
+) -> Certificate:
     am, bm, c = _moduli(fp)
-    k = fp.order
-    pref = family_prefactor(k, am, bm, c).real
-    value = 0.0
-    tail = 0.0
-    for shift, coeff in combo:
-        if coeff == 0.0:
-            continue
-        blk = ladder_sum_block(k, am, bm, c, shift, policy)
-        value += coeff * blk.value.real
-        tail += abs(coeff) * (blk.tail_bound + abs(blk.value.imag))
-    lhs = float(pref * value + lhs_affine)
-    tail = float(abs(pref) * tail + GAMMA_EVAL_REL * (abs(lhs) + 1.0))
-    return lhs, tail
+    res = block_combination(fp.order, am, bm, c, combo, policy, affine)
+    lhs = float(res.value.real)
+    tail = float(res.tail_bound + abs(res.value.imag) + GAMMA_EVAL_REL)
+    return Certificate(lhs, rhs, rhs - lhs, _decide(lhs, rhs, tail), tail, tag)
 
 
 def certify_function_class(
@@ -144,8 +131,7 @@ def certify_function_class(
         _require(c > am + bm + 1, "requires c > |a| + |b| + 1")
         combo = [(1, 2.0), (0, 1.0)]
         rhs = 2.0
-    lhs, tail = _assemble(fp, combo, policy)
-    return Certificate(lhs, rhs, rhs - lhs, _decide(lhs, rhs, tail), tail, tag)
+    return _certificate(fp, combo, rhs, tag, policy)
 
 
 def certify_operator_mapping(
@@ -176,7 +162,7 @@ def certify_operator_mapping(
             else:
                 _part4_hypothesis(am, bm, c, k)
                 combo = [(-1, lam - 1.0), (0, 1.0)]
-                rhs = lam * growth + (lam - 1.0) * _correction(am, bm, c, k)
+                rhs = lam * growth + (lam - 1.0) * part4_affine(k, am, bm, c)
         elif spec.kind is ClassKind.CONVEX:
             _require(c > am + bm + 1, "requires c > |a| + |b| + 1")
             combo = [(1, 1.0), (0, lam)]
@@ -188,7 +174,7 @@ def certify_operator_mapping(
         else:  # SP
             _part4_hypothesis(am, bm, c, k)
             combo = [(0, 2.0), (-1, -1.0)]
-            affine = _correction(am, bm, c, k)
+            affine = part4_affine(k, am, bm, c)
             rhs = growth
     else:  # FULL_S
         if spec.kind is ClassKind.STARLIKE:
@@ -206,8 +192,7 @@ def certify_operator_mapping(
         else:
             raise ValueError("no mapping criterion from the univalent class into ucv")
 
-    lhs, tail = _assemble(fp, combo, policy, lhs_affine=affine)
-    return Certificate(lhs, rhs, rhs - lhs, _decide(lhs, rhs, tail), tail, tag)
+    return _certificate(fp, combo, rhs, tag, policy, affine)
 
 
 def hypergeometric_coefficients(fp: FamilyParams, N: int) -> PowerSeries:

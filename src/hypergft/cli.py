@@ -9,6 +9,8 @@ Exit codes
   certify 0 certified / 4 hypothesis violated / 5 not certified / 6 inconclusive / 1 bad input
   verify  0 all residuals within tolerance / 5 residual failure / 1 bad input
   sweep   0 rows computed (per-row failures recorded) / 1 empty grid or bad input
+  any     2 constraint violation, gamma pole or zero gamma ratio / 3 no convergence
+          / 1 any other package error
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from . import closedforms
@@ -36,6 +37,7 @@ from .errors import (
     NoConvergenceError,
     PoleError,
     QuadratureError,
+    ZeroError,
 )
 from .families import Family, FamilyParams, parse_family
 from .numcore import DEFAULT_POLICY, GAMMA_EVAL_REL, PrecisionPolicy
@@ -52,16 +54,6 @@ from .series import EvalResult, PFQParams, pfq_eval
 SCHEMA = "hypergft/1"
 
 DEFAULT_TOLERANCES = {tag: identity.tolerance for tag, identity in IDENTITIES.items()}
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: one command plus its fully-resolved options."""
-
-    command: str
-    policy: PrecisionPolicy = DEFAULT_POLICY
-    fmt: str = "json"
-    seed: int = 0
 
 
 def _parse_complex(text: str) -> complex:
@@ -137,18 +129,18 @@ def _certificate_payload(cert: Certificate) -> dict[str, Any]:
     }
 
 
-def _report(config: RunConfig, body_key: str, body: Any, params: dict[str, Any]) -> str:
+def _report(args: argparse.Namespace, body_key: str, body: Any, params: dict[str, Any]) -> str:
     doc = {
         "schema": SCHEMA,
-        "command": config.command,
+        "command": args.command,
         "params": {k: _jsonify(v) for k, v in params.items()},
         body_key: body,
         "precision": {
-            "rel_tol": config.policy.rel_tol,
-            "abs_tol": config.policy.abs_tol,
-            "max_terms": config.policy.max_terms,
+            "rel_tol": args.policy.rel_tol,
+            "abs_tol": args.policy.abs_tol,
+            "max_terms": args.policy.max_terms,
         },
-        "seed": config.seed,
+        "seed": args.seed,
     }
     return json.dumps(doc, sort_keys=True, indent=2)
 
@@ -267,16 +259,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
-def _policy_from(args: argparse.Namespace) -> PrecisionPolicy:
-    return PrecisionPolicy(
-        rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_terms=args.max_terms
-    )
-
-
 # ---------------------------------------------------------------- eval
 
 
-def _eval_series(args: argparse.Namespace, config: RunConfig, out) -> int:
+def _eval_series(args: argparse.Namespace, out) -> int:
     upper = _parse_list(args.upper)
     lower = _parse_list(args.lower)
     name = args.pfq.strip().lower()
@@ -286,9 +272,9 @@ def _eval_series(args: argparse.Namespace, config: RunConfig, out) -> int:
             f"--pfq {args.pfq} does not match {len(upper)} upper / {len(lower)} lower parameters"
         )
     z = _parse_complex(args.z)
-    res = pfq_eval(PFQParams(upper, lower), z, config.policy)
+    res = pfq_eval(PFQParams(upper, lower), z, args.policy)
     params = {"upper": [_jsonify(u) for u in upper], "lower": [_jsonify(l) for l in lower], "z": z}
-    _render_result(config, res, params, out)
+    _render_result(args, res, params, out)
     return 0
 
 
@@ -298,7 +284,7 @@ def _family_from_args(args: argparse.Namespace, family: Family) -> FamilyParams:
     return FamilyParams(_parse_complex(args.a), _parse_complex(args.b), args.c, family)
 
 
-def _eval_closed(args: argparse.Namespace, config: RunConfig, out) -> int:
+def _eval_closed(args: argparse.Namespace, out) -> int:
     tag = args.closed.strip().lower()
     if tag == "gauss":
         a, b = _parse_complex(args.a), _parse_complex(args.b)
@@ -314,25 +300,25 @@ def _eval_closed(args: argparse.Namespace, config: RunConfig, out) -> int:
         family = Family.SPLIT3 if tag == "4f3" else Family.SPLIT4
         fp = _family_from_args(args, family)
         fn = closedforms.four_f3_at_1 if tag == "4f3" else closedforms.five_f4_at_1
-        res = fn(fp, config.policy)
+        res = fn(fp, args.policy)
         params = {"closed": tag, "a": fp.a, "b": fp.b, "c": fp.c, "family": family.name.lower()}
     elif tag in closedforms.LEMMAS:
         lemma = closedforms.LEMMAS[tag]
         fp = _family_from_args(args, lemma.section.family)
-        res = closedforms.lemma_closed_form(lemma, fp, config.policy)
+        res = closedforms.lemma_closed_form(lemma, fp, args.policy)
         params = {"closed": tag, "a": fp.a, "b": fp.b, "c": fp.c}
     else:
         raise ValueError(f"unknown closed form {args.closed!r}")
-    _render_result(config, res, params, out)
+    _render_result(args, res, params, out)
     return 0
 
 
-def _eval_euler(args: argparse.Namespace, config: RunConfig, out) -> int:
+def _eval_euler(args: argparse.Namespace, out) -> int:
     upper = _parse_list(args.upper)
     lower = _parse_list(args.lower)
     z = _parse_complex(args.z)
     res = closedforms.euler_integral(
-        args.euler, PFQParams(upper, lower), z, args.quad_tol, config.policy
+        args.euler, PFQParams(upper, lower), z, args.quad_tol, args.policy
     )
     params = {
         "euler": args.euler,
@@ -341,14 +327,14 @@ def _eval_euler(args: argparse.Namespace, config: RunConfig, out) -> int:
         "z": z,
         "quad_tol": args.quad_tol,
     }
-    _render_result(config, res, params, out)
+    _render_result(args, res, params, out)
     return 0
 
 
-def _render_result(config: RunConfig, res: EvalResult, params: dict, out) -> None:
-    if config.fmt == "json":
-        _emit(_report(config, "result", _result_payload(res), params), out)
-    elif config.fmt == "csv":
+def _render_result(args: argparse.Namespace, res: EvalResult, params: dict, out) -> None:
+    if args.format == "json":
+        _emit(_report(args, "result", _result_payload(res), params), out)
+    elif args.format == "csv":
         _emit("value_re,value_im,tail_bound,terms,converged", out)
         v = complex(res.value)
         _emit(
@@ -366,27 +352,42 @@ def _render_result(config: RunConfig, res: EvalResult, params: dict, out) -> Non
         )
 
 
-def cmd_eval(args: argparse.Namespace, config: RunConfig, out) -> int:
+def cmd_eval(args: argparse.Namespace, out) -> int:
     chosen = [x for x in (args.pfq, args.closed, args.euler) if x]
     if len(chosen) != 1:
         raise ValueError("pick exactly one of --pfq, --closed, --euler")
     if args.pfq:
-        return _eval_series(args, config, out)
+        return _eval_series(args, out)
     if args.closed:
-        return _eval_closed(args, config, out)
-    return _eval_euler(args, config, out)
+        return _eval_closed(args, out)
+    return _eval_euler(args, out)
 
 
 # ---------------------------------------------------------------- certify
 
 
-def cmd_certify(args: argparse.Namespace, config: RunConfig, out) -> int:
+def _default_lambda(kind: ClassKind, lam: float | None) -> float | None:
+    """The given lambda; starlike and convex default to 1."""
+    if lam is None and kind in (ClassKind.STARLIKE, ClassKind.CONVEX):
+        return 1.0
+    return lam
+
+
+def _certify(
+    fp: FamilyParams, spec: ClassSpec, source_kind: SourceKind, beta: float | None,
+    policy: PrecisionPolicy,
+) -> Certificate:
+    """The function's own certificate, or the operator's from the source class."""
+    if source_kind is SourceKind.FUNCTION:
+        return certify_function_class(fp, spec, policy)
+    return certify_operator_mapping(fp, SourceClass(source_kind, beta), spec, policy)
+
+
+def cmd_certify(args: argparse.Namespace, out) -> int:
     family = parse_family(args.family)
     fp = _family_from_args(args, family)
     kind = ClassKind(args.klass)
-    lam = args.lam
-    if kind in (ClassKind.STARLIKE, ClassKind.CONVEX) and lam is None:
-        lam = 1.0
+    lam = _default_lambda(kind, args.lam)
     spec = ClassSpec(kind, lam)
     source_kind = SourceKind(args.source)
     if source_kind is not SourceKind.RBETA and args.beta is not None:
@@ -404,15 +405,11 @@ def cmd_certify(args: argparse.Namespace, config: RunConfig, out) -> int:
         "beta": args.beta,
     }
     try:
-        if source_kind is SourceKind.FUNCTION:
-            cert = certify_function_class(fp, spec, config.policy)
-        else:
-            source = SourceClass(source_kind, args.beta)
-            cert = certify_operator_mapping(fp, source, spec, config.policy)
+        cert = _certify(fp, spec, source_kind, args.beta, args.policy)
     except HypothesisError as exc:
         if args.allow_hypothesis_error:
             body = {"hypothesis_error": str(exc)}
-            _emit(_report(config, "certificate", body, params), out)
+            _emit(_report(args, "certificate", body, params), out)
         else:
             print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 4
@@ -432,9 +429,9 @@ def cmd_certify(args: argparse.Namespace, config: RunConfig, out) -> int:
     body = _certificate_payload(cert)
     if disc_report is not None:
         body["disc_oracle"] = _oracle_payload(disc_report)
-    if config.fmt == "json":
-        _emit(_report(config, "certificate", body, params), out)
-    elif config.fmt == "csv":
+    if args.format == "json":
+        _emit(_report(args, "certificate", body, params), out)
+    elif args.format == "csv":
         _emit("theorem_tag,lhs,rhs,margin,verdict", out)
         _emit(
             ",".join(
@@ -454,7 +451,7 @@ def cmd_certify(args: argparse.Namespace, config: RunConfig, out) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig, out) -> int:
+def cmd_verify(args: argparse.Namespace, out) -> int:
     tag = args.identity
     identity = IDENTITIES[tag]
     tolerance = args.tolerance if args.tolerance is not None else identity.tolerance
@@ -466,9 +463,9 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig, out) -> int:
     else:
         if args.draws < 1:
             raise ValueError(f"--draws must be at least 1, got {args.draws}")
-        rng = random.Random(config.seed)
+        rng = random.Random(args.seed)
         points = [identity.sample(rng) for _ in range(args.draws)]
-    residuals = [float(identity.residual(p, config.policy)) for p in points]
+    residuals = [float(identity.residual(p, args.policy)) for p in points]
     worst = float(max(residuals))
     passed = bool(worst <= tolerance)
     body: dict[str, Any] = {
@@ -484,13 +481,13 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig, out) -> int:
             "identity": tag,
             "max_residual": worst,
             "tolerance": tolerance,
-            "seed": config.seed,
+            "seed": args.seed,
             "note": "systematic residual failure; reconcile the printed form "
                     "against the direct series and record the corrected formula",
         }
-    if config.fmt == "json":
-        _emit(_report(config, "verification", body, {"identity": tag}), out)
-    elif config.fmt == "csv":
+    if args.format == "json":
+        _emit(_report(args, "verification", body, {"identity": tag}), out)
+    elif args.format == "csv":
         _emit("draw,residual", out)
         for i, r in enumerate(residuals):
             _emit(f"{i},{_g17(r)}", out)
@@ -506,17 +503,15 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig, out) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def cmd_sweep(args: argparse.Namespace, config: RunConfig, out) -> int:
+def cmd_sweep(args: argparse.Namespace, out) -> int:
     family = parse_family(args.family)
     kind = ClassKind(args.klass)
     source_kind = SourceKind(args.source)
     a_grid = _parse_range(args.a)
     b_grid = _parse_range(args.b)
     c_grid = _parse_range(args.c)
-    lam_grid = _parse_range(args.lam) if args.lam is not None else [None]
+    lam_grid = _parse_range(args.lam) if args.lam is not None else [_default_lambda(kind, None)]
     beta_grid = _parse_range(args.beta) if args.beta is not None else [None]
-    if kind in (ClassKind.STARLIKE, ClassKind.CONVEX) and lam_grid == [None]:
-        lam_grid = [1.0]
     if source_kind is SourceKind.RBETA and beta_grid == [None]:
         beta_grid = [0.0]
     rows = [
@@ -545,11 +540,7 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig, out) -> int:
         ]
         try:
             fp = FamilyParams(a, b, c, family)
-            spec = ClassSpec(kind, lam)
-            if source_kind is SourceKind.FUNCTION:
-                cert = certify_function_class(fp, spec, config.policy)
-            else:
-                cert = certify_operator_mapping(fp, SourceClass(source_kind, beta), spec, config.policy)
+            cert = _certify(fp, ClassSpec(kind, lam), source_kind, beta, args.policy)
             lines.append(
                 ",".join(
                     base
@@ -558,8 +549,8 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig, out) -> int:
             )
         except HypergftError as exc:
             lines.append(",".join(base + ["error", "", "", "", type(exc).__name__]))
-    if config.fmt == "json":
-        _emit(_report(config, "rows", lines[1:], {"header": header}), out)
+    if args.format == "json":
+        _emit(_report(args, "rows", lines[1:], {"header": header}), out)
     else:
         for line in lines:
             _emit(line, out)
@@ -594,12 +585,11 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         return 0 if exc.code in (0, None) else 1
 
     try:
-        policy = _policy_from(args)
+        args.policy = PrecisionPolicy(args.rel_tol, args.abs_tol, args.max_terms)
     except ValueError as exc:
         print(f"bad precision policy: {exc}", file=sys.stderr)
         return 1
-    fmt = args.format or ("csv" if args.command == "sweep" else "json")
-    config = RunConfig(command=args.command, policy=policy, fmt=fmt, seed=args.seed)
+    args.format = args.format or ("csv" if args.command == "sweep" else "json")
 
     handler = {
         "eval": cmd_eval,
@@ -608,16 +598,19 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         "sweep": cmd_sweep,
     }[args.command]
     try:
-        return handler(args, config, out)
+        return handler(args, out)
     except (ValueError, KeyError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 1
-    except (ConstraintError, PoleError, DivergentError) as exc:
+    except (ConstraintError, PoleError, ZeroError, DivergentError) as exc:
         print(f"constraint violated: {exc}", file=sys.stderr)
         return 2
     except (NoConvergenceError, QuadratureError) as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return 3
+    except HypergftError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

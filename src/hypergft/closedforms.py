@@ -28,6 +28,11 @@ b+km, c+km),
 
 the affine term sitting outside the prefactor product.
 
+``block_combination`` is the one place such a combination and its bound are
+assembled, for the closed forms at z = 1, the lemmas and every certificate;
+its gamma allowance scales with the blocks a cancelling combination
+subtracts, not with the (possibly much smaller) result.
+
 The outer expansion S is summed by the package's one engine,
 ``series.chunked_sum``, with the inner 2F1(-1) tails of each chunk added to
 the bound; ``split_outer_sum`` passes the order's tail certifier.
@@ -38,6 +43,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -206,7 +212,7 @@ def ladder_sum_block(
 
     shift m >= 1 gives (a)_m/(c-a-b-m)_m * S(a+m, b+km, c+km); shift 0 is
     S(a, b, c); shift -1 gives (c-a-b)/(a-1) * S(a-1, b-k, c-k) without the
-    affine term, which the caller owns.
+    affine term, which ``part4_affine`` gives.
     """
     a, b, c = complex(a), complex(b), complex(c)
     k = order
@@ -225,6 +231,41 @@ def ladder_sum_block(
     return EvalResult(
         pre * inner.value, abs(pre) * inner.tail_bound, inner.terms_used, inner.converged
     )
+
+
+def block_combination(
+    order: int, a: complex, b: complex, c: complex, combo: Sequence[tuple[int, float]],
+    policy: PrecisionPolicy = DEFAULT_POLICY, affine: complex = 0.0,
+) -> EvalResult:
+    """pref * sum(coeff * G_shift) + affine over the (shift, coeff) pairs of combo.
+
+    The bound is |pref| sum |coeff| tail_m + GAMMA_EVAL_REL (|pref| sum |coeff|
+    |G_m| + |affine|); zero coefficients are skipped.
+    """
+    a, b, c = complex(a), complex(b), complex(c)
+    pref = family_prefactor(order, a, b, c)
+    value = 0.0 + 0.0j
+    tail = 0.0
+    size = 0.0
+    terms = 0
+    converged = True
+    for shift, coeff in combo:
+        if coeff == 0.0:
+            continue
+        blk = ladder_sum_block(order, a, b, c, shift, policy)
+        value += coeff * blk.value
+        tail += abs(coeff) * blk.tail_bound
+        size += abs(coeff) * abs(blk.value)
+        terms += blk.terms_used
+        converged = converged and blk.converged
+    bound = abs(pref) * tail + GAMMA_EVAL_REL * (abs(pref) * size + abs(affine))
+    return EvalResult(pref * value + affine, bound, terms, converged)
+
+
+def part4_affine(order: int, a: complex, b: complex, c: complex):
+    """(c-k)_k / ((a-1)(b-k)_k), the affine term of the 1/(n+1)-weighted sum."""
+    k = order
+    return pochhammer(c - k, k) / ((a - 1.0) * pochhammer(b - k, k))
 
 
 def gauss_2f1_at_1(a: complex, b: complex, c: complex) -> complex:
@@ -253,35 +294,29 @@ def shpot_srivastava_3f2(a: float, b: float, c: float) -> float:
     return b * c / (c - b) * (term_b - term_c)
 
 
-def _split_series_at_1(fp: FamilyParams, policy: PrecisionPolicy) -> EvalResult:
-    a, b, c = complex(fp.a), complex(fp.b), complex(fp.c)
-    if not (c - a - b).real > 0:
+def _unit_sum(fp: FamilyParams, family: Family, name: str, policy: PrecisionPolicy) -> EvalResult:
+    if fp.family is not family:
+        raise ValueError(f"{name} expects a {family.name} parameter set")
+    if not (complex(fp.c) - complex(fp.a) - complex(fp.b)).real > 0:
         raise ConstraintError("requires Re(c-a-b) > 0")
-    pref = family_prefactor(fp.order, a, b, c)
-    s = split_outer_sum(fp.order, a, b, c, policy)
-    value = pref * s.value
-    tail = abs(pref) * s.tail_bound + GAMMA_EVAL_REL * abs(value)
-    return EvalResult(value, tail, s.terms_used, s.converged)
+    return block_combination(fp.order, fp.a, fp.b, fp.c, ((0, 1.0),), policy)
 
 
 def four_f3_at_1(fp: FamilyParams, policy: PrecisionPolicy = DEFAULT_POLICY) -> EvalResult:
     """Closed form of the cubic-ladder 4F3 at z = 1."""
-    if fp.family is not Family.SPLIT3:
-        raise ValueError("four_f3_at_1 expects a SPLIT3 parameter set")
-    return _split_series_at_1(fp, policy)
+    return _unit_sum(fp, Family.SPLIT3, "four_f3_at_1", policy)
 
 
 def five_f4_at_1(fp: FamilyParams, policy: PrecisionPolicy = DEFAULT_POLICY) -> EvalResult:
     """Closed form of the quartic-ladder 5F4 at z = 1."""
-    if fp.family is not Family.SPLIT4:
-        raise ValueError("five_f4_at_1 expects a SPLIT4 parameter set")
-    return _split_series_at_1(fp, policy)
+    return _unit_sum(fp, Family.SPLIT4, "five_f4_at_1", policy)
 
 
 _PART_COEFFS: dict[int, tuple[tuple[int, float], ...]] = {
     1: ((1, 1.0), (0, 1.0)),
     2: ((2, 1.0), (1, 3.0), (0, 1.0)),
     3: ((3, 1.0), (2, 6.0), (1, 7.0), (0, 1.0)),
+    4: ((-1, 1.0),),
 }
 
 
@@ -296,37 +331,20 @@ def lemma_closed_form(
     a, b, c = complex(fp.a), complex(fp.b), complex(fp.c)
     k = fp.order
     part = lemma_id.part
+    affine = 0.0
     if part in (1, 2, 3):
         if not (c - a - b).real > part:
             raise ConstraintError(f"part {part} requires c > a + b + {part}")
-        pref = family_prefactor(k, a, b, c)
-        value = 0.0 + 0.0j
-        tail = 0.0
-        terms = 0
-        converged = True
-        for shift, coeff in _PART_COEFFS[part]:
-            blk = ladder_sum_block(k, a, b, c, shift, policy)
-            value += coeff * blk.value
-            tail += coeff * blk.tail_bound
-            terms += blk.terms_used
-            converged = converged and blk.converged
-        value *= pref
-        tail = abs(pref) * tail + GAMMA_EVAL_REL * abs(value)
-        return EvalResult(value, tail, terms, converged)
-
-    if abs(a - 1.0) <= POLE_TOL:
-        raise ConstraintError("part 4 requires a != 1")
-    for m in range(1, k + 1):
-        if abs(b - m) <= POLE_TOL:
-            raise ConstraintError(f"part 4 requires b != {m}")
-    if not (c.real > a.real + k - 1 and c.real > (a + b).real - 1):
-        raise ConstraintError(f"part 4 requires c > max(a + {k - 1}, a + b - 1)")
-    pref = family_prefactor(k, a, b, c)
-    blk = ladder_sum_block(k, a, b, c, -1, policy)
-    affine = pochhammer(c - k, k) / ((a - 1.0) * pochhammer(b - k, k))
-    value = pref * blk.value - affine
-    tail = abs(pref) * blk.tail_bound + GAMMA_EVAL_REL * (abs(value) + abs(affine))
-    return EvalResult(value, tail, blk.terms_used, blk.converged)
+    else:
+        if abs(a - 1.0) <= POLE_TOL:
+            raise ConstraintError("part 4 requires a != 1")
+        for m in range(1, k + 1):
+            if abs(b - m) <= POLE_TOL:
+                raise ConstraintError(f"part 4 requires b != {m}")
+        if not (c.real > a.real + k - 1 and c.real > (a + b).real - 1):
+            raise ConstraintError(f"part 4 requires c > max(a + {k - 1}, a + b - 1)")
+        affine = -part4_affine(k, a, b, c)
+    return block_combination(k, a, b, c, _PART_COEFFS[part], policy, affine)
 
 
 _EULER_LEVELS = ("2f1", "3f2quad", "4f3", "pfq")

@@ -68,7 +68,7 @@ def is_nonpositive_integer(z: complex, tol: float = POLE_TOL) -> bool:
     return r <= 0 and abs(z.real - r) <= tol
 
 
-def nonpositive_integer_value(z: complex, tol: float = POLE_TOL) -> int:
+def nonpositive_integer_value(z: complex) -> int:
     """The integer -m that z approximates; caller must check membership first."""
     return int(round(complex(z).real))
 

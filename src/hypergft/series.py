@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergentError, NoConvergenceError, PoleError
+from .errors import ConstraintError, DivergentError, NoConvergenceError, PoleError
 from .families import FamilyParams
 from .numcore import (
     DEFAULT_POLICY,
@@ -319,8 +319,6 @@ def weighted_pochhammer_sum(
     This is the ground-truth side of the ladder lemmas; w is one of
     1/(n+1), 1, (n+1), (n+1)^2, (n+1)^3.
     """
-    from .errors import ConstraintError
-
     if weight not in _WEIGHT_POWERS:
         raise ValueError(f"unknown weight {weight!r}")
     d = _WEIGHT_POWERS[weight]

@@ -150,6 +150,24 @@ class TestOperatorMappingCertificates:
         cert = certify_operator_mapping(fp3(0.2, 5.0, 30.0), RBETA0, SP)
         assert cert.verdict is Verdict.CERTIFIED
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the part-4 hypothesis admits |a| + |b| - 1 < c < |a| + |b|, where "
+               "Gamma(c - |a| - |b|) turns the left side negative (lhs -7.51 for sp, "
+               "-19.76 for starlike) and the verdict is certified",
+    )
+    @pytest.mark.parametrize(
+        "spec", [SP, ClassSpec(ClassKind.STARLIKE, 0.5)], ids=["sp", "starlike"]
+    )
+    def test_rbeta_part4_below_a_plus_b_is_not_certified(self, spec):
+        source = SourceClass(SourceKind.RBETA, 0.5)
+        try:
+            cert = certify_operator_mapping(fp3(1.5, 3.2, 4.2), source, spec)
+        except HypothesisError:
+            return
+        assert cert.verdict is not Verdict.CERTIFIED
+
     def test_beta_raises_rhs(self):
         lo = certify_operator_mapping(fp3(0.1, 0.1, 25.0), SourceClass(SourceKind.RBETA, 0.0), CONV1)
         hi = certify_operator_mapping(fp3(0.1, 0.1, 25.0), SourceClass(SourceKind.RBETA, 0.8), CONV1)

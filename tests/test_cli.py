@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from hypergft import closedforms
 from hypergft.cli import DEFAULT_TOLERANCES, _build_parser, main
+from hypergft.errors import InsufficientOrderError
 from hypergft.families import Family, FamilyParams
 from hypergft.numcore import DEFAULT_POLICY
 from hypergft.oracle import IDENTITIES, identity_residual
@@ -53,6 +55,23 @@ class TestEval:
         assert code == 1
         code, _ = run("eval", "--closed", "nonsense", "--a", "1", "--b", "1", "--c", "3")
         assert code == 1
+
+    def test_zero_gamma_ratio_exits_two(self, capsys):
+        # Gamma(b) with b = -1 sits in the prefactor's denominator: ZeroError.
+        code, text = run("eval", "--closed", "4f3", "--a", "0.5", "--b", "-1", "--c", "5")
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("constraint violated: ")
+
+    def test_other_package_error_exits_one(self, monkeypatch, capsys):
+        def fail(fp, policy):
+            raise InsufficientOrderError("too few coefficients")
+
+        monkeypatch.setattr(closedforms, "four_f3_at_1", fail)
+        code, text = run("eval", "--closed", "4f3", "--a", "0.5", "--b", "1", "--c", "5")
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == "error: too few coefficients\n"
 
     def test_euler_level(self):
         code, doc = run_json(
