@@ -1,43 +1,51 @@
 """Sufficient-condition certificates for the split-ladder functions and operators.
 
-Every certificate compares an assembled left side against a constant right
-side.  The left sides are linear combinations of the same shifted
-building-block sums used by the closed-form identities, taken at the moduli
-|a|, |b| (the coefficient bounds go through |(a)_n| <= (|a|)_n), so any
-reconciliation applied there propagates here unchanged.
+Every criterion is a weighted coefficient sum sum_{n>=1} w(n) |A_n| <= theta
+K for a target class of threshold theta (``ClassSpec.threshold``), applied
+to z * (split-ladder series) itself or to its Hadamard product with the
+extremal coefficients of the source class.  The coefficient bounds go
+through |(a)_n| <= (|a|)_n, so with T_n the ladder coefficients at (|a|,
+|b|, c) and W_d = sum_{n>=0} (n+1)^d T_n (``closedforms.block_combination``),
+every criterion reads
 
-Blocks are indexed by shift m; with pref = Gamma(c)Gamma(c-|a|-|b|) /
-(Gamma(|b|)Gamma(c-|b|)) and G_m the shift-m block,
+    alpha W_{D+s} + beta W_{D+s-1} <= theta K,
 
-  function -> starlike   pref (G_1 + lam G_0)                        <= 2 lam
-  function -> convex     pref (G_2 + (lam+2) G_1 + lam G_0)          <= 2 lam
-  function -> ucv        pref (2 G_2 + 5 G_1 + G_0)                  <= 2
-  function -> sp         pref (2 G_1 + G_0)                          <= 2
-  rbeta    -> starlike   pref ((lam-1) G_-1 + G_0)                   <= lam (1 + 1/(2(1-beta))) + (lam-1) corr
-  rbeta    -> convex     pref (G_1 + lam G_0)                        <= lam (1 + 1/(2(1-beta)))
-  rbeta    -> ucv        pref (2 G_1 + G_0)                          <= 1 + 1/(2(1-beta))
-  rbeta    -> sp         pref (2 G_0 - G_-1) + corr                  <= 1 + 1/(2(1-beta))
-  s        -> starlike   pref (G_2 + (lam+2) G_1 + lam G_0)          <= 2 lam
-  s        -> convex     pref (G_3 + (lam+5) G_2 + (3 lam+4) G_1 + lam G_0) <= 2 lam
-  s        -> sp         pref (2 G_2 + 5 G_1 + G_0)                  <= 2
+where the class weight alpha n^D + beta n^(D-1) gives (D, alpha, beta):
 
-with corr = (c-k)_k / ((|a|-1)(|b|-k)_k).  At lam = 1 the quartic
-rbeta -> starlike case drops its G_-1 term and the hypothesis relaxes to
-c > |a| + |b|.
+    starlike  n + lam - 1      (1, 1, lam - 1)
+    convex    n (n + lam - 1)  (2, 1, lam - 1)
+    ucv       n (2n - 1)       (2, 2, -1)
+    sp        2n - 1           (1, 2, -1)
 
-Each left side and its bound come from ``closedforms.block_combination``;
-a verdict allows that bound plus |Im lhs| (rounding, the blocks are real)
-plus an absolute GAMMA_EVAL_REL floor.
+(the ucv and sp weights are Ronning's), the source multiplies A_n by n^s:
+the function itself s = 0, S (|a_n| <= n) s = +1, R(beta) (|a_n| <=
+2(1-beta)/n) s = -1, and K is 2, or 1 + 1/(2(1-beta)) for R(beta) (its
+2(1-beta) divides out).  The left side is the weighted sum itself, so the
+n = 1 term theta sits on both sides.
+
+W_d converges for c > |a| + |b| + d, the hypothesis when D + s >= 1.  When
+D + s = 0 (R(beta) into starlike or sp) W_-1 brings in the part-4 region
+c > max(|a| + k - 1, |a| + |b| - 1); inside it, c <= |a| + |b| makes W_0
+diverge, so the criterion fails: ``not_certified`` with lhs = +inf, no block
+evaluated.  Exceptions to the derivation: the quartic R(beta) -> starlike
+corollary at lam = 1 (W_0 alone, region c > |a| + |b|, tag ``.lambda1``);
+no criterion from S into ucv (ValueError); the function source belongs to
+``certify_function_class`` (ValueError from ``certify_operator_mapping``).
+
+A verdict allows the bound of ``block_combination`` plus |Im lhs|
+(rounding, the blocks are real) plus an absolute GAMMA_EVAL_REL floor.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .classes import ClassKind, ClassSpec, SourceClass, SourceKind
-from .closedforms import block_combination, part4_affine
+from .closedforms import block_combination
 from .closedforms import ladder_sum_block  # noqa: F401  (re-exported)
 from .errors import HypothesisError, NormalizationError
 from .families import Family, FamilyParams
@@ -45,6 +53,17 @@ from .numcore import DEFAULT_POLICY, GAMMA_EVAL_REL, POLE_TOL, PrecisionPolicy
 from .oracle import OracleReport
 from .powerseries import NORMALIZATION_TOL, PowerSeries
 from .series import term_ratios
+
+# Class weight alpha n^D + beta n^(D-1) as lam -> (D, alpha, beta).
+_CLASS_WEIGHTS: dict[ClassKind, Callable[[float], tuple[int, float, float]]] = {
+    ClassKind.STARLIKE: lambda lam: (1, 1.0, lam - 1.0),
+    ClassKind.CONVEX: lambda lam: (2, 1.0, lam - 1.0),
+    ClassKind.UCV: lambda lam: (2, 2.0, -1.0),
+    ClassKind.SP: lambda lam: (1, 2.0, -1.0),
+}
+
+# Power s of the source's extremal coefficient n^s.
+_SOURCE_SHIFTS = {SourceKind.FUNCTION: 0, SourceKind.FULL_S: 1, SourceKind.RBETA: -1}
 
 
 class Verdict(enum.Enum):
@@ -98,40 +117,41 @@ def _part4_hypothesis(am: float, bm: float, c: float, k: int) -> None:
 
 
 def _certificate(
-    fp: FamilyParams, combo: list[tuple[int, float]], rhs: float, tag: str,
-    policy: PrecisionPolicy, affine: float = 0.0,
+    fp: FamilyParams, weights: Mapping[int, float], rhs: float, tag: str,
+    policy: PrecisionPolicy,
 ) -> Certificate:
     am, bm, c = _moduli(fp)
-    res = block_combination(fp.order, am, bm, c, combo, policy, affine)
+    res = block_combination(fp.order, am, bm, c, weights, policy)
     lhs = float(res.value.real)
     tail = float(res.tail_bound + abs(res.value.imag) + GAMMA_EVAL_REL)
     return Certificate(lhs, rhs, rhs - lhs, _decide(lhs, rhs, tail), tail, tag)
+
+
+def _criterion(
+    fp: FamilyParams, source: SourceKind, spec: ClassSpec, growth: float, tag: str,
+    policy: PrecisionPolicy,
+) -> Certificate:
+    """alpha W_d + beta W_{d-1} <= theta K with d = D + s, K = growth."""
+    am, bm, c = _moduli(fp)
+    theta = spec.threshold
+    power, alpha, beta = _CLASS_WEIGHTS[spec.kind](theta)
+    d = power + _SOURCE_SHIFTS[source]
+    rhs = theta * growth
+    if d >= 1:
+        _require(c > am + bm + d, f"requires c > |a| + |b| + {d}")
+    else:
+        _part4_hypothesis(am, bm, c, fp.order)
+        if c <= am + bm:  # W_0 diverges
+            return Certificate(math.inf, rhs, -math.inf, Verdict.NOT_CERTIFIED, 0.0, tag)
+    return _certificate(fp, {d: alpha, d - 1: beta}, rhs, tag, policy)
 
 
 def certify_function_class(
     fp: FamilyParams, spec: ClassSpec, policy: PrecisionPolicy = DEFAULT_POLICY
 ) -> Certificate:
     """Certificate that z * (split-ladder series) lies in the target class."""
-    am, bm, c = _moduli(fp)
-    lam = spec.lam if spec.lam is not None else 1.0
     tag = f"{fp.family.name.lower()}.function.{spec.kind.value}"
-    if spec.kind is ClassKind.STARLIKE:
-        _require(c > am + bm + 1, "requires c > |a| + |b| + 1")
-        combo = [(1, 1.0), (0, lam)]
-        rhs = 2.0 * lam
-    elif spec.kind is ClassKind.CONVEX:
-        _require(c > am + bm + 2, "requires c > |a| + |b| + 2")
-        combo = [(2, 1.0), (1, lam + 2.0), (0, lam)]
-        rhs = 2.0 * lam
-    elif spec.kind is ClassKind.UCV:
-        _require(c > am + bm + 2, "requires c > |a| + |b| + 2")
-        combo = [(2, 2.0), (1, 5.0), (0, 1.0)]
-        rhs = 2.0
-    else:  # SP
-        _require(c > am + bm + 1, "requires c > |a| + |b| + 1")
-        combo = [(1, 2.0), (0, 1.0)]
-        rhs = 2.0
-    return _certificate(fp, combo, rhs, tag, policy)
+    return _criterion(fp, SourceKind.FUNCTION, spec, 2.0, tag, policy)
 
 
 def certify_operator_mapping(
@@ -143,64 +163,24 @@ def certify_operator_mapping(
     """Certificate that the convolution operator maps the source class into the target."""
     if source.kind is SourceKind.FUNCTION:
         raise ValueError("use certify_function_class for the function itself")
-    am, bm, c = _moduli(fp)
-    k = fp.order
-    lam = spec.lam if spec.lam is not None else 1.0
+    if source.kind is SourceKind.FULL_S and spec.kind is ClassKind.UCV:
+        raise ValueError("no mapping criterion from the univalent class into ucv")
     tag = f"{fp.family.name.lower()}.{source.kind.value}.{spec.kind.value}"
-    affine = 0.0
-
-    if source.kind is SourceKind.RBETA:
-        beta = float(source.beta)
-        growth = 1.0 + 1.0 / (2.0 * (1.0 - beta))
-        if spec.kind is ClassKind.STARLIKE:
-            if fp.family is Family.SPLIT4 and lam == 1.0:
-                # lam = 1 drops the shift -1 block and relaxes the region.
-                _require(c > am + bm, "requires c > |a| + |b|")
-                combo = [(0, 1.0)]
-                rhs = growth
-                tag += ".lambda1"
-            else:
-                _part4_hypothesis(am, bm, c, k)
-                combo = [(-1, lam - 1.0), (0, 1.0)]
-                rhs = lam * growth + (lam - 1.0) * part4_affine(k, am, bm, c)
-        elif spec.kind is ClassKind.CONVEX:
-            _require(c > am + bm + 1, "requires c > |a| + |b| + 1")
-            combo = [(1, 1.0), (0, lam)]
-            rhs = lam * growth
-        elif spec.kind is ClassKind.UCV:
-            _require(c > am + bm + 1, "requires c > |a| + |b| + 1")
-            combo = [(1, 2.0), (0, 1.0)]
-            rhs = growth
-        else:  # SP
-            _part4_hypothesis(am, bm, c, k)
-            combo = [(0, 2.0), (-1, -1.0)]
-            affine = part4_affine(k, am, bm, c)
-            rhs = growth
-    else:  # FULL_S
-        if spec.kind is ClassKind.STARLIKE:
-            _require(c > am + bm + 2, "requires c > |a| + |b| + 2")
-            combo = [(2, 1.0), (1, lam + 2.0), (0, lam)]
-            rhs = 2.0 * lam
-        elif spec.kind is ClassKind.CONVEX:
-            _require(c > am + bm + 3, "requires c > |a| + |b| + 3")
-            combo = [(3, 1.0), (2, lam + 5.0), (1, 3.0 * lam + 4.0), (0, lam)]
-            rhs = 2.0 * lam
-        elif spec.kind is ClassKind.SP:
-            _require(c > am + bm + 2, "requires c > |a| + |b| + 2")
-            combo = [(2, 2.0), (1, 5.0), (0, 1.0)]
-            rhs = 2.0
-        else:
-            raise ValueError("no mapping criterion from the univalent class into ucv")
-
-    return _certificate(fp, combo, rhs, tag, policy, affine)
+    if source.kind is SourceKind.FULL_S:
+        return _criterion(fp, source.kind, spec, 2.0, tag, policy)
+    growth = 1.0 + 1.0 / (2.0 * (1.0 - float(source.beta)))
+    if spec.kind is ClassKind.STARLIKE and fp.family is Family.SPLIT4 and spec.lam == 1.0:
+        # The quartic corollary: lam = 1 drops W_-1 and relaxes the region.
+        am, bm, c = _moduli(fp)
+        _require(c > am + bm, "requires c > |a| + |b|")
+        return _certificate(fp, {0: 1.0}, growth, tag + ".lambda1", policy)
+    return _criterion(fp, source.kind, spec, growth, tag, policy)
 
 
 def hypergeometric_coefficients(fp: FamilyParams, N: int) -> PowerSeries:
     """Taylor coefficients A_1..A_N of z * (split-ladder series) by stable recurrence."""
     if N < 1:
         raise ValueError("need N >= 1")
-    if N == 1:
-        return PowerSeries((1.0,))
     # A_{n+1}/A_n is the series term ratio at z = 1 and index n - 1.
     ratios = term_ratios(fp.upper_params(), fp.lower_params(), 1.0, np.arange(N - 1))
     coeffs = np.concatenate(([1.0 + 0.0j], np.cumprod(ratios)))

@@ -373,6 +373,12 @@ def _default_lambda(kind: ClassKind, lam: float | None) -> float | None:
     return lam
 
 
+def _reject_stray_beta(source_kind: SourceKind, beta: Any) -> None:
+    """--beta belongs to --source rbeta alone."""
+    if source_kind is not SourceKind.RBETA and beta is not None:
+        raise ValueError("--beta is only meaningful with --source rbeta")
+
+
 def _certify(
     fp: FamilyParams, spec: ClassSpec, source_kind: SourceKind, beta: float | None,
     policy: PrecisionPolicy,
@@ -390,8 +396,7 @@ def cmd_certify(args: argparse.Namespace, out) -> int:
     lam = _default_lambda(kind, args.lam)
     spec = ClassSpec(kind, lam)
     source_kind = SourceKind(args.source)
-    if source_kind is not SourceKind.RBETA and args.beta is not None:
-        raise ValueError("--beta is only meaningful with --source rbeta")
+    _reject_stray_beta(source_kind, args.beta)
     if source_kind is SourceKind.RBETA and args.beta is None:
         raise ValueError("--source rbeta requires --beta")
     params = {
@@ -507,6 +512,7 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
     family = parse_family(args.family)
     kind = ClassKind(args.klass)
     source_kind = SourceKind(args.source)
+    _reject_stray_beta(source_kind, args.beta)
     a_grid = _parse_range(args.a)
     b_grid = _parse_range(args.b)
     c_grid = _parse_range(args.c)

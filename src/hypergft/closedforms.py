@@ -16,22 +16,24 @@ binomial series outside its disc of convergence: its terms grow like 2^j
 and the expansion diverges, so the convergent regrouping above is what this
 module evaluates (see the repository typo ledger).
 
-The weighted ladder sums of the lemmas are linear combinations of the same
-expansion at shifted parameters: with G_m = (a)_m / (c-a-b-m)_m * S(a+m,
-b+km, c+km),
+The weighted ladder sums W_d = sum_n (n+1)^d T_n of the lemmas are linear
+combinations of the same expansion at shifted parameters: with G_m =
+(a)_m / (c-a-b-m)_m * S(a+m, b+km, c+km),
 
-    sum (n+1)   T_n = pref * (G_1 + G_0)
-    sum (n+1)^2 T_n = pref * (G_2 + 3 G_1 + G_0)
-    sum (n+1)^3 T_n = pref * (G_3 + 6 G_2 + 7 G_1 + G_0)
-    sum T_n/(n+1)   = pref * (c-a-b)/(a-1) * S(a-1, b-k, c-k)
-                      - (c-k)_k / ((a-1)(b-k)_k),
+    W_0  = pref * G_0
+    W_1  = pref * (G_1 + G_0)
+    W_2  = pref * (G_2 + 3 G_1 + G_0)
+    W_3  = pref * (G_3 + 6 G_2 + 7 G_1 + G_0)
+    W_-1 = pref * (c-a-b)/(a-1) * S(a-1, b-k, c-k) - (c-k)_k / ((a-1)(b-k)_k),
 
-the affine term sitting outside the prefactor product.
+the affine term sitting outside the prefactor product (``_PART_COEFFS``
+holds the G-basis of each power d, ``part4_affine`` the affine term).
 
-``block_combination`` is the one place such a combination and its bound are
-assembled, for the closed forms at z = 1, the lemmas and every certificate;
-its gamma allowance scales with the blocks a cancelling combination
-subtracts, not with the (possibly much smaller) result.
+``block_combination`` is the one place a sum of weighted powers
+sum_d coeff_d W_d and its bound are assembled, for the closed forms at
+z = 1 (W_0), the lemmas (W_1, W_2, W_3, W_-1) and every certificate (two
+adjacent powers); its gamma allowance scales with the blocks a cancelling
+combination subtracts, not with the (possibly much smaller) result.
 
 The outer expansion S is summed by the package's one engine,
 ``series.chunked_sum``, with the inner 2F1(-1) tails of each chunk added to
@@ -43,7 +45,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -91,6 +93,11 @@ class LemmaId:
     def weight(self) -> str:
         """Weight of the direct-sum side: (n+1), (n+1)^2, (n+1)^3 or 1/(n+1)."""
         return ("linear", "square", "cube", "inv")[self.part - 1]
+
+    @property
+    def power(self) -> int:
+        """d of the weighted sum W_d = sum (n+1)^d T_n: 1, 2, 3 or -1."""
+        return (1, 2, 3, -1)[self.part - 1]
 
 
 LEMMAS = {f"lemma-{s.value}-part{p}": LemmaId(s, p) for s in Section for p in (1, 2, 3, 4)}
@@ -210,18 +217,15 @@ def ladder_sum_block(
 ) -> EvalResult:
     """Shifted building block G_shift of the weighted ladder sums.
 
-    shift m >= 1 gives (a)_m/(c-a-b-m)_m * S(a+m, b+km, c+km); shift 0 is
-    S(a, b, c); shift -1 gives (c-a-b)/(a-1) * S(a-1, b-k, c-k) without the
+    shift m >= 0 gives (a)_m/(c-a-b-m)_m * S(a+m, b+km, c+km), which is
+    S(a, b, c) at m = 0; shift -1 gives (c-a-b)/(a-1) * S(a-1, b-k, c-k) without the
     affine term, which ``part4_affine`` gives.
     """
     a, b, c = complex(a), complex(b), complex(c)
     k = order
-    if shift >= 1:
+    if shift >= 0:
         pre = pochhammer(a, shift) / pochhammer(c - a - b - shift, shift)
         inner = split_outer_sum(order, a + shift, b + k * shift, c + k * shift, policy)
-    elif shift == 0:
-        pre = 1.0 + 0.0j
-        inner = split_outer_sum(order, a, b, c, policy)
     elif shift == -1:
         pre = (c - a - b) / (a - 1.0)
         inner = split_outer_sum(order, a - 1.0, b - k, c - k, policy)
@@ -234,22 +238,30 @@ def ladder_sum_block(
 
 
 def block_combination(
-    order: int, a: complex, b: complex, c: complex, combo: Sequence[tuple[int, float]],
-    policy: PrecisionPolicy = DEFAULT_POLICY, affine: complex = 0.0,
+    order: int, a: complex, b: complex, c: complex, weights: Mapping[int, float],
+    policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> EvalResult:
-    """pref * sum(coeff * G_shift) + affine over the (shift, coeff) pairs of combo.
+    """sum(coeff * W_d) over the {power d: coeff} entries of weights.
 
-    The bound is |pref| sum |coeff| tail_m + GAMMA_EVAL_REL (|pref| sum |coeff|
-    |G_m| + |affine|); zero coefficients are skipped.
+    The powers' G-combinations (``_PART_COEFFS``) are merged into one
+    pref * sum(coeff * G_m), plus affine = -coeff_-1 * ``part4_affine``.
+    The bound is |pref| sum |coeff| tail_m + GAMMA_EVAL_REL (|pref| sum
+    |coeff| |G_m| + |affine|); zero coefficients are skipped.
     """
     a, b, c = complex(a), complex(b), complex(c)
+    combo: dict[int, float] = {}
+    for power, weight in weights.items():
+        for shift, coeff in _PART_COEFFS[power]:
+            combo[shift] = combo.get(shift, 0.0) + weight * coeff
+    inv = weights.get(-1, 0.0)
+    affine = -inv * part4_affine(order, a, b, c) if inv != 0.0 else 0.0
     pref = family_prefactor(order, a, b, c)
     value = 0.0 + 0.0j
     tail = 0.0
     size = 0.0
     terms = 0
     converged = True
-    for shift, coeff in combo:
+    for shift, coeff in combo.items():
         if coeff == 0.0:
             continue
         blk = ladder_sum_block(order, a, b, c, shift, policy)
@@ -260,6 +272,17 @@ def block_combination(
         converged = converged and blk.converged
     bound = abs(pref) * tail + GAMMA_EVAL_REL * (abs(pref) * size + abs(affine))
     return EvalResult(pref * value + affine, bound, terms, converged)
+
+
+# power d -> (shift m, coeff) pairs with W_d = pref * sum(coeff * G_m) (W_-1
+# also carries the affine term).
+_PART_COEFFS: dict[int, tuple[tuple[int, float], ...]] = {
+    -1: ((-1, 1.0),),
+    0: ((0, 1.0),),
+    1: ((1, 1.0), (0, 1.0)),
+    2: ((2, 1.0), (1, 3.0), (0, 1.0)),
+    3: ((3, 1.0), (2, 6.0), (1, 7.0), (0, 1.0)),
+}
 
 
 def part4_affine(order: int, a: complex, b: complex, c: complex):
@@ -299,7 +322,7 @@ def _unit_sum(fp: FamilyParams, family: Family, name: str, policy: PrecisionPoli
         raise ValueError(f"{name} expects a {family.name} parameter set")
     if not (complex(fp.c) - complex(fp.a) - complex(fp.b)).real > 0:
         raise ConstraintError("requires Re(c-a-b) > 0")
-    return block_combination(fp.order, fp.a, fp.b, fp.c, ((0, 1.0),), policy)
+    return block_combination(fp.order, fp.a, fp.b, fp.c, {0: 1.0}, policy)
 
 
 def four_f3_at_1(fp: FamilyParams, policy: PrecisionPolicy = DEFAULT_POLICY) -> EvalResult:
@@ -310,14 +333,6 @@ def four_f3_at_1(fp: FamilyParams, policy: PrecisionPolicy = DEFAULT_POLICY) -> 
 def five_f4_at_1(fp: FamilyParams, policy: PrecisionPolicy = DEFAULT_POLICY) -> EvalResult:
     """Closed form of the quartic-ladder 5F4 at z = 1."""
     return _unit_sum(fp, Family.SPLIT4, "five_f4_at_1", policy)
-
-
-_PART_COEFFS: dict[int, tuple[tuple[int, float], ...]] = {
-    1: ((1, 1.0), (0, 1.0)),
-    2: ((2, 1.0), (1, 3.0), (0, 1.0)),
-    3: ((3, 1.0), (2, 6.0), (1, 7.0), (0, 1.0)),
-    4: ((-1, 1.0),),
-}
 
 
 def lemma_closed_form(
@@ -331,7 +346,6 @@ def lemma_closed_form(
     a, b, c = complex(fp.a), complex(fp.b), complex(fp.c)
     k = fp.order
     part = lemma_id.part
-    affine = 0.0
     if part in (1, 2, 3):
         if not (c - a - b).real > part:
             raise ConstraintError(f"part {part} requires c > a + b + {part}")
@@ -343,8 +357,7 @@ def lemma_closed_form(
                 raise ConstraintError(f"part 4 requires b != {m}")
         if not (c.real > a.real + k - 1 and c.real > (a + b).real - 1):
             raise ConstraintError(f"part 4 requires c > max(a + {k - 1}, a + b - 1)")
-        affine = -part4_affine(k, a, b, c)
-    return block_combination(k, a, b, c, _PART_COEFFS[part], policy, affine)
+    return block_combination(k, a, b, c, {lemma_id.power: 1.0}, policy)
 
 
 _EULER_LEVELS = ("2f1", "3f2quad", "4f3", "pfq")
@@ -430,48 +443,28 @@ def euler_integral(
     if params.p == params.q + 1 and abs(z) >= 1.0:
         raise ConstraintError("requires |z| < 1 when p = q + 1")
 
-    def weighted(t: float) -> complex:
-        return (t ** (p_exp - 1.0)) * ((1.0 - t) ** (q_exp - 1.0)) * kernel(t)
-
     pref = gamma_ratio([p_exp + q_exp], [p_exp, q_exp])
     seg_tol = 0.5 * quad_tol / max(abs(pref), 1e-300)
 
-    total = 0.0 + 0.0j
-    err = 0.0
-    evals = 0
-    # Left half, substituting away a t^(p-1) singularity when Re(p) < 1.
-    if p_exp.real < 1.0:
-        s0 = p_exp.real
+    # Left half with t = u^(1/s0), right half with 1 - t = u^(1/s1); s < 1
+    # removes an endpoint power singularity, s = 1 is the plain integrand.
+    s0 = min(p_exp.real, 1.0)
+    s1 = min(q_exp.real, 1.0)
 
-        def left(u: float) -> complex:
-            t = u ** (1.0 / s0)
-            return (1.0 / s0) * (t ** (p_exp - s0)) * ((1.0 - t) ** (q_exp - 1.0)) * kernel(t)
+    def left(u: float) -> complex:
+        t = u ** (1.0 / s0)
+        return (1.0 / s0) * (t ** (p_exp - s0)) * ((1.0 - t) ** (q_exp - 1.0)) * kernel(t)
 
-        res = adaptive_quad(left, 0.0, 0.5 ** s0, seg_tol, budget)
-    else:
-        res = adaptive_quad(weighted, 0.0, 0.5, seg_tol, budget)
-    total += res.value
-    err += res.error
-    evals += res.evaluations
-    # Right half via s = 1 - t.
-    if q_exp.real < 1.0:
-        s1 = q_exp.real
+    def right(u: float) -> complex:
+        sv = u ** (1.0 / s1)
+        t = 1.0 - sv
+        return (1.0 / s1) * (sv ** (q_exp - s1)) * (t ** (p_exp - 1.0)) * kernel(t)
 
-        def right(u: float) -> complex:
-            sv = u ** (1.0 / s1)
-            t = 1.0 - sv
-            return (1.0 / s1) * (sv ** (q_exp - s1)) * (t ** (p_exp - 1.0)) * kernel(t)
-
-        res = adaptive_quad(right, 0.0, 0.5 ** s1, seg_tol, budget - evals)
-    else:
-
-        def right_plain(u: float) -> complex:
-            return weighted(1.0 - u)
-
-        res = adaptive_quad(right_plain, 0.0, 0.5, seg_tol, budget - evals)
-    total += res.value
-    err += res.error
-    evals += res.evaluations
+    left_res = adaptive_quad(left, 0.0, 0.5 ** s0, seg_tol, budget)
+    right_res = adaptive_quad(right, 0.0, 0.5 ** s1, seg_tol, budget - left_res.evaluations)
+    total = left_res.value + right_res.value
+    err = left_res.error + right_res.error
+    evals = left_res.evaluations + right_res.evaluations
 
     value = pref * total
     tail = abs(pref) * err + inner_allow + GAMMA_EVAL_REL * abs(value)

@@ -105,8 +105,8 @@ def coefficient_condition_check(f: PowerSeries, spec: ClassSpec) -> OracleReport
         terms = _weights(spec, ns) * mods
     total = float(terms.sum())
     threshold = spec.threshold
+    worst_idx = int(np.argmax(terms)) + 2 if terms.size else 1
     if total > threshold:
-        worst_idx = int(np.argmax(terms)) + 2 if terms.size else 1
         return OracleReport(CheckKind.COEFF_SUM, False, total, worst_idx, f.order)
     if terms.size < 2 or terms[-1] == 0.0:
         tail = 0.0
@@ -122,7 +122,6 @@ def coefficient_condition_check(f: PowerSeries, spec: ClassSpec) -> OracleReport
                 )
             tail = float(prev[-1]) * ratio / (1.0 - ratio)
     total_with_tail = total + tail
-    worst_idx = int(np.argmax(terms)) + 2 if terms.size else 1
     return OracleReport(
         CheckKind.COEFF_SUM,
         total_with_tail <= threshold,

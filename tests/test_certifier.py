@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hypergft.certifier import (
@@ -17,6 +18,7 @@ from hypergft.families import Family, FamilyParams
 from hypergft.numcore import pochhammer
 from hypergft.oracle import (
     GridSpec,
+    _weights,
     coefficient_condition_check,
     disc_sample_check,
     worst_case_coefficients,
@@ -150,29 +152,88 @@ class TestOperatorMappingCertificates:
         cert = certify_operator_mapping(fp3(0.2, 5.0, 30.0), RBETA0, SP)
         assert cert.verdict is Verdict.CERTIFIED
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="the part-4 hypothesis admits |a| + |b| - 1 < c < |a| + |b|, where "
-               "Gamma(c - |a| - |b|) turns the left side negative (lhs -7.51 for sp, "
-               "-19.76 for starlike) and the verdict is certified",
+    @pytest.mark.parametrize(
+        "fp",
+        [fp3(1.5, 3.2, 4.2), fp4(1.5, 5.2, 6.2)],
+        ids=["split3", "split4"],
     )
     @pytest.mark.parametrize(
         "spec", [SP, ClassSpec(ClassKind.STARLIKE, 0.5)], ids=["sp", "starlike"]
     )
-    def test_rbeta_part4_below_a_plus_b_is_not_certified(self, spec):
-        source = SourceClass(SourceKind.RBETA, 0.5)
-        try:
-            cert = certify_operator_mapping(fp3(1.5, 3.2, 4.2), source, spec)
-        except HypothesisError:
-            return
-        assert cert.verdict is not Verdict.CERTIFIED
+    def test_rbeta_part4_below_a_plus_b_is_not_certified(self, fp, spec):
+        # The part-4 region admits |a| + |b| - 1 < c <= |a| + |b|, where
+        # sum T_n diverges: the criterion fails without any block evaluated.
+        cert = certify_operator_mapping(fp, SourceClass(SourceKind.RBETA, 0.5), spec)
+        assert cert.verdict is Verdict.NOT_CERTIFIED
+        assert cert.lhs == math.inf
+        assert cert.margin == -math.inf
 
     def test_beta_raises_rhs(self):
         lo = certify_operator_mapping(fp3(0.1, 0.1, 25.0), SourceClass(SourceKind.RBETA, 0.0), CONV1)
         hi = certify_operator_mapping(fp3(0.1, 0.1, 25.0), SourceClass(SourceKind.RBETA, 0.8), CONV1)
         assert hi.rhs > lo.rhs
         assert hi.margin > lo.margin
+
+
+class TestCoefficientOracleAgreement:
+    """Every certificate's lhs is the weighted coefficient sum itself: the
+    coefficient oracle's sum from n = 2, over the source's 2(1 - beta) for
+    R(beta), plus the n = 1 term theta."""
+
+    N = 500
+    CRITERIA = (
+        [(SourceKind.FUNCTION, kind) for kind in ClassKind]
+        + [(SourceKind.RBETA, kind) for kind in ClassKind]
+        + [(SourceKind.FULL_S, kind) for kind in ClassKind if kind is not ClassKind.UCV]
+    )
+
+    @staticmethod
+    def _points(family, count):
+        """c >= |a| + |b| + 9 clears every criterion's floor (D + s <= 3) by 6;
+        a != 1 and b off 1..k keep the part-4 criteria defined."""
+        rng = random.Random(f"oracle-lhs/{family.name}")
+        k = family.order
+        out = []
+        while len(out) < count:
+            a, b = rng.uniform(0.2, 2.0), rng.uniform(0.3, 4.5)
+            if abs(a - 1) < 0.1 or min(abs(b - m) for m in range(1, k + 1)) < 0.1:
+                continue
+            c = a + b + 9 + rng.uniform(0.0, 4.0)
+            out.append((a, b, c, rng.uniform(0.2, 1.0), rng.uniform(0.0, 0.9)))
+        return out
+
+    @pytest.mark.parametrize("family", [Family.SPLIT3, Family.SPLIT4])
+    def test_lhs_is_the_coefficient_sum(self, family):
+        N = self.N
+        for a, b, c, lam, beta in self._points(family, 2):
+            fp = FamilyParams(a, b, c, family)
+            for source_kind, kind in self.CRITERIA:
+                spec = ClassSpec(kind, lam if kind in (ClassKind.STARLIKE, ClassKind.CONVEX) else None)
+                target = hypergeometric_coefficients(fp, N)
+                scale = 1.0
+                if source_kind is SourceKind.FUNCTION:
+                    cert = certify_function_class(fp, spec)
+                else:
+                    source = SourceClass(source_kind, beta if source_kind is SourceKind.RBETA else None)
+                    cert = certify_operator_mapping(fp, source, spec)
+                    target = hadamard_convolve(target, worst_case_coefficients(source, N))
+                    if source_kind is SourceKind.RBETA:
+                        scale = 2.0 * (1.0 - beta)
+                report = coefficient_condition_check(target, spec)
+                expected = report.worst_value / scale + spec.threshold
+                # The oracle stops at n = N and extrapolates the rest.  Its
+                # terms t_n = w(n)|A_n| decay like n^-p with p >= 7 here, so
+                # both the dropped tail (about t_N N / (p - 1)) and the
+                # extrapolation (about t_N N / p) lie in [0, N t_N].
+                last = float(_weights(spec, np.array([float(N)]))[0]) * abs(target.coefficients[-1])
+                tol = (
+                    N * last / scale
+                    + cert.lhs_tail_bound
+                    + N * np.finfo(float).eps * abs(expected)
+                )
+                assert abs(cert.lhs - expected) <= tol, (
+                    cert.theorem_tag, (a, b, c, lam, beta), cert.lhs, expected, tol
+                )
 
 
 class TestSoundness:

@@ -83,7 +83,7 @@ def left_side(family, source, kind, lam, corr):
         if kind is STAR:
             if family is Family.SPLIT4 and lam == 1.0:
                 return {0: 1}, 0
-            return {-1: lam - 1, 0: 1}, 0
+            return {-1: lam - 1, 0: 1}, -(lam - 1) * corr
         if kind is SP:
             return {0: 2, -1: -1}, corr
         return {CONV: {1: 1, 0: lam}, UCV: {1: 2, 0: 1}}[kind], 0

@@ -167,6 +167,17 @@ class TestCertify:
         assert "lhs = 1.0000" in text
         assert "np." not in text
 
+    def test_divergent_band_not_certified_with_infinite_lhs(self):
+        # |a| + |b| - 1 < c <= |a| + |b| lies in the part-4 region, but sum T_n diverges.
+        code, text = run(
+            "certify", "--family", "split4", "--a", "1.5", "--b", "5.2", "--c", "6.2",
+            "--class", "sp", "--source", "rbeta", "--beta", "0.5",
+        )
+        assert code == 5
+        cert = json.loads(text)["certificate"]
+        assert cert["verdict"] == "not_certified"
+        assert cert["lhs"] == math.inf
+
     def test_lambda_out_of_range(self):
         code, _ = run(
             "certify", "--family", "split4", "--a", "0.1", "--b", "0.1", "--c", "20",
@@ -250,6 +261,23 @@ class TestSweep:
         rows = text.strip().splitlines()[1:]
         margins = [float(r.split(",")[11]) for r in rows]
         assert all(x <= y + 1e-12 for x, y in zip(margins, margins[1:]))
+
+    @pytest.mark.parametrize("source", ["function", "s"])
+    def test_beta_without_rbeta_source_rejected(self, source, capsys):
+        code, text = run(
+            "sweep", "--family", "split3", "--class", "sp", "--source", source,
+            "--a", "0.3", "--b", "0.4", "--c", "9", "--beta", "0:0.2:0.1",
+        )
+        assert code == 1
+        assert text == ""
+        err = capsys.readouterr().err
+        assert "--beta is only meaningful with --source rbeta" in err
+        code, _ = run(
+            "certify", "--family", "split3", "--class", "sp", "--source", source,
+            "--a", "0.3", "--b", "0.4", "--c", "9", "--beta", "0.1",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == err
 
     def test_row_level_errors_recorded(self):
         code, text = run(
