@@ -23,7 +23,8 @@ the function itself s = 0, S (|a_n| <= n) s = +1, R(beta) (|a_n| <=
 2(1-beta) divides out).  The left side is the weighted sum itself, so the
 n = 1 term theta sits on both sides.
 
-W_d converges for c > |a| + |b| + d, the hypothesis when D + s >= 1.  When
+W_d converges for c > |a| + |b| + d (``families.weighted_sum_region`` at
+(|a|, |b|)), the hypothesis when D + s >= 1.  When
 D + s = 0 (R(beta) into starlike or sp) W_-1 brings in the part-4 region
 c > max(|a| + k - 1, |a| + |b| - 1); inside it, c <= |a| + |b| makes W_0
 diverge, so the criterion fails: ``not_certified`` with lhs = +inf, no block
@@ -48,7 +49,7 @@ from .classes import ClassKind, ClassSpec, SourceClass, SourceKind
 from .closedforms import block_combination
 from .closedforms import ladder_sum_block  # noqa: F401  (re-exported)
 from .errors import HypothesisError, NormalizationError
-from .families import Family, FamilyParams
+from .families import Family, FamilyParams, weighted_sum_region
 from .numcore import DEFAULT_POLICY, GAMMA_EVAL_REL, POLE_TOL, PrecisionPolicy
 from .oracle import OracleReport
 from .powerseries import NORMALIZATION_TOL, PowerSeries
@@ -106,14 +107,15 @@ def _require(cond: bool, msg: str) -> None:
         raise HypothesisError(msg)
 
 
-def _part4_hypothesis(am: float, bm: float, c: float, k: int) -> None:
-    _require(abs(am - 1.0) > POLE_TOL, "requires |a| != 1")
-    for m in range(1, k + 1):
-        _require(abs(bm - m) > POLE_TOL, f"requires |b| != {m}")
-    _require(
-        c > max(am + k - 1, am + bm - 1),
-        f"requires c > max(|a| + {k - 1}, |a| + |b| - 1)",
-    )
+def _hypothesis(am: float, bm: float, c: float, k: int, d: int) -> None:
+    """W_d converges at (|a|, |b|, c); the closed form of W_-1 also needs
+    |a| != 1 and |b| != 1..k."""
+    if d == -1:
+        _require(abs(am - 1.0) > POLE_TOL, "requires |a| != 1")
+        for m in range(1, k + 1):
+            _require(abs(bm - m) > POLE_TOL, f"requires |b| != {m}")
+    violated = weighted_sum_region(am, bm, c, k, d)
+    _require(violated is None, f"requires {violated} (a, b taken as |a|, |b|)")
 
 
 def _certificate(
@@ -137,12 +139,9 @@ def _criterion(
     power, alpha, beta = _CLASS_WEIGHTS[spec.kind](theta)
     d = power + _SOURCE_SHIFTS[source]
     rhs = theta * growth
-    if d >= 1:
-        _require(c > am + bm + d, f"requires c > |a| + |b| + {d}")
-    else:
-        _part4_hypothesis(am, bm, c, fp.order)
-        if c <= am + bm:  # W_0 diverges
-            return Certificate(math.inf, rhs, -math.inf, Verdict.NOT_CERTIFIED, 0.0, tag)
+    _hypothesis(am, bm, c, fp.order, d if d >= 1 else -1)
+    if d == 0 and weighted_sum_region(am, bm, c, fp.order, 0):  # W_0 diverges
+        return Certificate(math.inf, rhs, -math.inf, Verdict.NOT_CERTIFIED, 0.0, tag)
     return _certificate(fp, {d: alpha, d - 1: beta}, rhs, tag, policy)
 
 
@@ -171,8 +170,7 @@ def certify_operator_mapping(
     growth = 1.0 + 1.0 / (2.0 * (1.0 - float(source.beta)))
     if spec.kind is ClassKind.STARLIKE and fp.family is Family.SPLIT4 and spec.lam == 1.0:
         # The quartic corollary: lam = 1 drops W_-1 and relaxes the region.
-        am, bm, c = _moduli(fp)
-        _require(c > am + bm, "requires c > |a| + |b|")
+        _hypothesis(*_moduli(fp), fp.order, 0)
         return _certificate(fp, {0: 1.0}, growth, tag + ".lambda1", policy)
     return _criterion(fp, source.kind, spec, growth, tag, policy)
 

@@ -15,6 +15,7 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -155,6 +156,18 @@ def _emit(text: str, out) -> None:
         out.write("\n")
 
 
+def _render(
+    args: argparse.Namespace, body_key: str, body: Any, params: dict[str, Any],
+    rows: list[str], text: str, out,
+) -> None:
+    """Write one report in --format: the JSON document, the CSV rows (header first) or the text."""
+    if args.format == "json":
+        text = _report(args, body_key, body, params)
+    elif args.format == "csv":
+        text = "\n".join(rows)
+    _emit(text, out)
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     """key = value lines, keys spelled as dests (lambda -> lam, - -> _)."""
     out: dict[str, str] = {}
@@ -262,20 +275,25 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 # ---------------------------------------------------------------- eval
 
 
-def _eval_series(args: argparse.Namespace, out) -> int:
+def _series_args(args: argparse.Namespace) -> tuple[PFQParams, complex, dict[str, Any]]:
+    """--upper/--lower/--z as series parameters, argument and report params.
+
+    A --pfq name must match the list lengths.
+    """
     upper = _parse_list(args.upper)
     lower = _parse_list(args.lower)
-    name = args.pfq.strip().lower()
-    expect = f"{len(upper)}f{len(lower)}"
-    if name != expect:
+    if args.pfq and args.pfq.strip().lower() != f"{len(upper)}f{len(lower)}":
         raise ValueError(
             f"--pfq {args.pfq} does not match {len(upper)} upper / {len(lower)} lower parameters"
         )
     z = _parse_complex(args.z)
-    res = pfq_eval(PFQParams(upper, lower), z, args.policy)
     params = {"upper": [_jsonify(u) for u in upper], "lower": [_jsonify(l) for l in lower], "z": z}
-    _render_result(args, res, params, out)
-    return 0
+    return PFQParams(upper, lower), z, params
+
+
+def _eval_series(args: argparse.Namespace) -> tuple[EvalResult, dict[str, Any]]:
+    pfq, z, params = _series_args(args)
+    return pfq_eval(pfq, z, args.policy), params
 
 
 def _family_from_args(args: argparse.Namespace, family: Family) -> FamilyParams:
@@ -284,7 +302,7 @@ def _family_from_args(args: argparse.Namespace, family: Family) -> FamilyParams:
     return FamilyParams(_parse_complex(args.a), _parse_complex(args.b), args.c, family)
 
 
-def _eval_closed(args: argparse.Namespace, out) -> int:
+def _eval_closed(args: argparse.Namespace) -> tuple[EvalResult, dict[str, Any]]:
     tag = args.closed.strip().lower()
     if tag == "gauss":
         a, b = _parse_complex(args.a), _parse_complex(args.b)
@@ -309,58 +327,30 @@ def _eval_closed(args: argparse.Namespace, out) -> int:
         params = {"closed": tag, "a": fp.a, "b": fp.b, "c": fp.c}
     else:
         raise ValueError(f"unknown closed form {args.closed!r}")
-    _render_result(args, res, params, out)
-    return 0
+    return res, params
 
 
-def _eval_euler(args: argparse.Namespace, out) -> int:
-    upper = _parse_list(args.upper)
-    lower = _parse_list(args.lower)
-    z = _parse_complex(args.z)
-    res = closedforms.euler_integral(
-        args.euler, PFQParams(upper, lower), z, args.quad_tol, args.policy
-    )
-    params = {
-        "euler": args.euler,
-        "upper": [_jsonify(u) for u in upper],
-        "lower": [_jsonify(l) for l in lower],
-        "z": z,
-        "quad_tol": args.quad_tol,
-    }
-    _render_result(args, res, params, out)
-    return 0
-
-
-def _render_result(args: argparse.Namespace, res: EvalResult, params: dict, out) -> None:
-    if args.format == "json":
-        _emit(_report(args, "result", _result_payload(res), params), out)
-    elif args.format == "csv":
-        _emit("value_re,value_im,tail_bound,terms,converged", out)
-        v = complex(res.value)
-        _emit(
-            ",".join(
-                (_g17(v.real), _g17(v.imag), _g17(res.tail_bound), str(res.terms_used), str(res.converged).lower())
-            ),
-            out,
-        )
-    else:
-        v = complex(res.value)
-        _emit(
-            f"value = {v.real!r}{'+' if v.imag >= 0 else '-'}{abs(v.imag)!r}j\n"
-            f"tail_bound = {res.tail_bound!r}\nterms = {res.terms_used}\nconverged = {res.converged}",
-            out,
-        )
+def _eval_euler(args: argparse.Namespace) -> tuple[EvalResult, dict[str, Any]]:
+    pfq, z, params = _series_args(args)
+    res = closedforms.euler_integral(args.euler, pfq, z, args.quad_tol, args.policy)
+    return res, {**params, "euler": args.euler, "quad_tol": args.quad_tol}
 
 
 def cmd_eval(args: argparse.Namespace, out) -> int:
     chosen = [x for x in (args.pfq, args.closed, args.euler) if x]
     if len(chosen) != 1:
         raise ValueError("pick exactly one of --pfq, --closed, --euler")
-    if args.pfq:
-        return _eval_series(args, out)
-    if args.closed:
-        return _eval_closed(args, out)
-    return _eval_euler(args, out)
+    evaluate = _eval_series if args.pfq else _eval_closed if args.closed else _eval_euler
+    res, params = evaluate(args)
+    v = complex(res.value)
+    row = (_g17(v.real), _g17(v.imag), _g17(res.tail_bound), str(res.terms_used), str(res.converged).lower())
+    rows = ["value_re,value_im,tail_bound,terms,converged", ",".join(row)]
+    text = (
+        f"value = {v.real!r}{'+' if v.imag >= 0 else '-'}{abs(v.imag)!r}j\n"
+        f"tail_bound = {res.tail_bound!r}\nterms = {res.terms_used}\nconverged = {res.converged}"
+    )
+    _render(args, "result", _result_payload(res), params, rows, text, out)
+    return 0
 
 
 # ---------------------------------------------------------------- certify
@@ -373,10 +363,14 @@ def _default_lambda(kind: ClassKind, lam: float | None) -> float | None:
     return lam
 
 
-def _reject_stray_beta(source_kind: SourceKind, beta: Any) -> None:
-    """--beta belongs to --source rbeta alone."""
-    if source_kind is not SourceKind.RBETA and beta is not None:
+def _target_args(args: argparse.Namespace) -> tuple[Family, ClassKind, SourceKind]:
+    """--family, --class and --source; --beta belongs to --source rbeta alone."""
+    family = parse_family(args.family)
+    kind = ClassKind(args.klass)
+    source_kind = SourceKind(args.source)
+    if source_kind is not SourceKind.RBETA and args.beta is not None:
         raise ValueError("--beta is only meaningful with --source rbeta")
+    return family, kind, source_kind
 
 
 def _certify(
@@ -390,13 +384,10 @@ def _certify(
 
 
 def cmd_certify(args: argparse.Namespace, out) -> int:
-    family = parse_family(args.family)
+    family, kind, source_kind = _target_args(args)
     fp = _family_from_args(args, family)
-    kind = ClassKind(args.klass)
     lam = _default_lambda(kind, args.lam)
     spec = ClassSpec(kind, lam)
-    source_kind = SourceKind(args.source)
-    _reject_stray_beta(source_kind, args.beta)
     if source_kind is SourceKind.RBETA and args.beta is None:
         raise ValueError("--source rbeta requires --beta")
     params = {
@@ -413,8 +404,8 @@ def cmd_certify(args: argparse.Namespace, out) -> int:
         cert = _certify(fp, spec, source_kind, args.beta, args.policy)
     except HypothesisError as exc:
         if args.allow_hypothesis_error:
-            body = {"hypothesis_error": str(exc)}
-            _emit(_report(args, "certificate", body, params), out)
+            # the violation report is JSON in every format
+            _emit(_report(args, "certificate", {"hypothesis_error": str(exc)}, params), out)
         else:
             print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 4
@@ -434,23 +425,17 @@ def cmd_certify(args: argparse.Namespace, out) -> int:
     body = _certificate_payload(cert)
     if disc_report is not None:
         body["disc_oracle"] = _oracle_payload(disc_report)
-    if args.format == "json":
-        _emit(_report(args, "certificate", body, params), out)
-    elif args.format == "csv":
-        _emit("theorem_tag,lhs,rhs,margin,verdict", out)
-        _emit(
-            ",".join(
-                (cert.theorem_tag, _g17(cert.lhs), _g17(cert.rhs), _g17(cert.margin), cert.verdict.value)
-            ),
-            out,
-        )
-    else:
-        _emit(
-            f"{cert.theorem_tag}: {cert.verdict.value}\n"
-            f"lhs = {cert.lhs!r}  rhs = {cert.rhs!r}  margin = {cert.margin!r}",
-            out,
-        )
-    return {"certified": 0, "not_certified": 5, "inconclusive": 6}[cert.verdict.value]
+    verdict = cert.verdict.value
+    rows = [
+        "theorem_tag,lhs,rhs,margin,verdict",
+        ",".join((cert.theorem_tag, _g17(cert.lhs), _g17(cert.rhs), _g17(cert.margin), verdict)),
+    ]
+    text = (
+        f"{cert.theorem_tag}: {verdict}\n"
+        f"lhs = {cert.lhs!r}  rhs = {cert.rhs!r}  margin = {cert.margin!r}"
+    )
+    _render(args, "certificate", body, params, rows, text, out)
+    return {"certified": 0, "not_certified": 5, "inconclusive": 6}[verdict]
 
 
 # ---------------------------------------------------------------- verify
@@ -490,18 +475,12 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
             "note": "systematic residual failure; reconcile the printed form "
                     "against the direct series and record the corrected formula",
         }
-    if args.format == "json":
-        _emit(_report(args, "verification", body, {"identity": tag}), out)
-    elif args.format == "csv":
-        _emit("draw,residual", out)
-        for i, r in enumerate(residuals):
-            _emit(f"{i},{_g17(r)}", out)
-    else:
-        _emit(
-            f"{tag}: {len(residuals)} draws, max residual {worst!r} "
-            f"({'pass' if passed else 'FAIL'} at {tolerance!r})",
-            out,
-        )
+    rows = ["draw,residual"] + [f"{i},{_g17(r)}" for i, r in enumerate(residuals)]
+    text = (
+        f"{tag}: {len(residuals)} draws, max residual {worst!r} "
+        f"({'pass' if passed else 'FAIL'} at {tolerance!r})"
+    )
+    _render(args, "verification", body, {"identity": tag}, rows, text, out)
     return 0 if passed else 5
 
 
@@ -509,10 +488,7 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:
-    family = parse_family(args.family)
-    kind = ClassKind(args.klass)
-    source_kind = SourceKind(args.source)
-    _reject_stray_beta(source_kind, args.beta)
+    family, kind, source_kind = _target_args(args)
     a_grid = _parse_range(args.a)
     b_grid = _parse_range(args.b)
     c_grid = _parse_range(args.c)
@@ -520,20 +496,13 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
     beta_grid = _parse_range(args.beta) if args.beta is not None else [None]
     if source_kind is SourceKind.RBETA and beta_grid == [None]:
         beta_grid = [0.0]
-    rows = [
-        (a, b, c, lam, beta)
-        for a in a_grid
-        for b in b_grid
-        for c in c_grid
-        for lam in lam_grid
-        for beta in beta_grid
-    ]
-    if not rows:
+    points = list(itertools.product(a_grid, b_grid, c_grid, lam_grid, beta_grid))
+    if not points:
         print("empty grid", file=sys.stderr)
         return 1
     header = "family,source,class,a,b,c,lambda,beta,verdict,lhs,rhs,margin,error"
     lines = [header]
-    for a, b, c, lam, beta in rows:
+    for a, b, c, lam, beta in points:
         base = [
             family.name.lower(),
             source_kind.value,
@@ -547,19 +516,11 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
         try:
             fp = FamilyParams(a, b, c, family)
             cert = _certify(fp, ClassSpec(kind, lam), source_kind, beta, args.policy)
-            lines.append(
-                ",".join(
-                    base
-                    + [cert.verdict.value, _g17(cert.lhs), _g17(cert.rhs), _g17(cert.margin), ""]
-                )
-            )
+            base += [cert.verdict.value, _g17(cert.lhs), _g17(cert.rhs), _g17(cert.margin), ""]
         except HypergftError as exc:
-            lines.append(",".join(base + ["error", "", "", "", type(exc).__name__]))
-    if args.format == "json":
-        _emit(_report(args, "rows", lines[1:], {"header": header}), out)
-    else:
-        for line in lines:
-            _emit(line, out)
+            base += ["error", "", "", "", type(exc).__name__]
+        lines.append(",".join(base))
+    _render(args, "rows", lines[1:], {"header": header}, lines, "\n".join(lines), out)
     return 0
 
 

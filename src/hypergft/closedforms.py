@@ -50,7 +50,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConstraintError, NoConvergenceError, PoleError
-from .families import Family, FamilyParams
+from .families import Family, FamilyParams, weighted_sum_region
 from .numcore import (
     DEFAULT_POLICY,
     GAMMA_EVAL_REL,
@@ -112,7 +112,13 @@ def _inner_2f1_batch(
     A: np.ndarray, m: complex, C: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized 2F1(A_j, B_j; C_j; -1) with C_j - B_j = m via the
-    half-argument transform; returns (values, absolute tail bounds)."""
+    half-argument transform; returns (values, absolute tail bounds).
+
+    Each row's tail past the exit index i is bounded by the geometric-ratio
+    envelope of ``series._geometric_ratio_envelope`` for 2F1(A_j, m; C_j;
+    1/2), taken row-wise: R_j(i) >= |t_{n+1}/t_n| for all n >= i, so the
+    tail is at most |t_i| R_j / (1 - R_j).
+    """
     L = A.shape[0]
     T = np.ones(L, dtype=complex)
     G = np.ones(L, dtype=complex)
@@ -124,12 +130,17 @@ def _inner_2f1_batch(
         i += 1
         if i >= 8:
             mags = np.abs(T)
-            gmag = np.maximum(np.abs(G), 1e-300)
-            rho = np.abs((A + i) * (m + i) / ((C + i) * (i + 1.0))) * 0.5
-            dead = mags == 0.0  # exactly terminated rows
-            if np.all(mags <= _INNER_STOP_REL * gmag) and np.all((rho < 0.9) | dead):
-                safe_rho = np.where(dead, 0.0, np.minimum(rho, 0.9))
-                tails = mags * safe_rho / (1.0 - safe_rho)
+            if not np.all(mags <= _INNER_STOP_REL * np.maximum(np.abs(G), 1e-300)):
+                continue
+            alpha_lo, alpha_hi = np.minimum(np.abs(A), abs(m)), np.maximum(np.abs(A), abs(m))
+            beta_lo, beta_hi = np.minimum(C.real, 1.0), np.maximum(C.real, 1.0)
+            env = 0.5 * np.maximum((i + alpha_lo) / (i + beta_lo), 1.0) * np.maximum(
+                (i + alpha_hi) / (i + beta_hi), 1.0
+            )
+            env = np.where(beta_lo + i <= 0.0, np.inf, env)
+            env = np.where(mags == 0.0, 0.0, env)  # exactly terminated rows
+            if np.all(env < 1.0):
+                tails = mags * env / (1.0 - env)
                 scale = np.exp(-A * math.log(2.0))
                 return G * scale, tails * np.abs(scale)
     raise NoConvergenceError("inner half-argument series failed to settle")
@@ -320,8 +331,9 @@ def shpot_srivastava_3f2(a: float, b: float, c: float) -> float:
 def _unit_sum(fp: FamilyParams, family: Family, name: str, policy: PrecisionPolicy) -> EvalResult:
     if fp.family is not family:
         raise ValueError(f"{name} expects a {family.name} parameter set")
-    if not (complex(fp.c) - complex(fp.a) - complex(fp.b)).real > 0:
-        raise ConstraintError("requires Re(c-a-b) > 0")
+    violated = weighted_sum_region(complex(fp.a).real, complex(fp.b).real, fp.c, fp.order, 0)
+    if violated:
+        raise ConstraintError(f"requires {violated}")
     return block_combination(fp.order, fp.a, fp.b, fp.c, {0: 1.0}, policy)
 
 
@@ -346,17 +358,15 @@ def lemma_closed_form(
     a, b, c = complex(fp.a), complex(fp.b), complex(fp.c)
     k = fp.order
     part = lemma_id.part
-    if part in (1, 2, 3):
-        if not (c - a - b).real > part:
-            raise ConstraintError(f"part {part} requires c > a + b + {part}")
-    else:
+    if part == 4:
         if abs(a - 1.0) <= POLE_TOL:
             raise ConstraintError("part 4 requires a != 1")
         for m in range(1, k + 1):
             if abs(b - m) <= POLE_TOL:
                 raise ConstraintError(f"part 4 requires b != {m}")
-        if not (c.real > a.real + k - 1 and c.real > (a + b).real - 1):
-            raise ConstraintError(f"part 4 requires c > max(a + {k - 1}, a + b - 1)")
+    violated = weighted_sum_region(a.real, b.real, c.real, k, lemma_id.power)
+    if violated:
+        raise ConstraintError(f"part {part} requires {violated}")
     return block_combination(k, a, b, c, {lemma_id.power: 1.0}, policy)
 
 

@@ -28,6 +28,22 @@ def parse_family(name: str) -> Family:
     raise ValueError(f"unknown family {name!r}; expected split3 or split4")
 
 
+def weighted_sum_region(a: float, b: float, c: float, k: int, d: int) -> str | None:
+    """The region condition that real (a, b, c) violates, or None when
+    W_d = sum_{n>=0} (n+1)^d T_n of the order-k ladder converges.
+
+    The region is c > a + b + d for d >= 0 and c > max(a + k - 1, a + b - 1)
+    for d = -1.
+    """
+    if d >= 0:
+        if c - a - b > d:
+            return None
+        return f"c > a + b + {d}" if d else "c > a + b"
+    if c > a + k - 1 and c > a + b - 1:
+        return None
+    return f"c > max(a + {k - 1}, a + b - 1)"
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """The triple (a, b, c) feeding a split-ladder hypergeometric function.

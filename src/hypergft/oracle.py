@@ -344,6 +344,13 @@ def _sample_euler(rng):
     return IdentityPoint(a, b, c, 3, z=rng.uniform(0.05, 0.7))
 
 
+def _sample_euler_4f3(rng):
+    """As ``_sample_euler``, with c also above 3a: the 4f3 kernel pairs a with c/3."""
+    a, b = rng.uniform(0.2, 1.2), rng.uniform(0.4, 2.0)
+    c = max(a + b, 3.0 * a) + rng.uniform(0.8, 3.0)
+    return IdentityPoint(a, b, c, 3, z=rng.uniform(0.05, 0.7))
+
+
 def _euler(level, p, policy):
     params = _EULER_PARAMS[level](p)
     quad = closedforms.euler_integral(level, params, p.z, 1e-10, policy)
@@ -371,8 +378,9 @@ IDENTITIES.update(
     (tag, Identity(1e-6, lemma.section.family, partial(_sample_lemma, lemma), partial(_lemma, lemma)))
     for tag, lemma in closedforms.LEMMAS.items()
 )
+_EULER_SAMPLERS = {"2f1": _sample_euler, "3f2quad": _sample_euler, "4f3": _sample_euler_4f3}
 IDENTITIES.update(
-    (f"euler-{level}", Identity(1e-7, Family.SPLIT3, _sample_euler, partial(_euler, level)))
+    (f"euler-{level}", Identity(1e-7, Family.SPLIT3, _EULER_SAMPLERS[level], partial(_euler, level)))
     for level in _EULER_PARAMS
 )
 

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstraintError, DivergentError, NoConvergenceError, PoleError
-from .families import FamilyParams
+from .families import FamilyParams, weighted_sum_region
 from .numcore import (
     DEFAULT_POLICY,
     PrecisionPolicy,
@@ -234,8 +234,6 @@ def _series_sum(
     def geometric_tail(ns: np.ndarray, terms: np.ndarray, total: complex):
         n = int(ns[-1]) + 1
         rho = _geometric_ratio_envelope(upper, lower, az, n)
-        if weight_power > 0:
-            rho *= ((n + 2.0) / (n + 1.0)) ** weight_power
         if rho < 1.0:
             return total, abs(t) / (1.0 - rho)
         return None
@@ -322,19 +320,7 @@ def weighted_pochhammer_sum(
     if weight not in _WEIGHT_POWERS:
         raise ValueError(f"unknown weight {weight!r}")
     d = _WEIGHT_POWERS[weight]
-    a_re = complex(fp.a).real
-    b_re = complex(fp.b).real
-    c = fp.c
-    k = fp.order
-    if d >= 1:
-        if not c - a_re - b_re > d:
-            raise ConstraintError(f"weight {weight} requires c > a + b + {d}")
-    elif d == 0:
-        if not c - a_re - b_re > 0:
-            raise ConstraintError("weight one requires c > a + b")
-    else:
-        if not (c > a_re + k - 1 and c > a_re + b_re - 1):
-            raise ConstraintError(
-                f"weight inv requires c > max(a + {k - 1}, a + b - 1)"
-            )
+    violated = weighted_sum_region(complex(fp.a).real, complex(fp.b).real, fp.c, fp.order, d)
+    if violated:
+        raise ConstraintError(f"weight {weight} requires {violated}")
     return _series_sum(fp.upper_params(), fp.lower_params(), 1.0, policy, weight_power=d)

@@ -372,3 +372,83 @@ class TestConfigFile:
         )
         assert code == 0
         assert doc["params"]["c"] == 30.0
+
+
+class TestFormatsAgree:
+    """Every --format of a command carries the numbers of its JSON report."""
+
+    @staticmethod
+    def formats(*argv):
+        outs = {}
+        for fmt in ("json", "csv", "text"):
+            code, text = run(*argv, "--format", fmt)
+            outs[fmt] = (code, text)
+        assert len({code for code, _ in outs.values()}) == 1
+        return json.loads(outs["json"][1]), outs["csv"][1], outs["text"][1]
+
+    @pytest.mark.parametrize("argv", [
+        ("--pfq", "2F1", "--upper", "0.5,1+0.5j", "--lower", "1.5", "--z", "0.3-0.2j"),
+        ("--closed", "5f4", "--a", "0.3", "--b", "0.5", "--c", "6"),
+        ("--closed", "lemma-sec2-part4", "--a", "1.5", "--b", "4.5", "--c", "8"),
+        ("--euler", "2f1", "--upper", "1,1", "--lower", "2", "--z", "0.5"),
+    ])
+    def test_eval(self, argv):
+        doc, csv, text = self.formats("eval", *argv)
+        res = doc["result"]
+        expected = [res["value"]["re"], res["value"]["im"], res["tail_bound"], res["terms"]]
+        header, row = csv.splitlines()
+        assert header == "value_re,value_im,tail_bound,terms,converged"
+        fields = row.split(",")
+        assert [float(x) for x in fields[:4]] == expected
+        assert fields[4] == str(res["converged"]).lower()
+        lines = dict(line.split(" = ") for line in text.splitlines())
+        value = complex(lines["value"])
+        assert [value.real, value.imag, float(lines["tail_bound"]), int(lines["terms"])] == expected
+        assert lines["converged"] == str(res["converged"])
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "split3", "--a", "0.1", "--b", "0.1", "--c", "20", "--class", "convex",
+         "--lambda", "0.5"),
+        ("--family", "split4", "--a", "1.5", "--b", "5.2", "--c", "6.2", "--class", "sp",
+         "--source", "rbeta", "--beta", "0.5"),
+    ])
+    def test_certify(self, argv):
+        doc, csv, text = self.formats("certify", *argv)
+        cert = doc["certificate"]
+        numbers = [cert["lhs"], cert["rhs"], cert["margin"]]
+        header, row = csv.splitlines()
+        assert header == "theorem_tag,lhs,rhs,margin,verdict"
+        tag, *values, verdict = row.split(",")
+        assert (tag, [float(x) for x in values], verdict) == (cert["theorem_tag"], numbers, cert["verdict"])
+        head, body = text.splitlines()
+        assert head == f"{cert['theorem_tag']}: {cert['verdict']}"
+        assert [float(part.split(" = ")[1]) for part in body.split("  ")] == numbers
+
+    @pytest.mark.parametrize("extra", [(), ("--tolerance", "1e-18")])
+    def test_verify(self, extra):
+        doc, csv, text = self.formats("verify", "--identity", "gauss", "--draws", "4", "--seed", "2", *extra)
+        ver = doc["verification"]
+        header, *rows = csv.splitlines()
+        assert header == "draw,residual"
+        assert [r.split(",")[0] for r in rows] == [str(i) for i in range(ver["draws"])]
+        assert [float(r.split(",")[1]) for r in rows] == ver["residuals"]
+        assert text.strip() == (
+            f"gauss: {ver['draws']} draws, max residual {ver['max_residual']!r} "
+            f"({'pass' if ver['passed'] else 'FAIL'} at {ver['tolerance']!r})"
+        )
+
+    def test_sweep(self):
+        doc, csv, text = self.formats(
+            "sweep", "--family", "split4", "--class", "ucv", "--a", "0.5", "--b", "0.5",
+            "--c", "2:14:4",
+        )
+        header, *rows = csv.splitlines()
+        assert doc["params"]["header"] == header
+        assert doc["rows"] == rows
+        assert text == csv
+
+
+def test_euler_4f3_verify_exits_zero():
+    code, doc = run_json("verify", "--identity", "euler-4f3", "--draws", "20", "--seed", "7")
+    assert code == 0
+    assert doc["verification"]["passed"] is True

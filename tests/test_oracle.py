@@ -214,6 +214,13 @@ class TestIdentityRegistry:
             one, two = random.Random(5), random.Random(5)
             assert [identity.sample(one) for _ in range(3)] == [identity.sample(two) for _ in range(3)]
 
+    def test_euler_4f3_draws_keep_c_over_three_above_a(self):
+        # The 4f3 kernel pairs a with c/3, so c/3 <= a would leave its region.
+        rng = random.Random(11)
+        for _ in range(200):
+            p = IDENTITIES["euler-4f3"].sample(rng)
+            assert p.c / 3 > p.a > 0
+
     def test_residual_is_identity_residual_at_the_same_point(self):
         fp = FamilyParams(0.4, 1.5, 7.0, Family.SPLIT3)
         policy = PrecisionPolicy(rel_tol=1e-12, max_terms=400_000)
