@@ -8,30 +8,27 @@ through |(a)_n| <= (|a|)_n, so with T_n the ladder coefficients at (|a|,
 |b|, c) and W_d = sum_{n>=0} (n+1)^d T_n (``closedforms.block_combination``),
 every criterion reads
 
-    alpha W_{D+s} + beta W_{D+s-1} <= theta K,
+    alpha W_{D+s} + beta W_{D+s-1} <= theta K.
 
-where the class weight alpha n^D + beta n^(D-1) gives (D, alpha, beta):
-
-    starlike  n + lam - 1      (1, 1, lam - 1)
-    convex    n (n + lam - 1)  (2, 1, lam - 1)
-    ucv       n (2n - 1)       (2, 2, -1)
-    sp        2n - 1           (1, 2, -1)
-
-(the ucv and sp weights are Ronning's), the source multiplies A_n by n^s:
-the function itself s = 0, S (|a_n| <= n) s = +1, R(beta) (|a_n| <=
-2(1-beta)/n) s = -1, and K is 2, or 1 + 1/(2(1-beta)) for R(beta) (its
-2(1-beta) divides out).  The left side is the weighted sum itself, so the
-n = 1 term theta sits on both sides.
+The class weight alpha n^D + beta n^(D-1) (``ClassSpec.weight``) comes from
+two regions and the Alexander lift: the lambda-disc gives n + lam - 1 and
+Ronning's parabola 2n - 1, and the lift f -> z f' (convex, ucv) multiplies
+by n.  The source's extremal modulus scale * n^s (``SourceClass``) shifts
+the power: the function itself s = 0, S (|a_n| <= n) s = +1, R(beta)
+(|a_n| <= 2(1-beta)/n) s = -1; the scale divides out, so K = 1 + 1/scale:
+2, or 1 + 1/(2(1-beta)) for R(beta).  The left side is the weighted sum
+itself, so the n = 1 term theta sits on both sides.
 
 W_d converges for c > |a| + |b| + d (``families.weighted_sum_region`` at
 (|a|, |b|)), the hypothesis when D + s >= 1.  When
 D + s = 0 (R(beta) into starlike or sp) W_-1 brings in the part-4 region
-c > max(|a| + k - 1, |a| + |b| - 1); inside it, c <= |a| + |b| makes W_0
-diverge, so the criterion fails: ``not_certified`` with lhs = +inf, no block
-evaluated.  Exceptions to the derivation: the quartic R(beta) -> starlike
-corollary at lam = 1 (W_0 alone, region c > |a| + |b|, tag ``.lambda1``);
-no criterion from S into ucv (ValueError); the function source belongs to
-``certify_function_class`` (ValueError from ``certify_operator_mapping``).
+and poles (``families.part4_pole``); inside the region, c <= |a| + |b| makes
+W_0 diverge, so the criterion fails: ``not_certified`` with lhs = +inf, no
+block evaluated.  Exceptions to the derivation: the quartic R(beta) ->
+starlike corollary at lam = 1 (W_0 alone, region c > |a| + |b|, tag
+``.lambda1``); no criterion from S into ucv (ValueError); the function
+source belongs to ``certify_function_class`` (ValueError from
+``certify_operator_mapping``).
 
 A verdict allows the bound of ``block_combination`` plus |Im lhs|
 (rounding, the blocks are real) plus an absolute GAMMA_EVAL_REL floor.
@@ -41,7 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -49,22 +46,11 @@ from .classes import ClassKind, ClassSpec, SourceClass, SourceKind
 from .closedforms import block_combination
 from .closedforms import ladder_sum_block  # noqa: F401  (re-exported)
 from .errors import HypothesisError, NormalizationError
-from .families import Family, FamilyParams, weighted_sum_region
-from .numcore import DEFAULT_POLICY, GAMMA_EVAL_REL, POLE_TOL, PrecisionPolicy
+from .families import Family, FamilyParams, part4_pole, weighted_sum_region
+from .numcore import DEFAULT_POLICY, GAMMA_EVAL_REL, PrecisionPolicy
 from .oracle import OracleReport
-from .powerseries import NORMALIZATION_TOL, PowerSeries
+from .powerseries import PowerSeries
 from .series import term_ratios
-
-# Class weight alpha n^D + beta n^(D-1) as lam -> (D, alpha, beta).
-_CLASS_WEIGHTS: dict[ClassKind, Callable[[float], tuple[int, float, float]]] = {
-    ClassKind.STARLIKE: lambda lam: (1, 1.0, lam - 1.0),
-    ClassKind.CONVEX: lambda lam: (2, 1.0, lam - 1.0),
-    ClassKind.UCV: lambda lam: (2, 2.0, -1.0),
-    ClassKind.SP: lambda lam: (1, 2.0, -1.0),
-}
-
-# Power s of the source's extremal coefficient n^s.
-_SOURCE_SHIFTS = {SourceKind.FUNCTION: 0, SourceKind.FULL_S: 1, SourceKind.RBETA: -1}
 
 
 class Verdict(enum.Enum):
@@ -102,20 +88,12 @@ def _moduli(fp: FamilyParams) -> tuple[float, float, float]:
     return abs(complex(fp.a)), abs(complex(fp.b)), float(fp.c)
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise HypothesisError(msg)
-
-
 def _hypothesis(am: float, bm: float, c: float, k: int, d: int) -> None:
     """W_d converges at (|a|, |b|, c); the closed form of W_-1 also needs
-    |a| != 1 and |b| != 1..k."""
-    if d == -1:
-        _require(abs(am - 1.0) > POLE_TOL, "requires |a| != 1")
-        for m in range(1, k + 1):
-            _require(abs(bm - m) > POLE_TOL, f"requires |b| != {m}")
-    violated = weighted_sum_region(am, bm, c, k, d)
-    _require(violated is None, f"requires {violated} (a, b taken as |a|, |b|)")
+    |a| off its part-4 poles."""
+    violated = (d == -1 and part4_pole(am, bm, k)) or weighted_sum_region(am, bm, c, k, d)
+    if violated:
+        raise HypothesisError(f"requires {violated} (a, b taken as |a|, |b|)")
 
 
 def _certificate(
@@ -130,15 +108,15 @@ def _certificate(
 
 
 def _criterion(
-    fp: FamilyParams, source: SourceKind, spec: ClassSpec, growth: float, tag: str,
+    fp: FamilyParams, source: SourceClass, spec: ClassSpec, tag: str,
     policy: PrecisionPolicy,
 ) -> Certificate:
-    """alpha W_d + beta W_{d-1} <= theta K with d = D + s, K = growth."""
+    """alpha W_d + beta W_{d-1} <= theta K with d = D + s, K = 1 + 1/scale."""
     am, bm, c = _moduli(fp)
     theta = spec.threshold
-    power, alpha, beta = _CLASS_WEIGHTS[spec.kind](theta)
-    d = power + _SOURCE_SHIFTS[source]
-    rhs = theta * growth
+    power, alpha, beta = spec.weight
+    d = power + source.shift
+    rhs = theta * (1.0 + 1.0 / source.scale)
     _hypothesis(am, bm, c, fp.order, d if d >= 1 else -1)
     if d == 0 and weighted_sum_region(am, bm, c, fp.order, 0):  # W_0 diverges
         return Certificate(math.inf, rhs, -math.inf, Verdict.NOT_CERTIFIED, 0.0, tag)
@@ -150,7 +128,7 @@ def certify_function_class(
 ) -> Certificate:
     """Certificate that z * (split-ladder series) lies in the target class."""
     tag = f"{fp.family.name.lower()}.function.{spec.kind.value}"
-    return _criterion(fp, SourceKind.FUNCTION, spec, 2.0, tag, policy)
+    return _criterion(fp, SourceClass(SourceKind.FUNCTION), spec, tag, policy)
 
 
 def certify_operator_mapping(
@@ -165,14 +143,14 @@ def certify_operator_mapping(
     if source.kind is SourceKind.FULL_S and spec.kind is ClassKind.UCV:
         raise ValueError("no mapping criterion from the univalent class into ucv")
     tag = f"{fp.family.name.lower()}.{source.kind.value}.{spec.kind.value}"
-    if source.kind is SourceKind.FULL_S:
-        return _criterion(fp, source.kind, spec, 2.0, tag, policy)
-    growth = 1.0 + 1.0 / (2.0 * (1.0 - float(source.beta)))
-    if spec.kind is ClassKind.STARLIKE and fp.family is Family.SPLIT4 and spec.lam == 1.0:
+    if (
+        source.kind is SourceKind.RBETA and spec.kind is ClassKind.STARLIKE
+        and fp.family is Family.SPLIT4 and spec.lam == 1.0
+    ):
         # The quartic corollary: lam = 1 drops W_-1 and relaxes the region.
         _hypothesis(*_moduli(fp), fp.order, 0)
-        return _certificate(fp, {0: 1.0}, growth, tag + ".lambda1", policy)
-    return _criterion(fp, source.kind, spec, growth, tag, policy)
+        return _certificate(fp, {0: 1.0}, 1.0 + 1.0 / source.scale, tag + ".lambda1", policy)
+    return _criterion(fp, source, spec, tag, policy)
 
 
 def hypergeometric_coefficients(fp: FamilyParams, N: int) -> PowerSeries:
@@ -188,7 +166,7 @@ def hypergeometric_coefficients(fp: FamilyParams, N: int) -> PowerSeries:
 def hadamard_convolve(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """Componentwise coefficient product, truncated to the shorter series."""
     for side, name in ((f, "left"), (g, "right")):
-        if abs(side.coefficients[0] - 1.0) > NORMALIZATION_TOL:
+        if not side.is_normalized:
             raise NormalizationError(f"{name} series is not normalized to a_1 = 1")
     n = min(f.order, g.order)
     return PowerSeries(

@@ -7,6 +7,7 @@ fixed invocation yields byte-identical output.
 Exit codes
   eval    0 ok / 1 bad input / 2 constraint violation / 3 convergence failure
   certify 0 certified / 4 hypothesis violated / 5 not certified / 6 inconclusive / 1 bad input
+          (--allow-hypothesis-error writes the violation as a report in --format, still exit 4)
   verify  0 all residuals within tolerance / 5 residual failure / 1 bad input
   sweep   0 rows computed (per-row failures recorded) / 1 empty grid or bad input
   any     2 constraint violation, gamma pole or zero gamma ratio / 3 no convergence
@@ -403,11 +404,13 @@ def cmd_certify(args: argparse.Namespace, out) -> int:
     try:
         cert = _certify(fp, spec, source_kind, args.beta, args.policy)
     except HypothesisError as exc:
+        msg = str(exc)
         if args.allow_hypothesis_error:
-            # the violation report is JSON in every format
-            _emit(_report(args, "certificate", {"hypothesis_error": str(exc)}, params), out)
+            rows = ["hypothesis_error", '"' + msg.replace('"', '""') + '"']
+            text = f"hypothesis violated: {msg}"
+            _render(args, "certificate", {"hypothesis_error": msg}, params, rows, text, out)
         else:
-            print(f"hypothesis violated: {exc}", file=sys.stderr)
+            print(f"hypothesis violated: {msg}", file=sys.stderr)
         return 4
 
     disc_report = None

@@ -50,7 +50,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConstraintError, NoConvergenceError, PoleError
-from .families import Family, FamilyParams, weighted_sum_region
+from .families import Family, FamilyParams, part4_pole, weighted_sum_region
 from .numcore import (
     DEFAULT_POLICY,
     GAMMA_EVAL_REL,
@@ -358,13 +358,9 @@ def lemma_closed_form(
     a, b, c = complex(fp.a), complex(fp.b), complex(fp.c)
     k = fp.order
     part = lemma_id.part
-    if part == 4:
-        if abs(a - 1.0) <= POLE_TOL:
-            raise ConstraintError("part 4 requires a != 1")
-        for m in range(1, k + 1):
-            if abs(b - m) <= POLE_TOL:
-                raise ConstraintError(f"part 4 requires b != {m}")
-    violated = weighted_sum_region(a.real, b.real, c.real, k, lemma_id.power)
+    violated = (part == 4 and part4_pole(a, b, k)) or weighted_sum_region(
+        a.real, b.real, c.real, k, lemma_id.power
+    )
     if violated:
         raise ConstraintError(f"part {part} requires {violated}")
     return block_combination(k, a, b, c, {lemma_id.power: 1.0}, policy)
@@ -398,7 +394,7 @@ def euler_integral(
     Integration always pairs the first upper with the first lower parameter;
     endpoint power singularities are removed by the substitution t = u^(1/s).
     """
-    lv = level.strip().lower().replace("generic_", "")
+    lv = level.strip().lower()
     if lv not in _EULER_LEVELS:
         raise ValueError(f"unknown level {level!r}; expected one of {_EULER_LEVELS}")
     z = complex(z)

@@ -44,6 +44,17 @@ def weighted_sum_region(a: float, b: float, c: float, k: int, d: int) -> str | N
     return f"c > max(a + {k - 1}, a + b - 1)"
 
 
+def part4_pole(a: complex, b: complex, k: int) -> str | None:
+    """The pole condition that (a, b) violates, or None when the closed
+    form of W_-1 for the order-k ladder is defined: a != 1, b != 1..k."""
+    if abs(a - 1.0) <= POLE_TOL:
+        return "a != 1"
+    for m in range(1, k + 1):
+        if abs(b - m) <= POLE_TOL:
+            return f"b != {m}"
+    return None
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """The triple (a, b, c) feeding a split-ladder hypergeometric function.

@@ -145,20 +145,15 @@ def pochhammer(a: complex, n: int):
     za = complex(a)
     if n == 0:
         return _as_output(1.0 + 0.0j, a)
-    if n <= _POCHHAMMER_DIRECT_LIMIT:
-        out = 1.0 + 0.0j
-        for j in range(n):
-            out *= za + j
-        return _as_output(out, a)
-    if is_nonpositive_integer(za):
-        m = -nonpositive_integer_value(za)
-        if m < n:
+    if n > _POCHHAMMER_DIRECT_LIMIT:
+        if not is_nonpositive_integer(za):
+            return _as_output(cmath.exp(log_gamma(za + n) - log_gamma(za)), a)
+        if -nonpositive_integer_value(za) < n:
             return _as_output(0.0 + 0.0j, a)
-        out = 1.0 + 0.0j
-        for j in range(n):
-            out *= za + j
-        return _as_output(out, a)
-    return _as_output(cmath.exp(log_gamma(za + n) - log_gamma(za)), a)
+    out = 1.0 + 0.0j
+    for j in range(n):
+        out *= za + j
+    return _as_output(out, a)
 
 
 def pochhammer_split_residual(a: complex, k: int, n: int) -> float:

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import closedforms
-from .classes import ClassKind, ClassSpec, SourceClass, SourceKind
+from .classes import ClassSpec, SourceClass, SourceKind
 from .errors import (
     DivisionNearZeroError,
     InsufficientOrderError,
@@ -79,14 +79,8 @@ def _require_normalized(f: PowerSeries) -> None:
 
 
 def _weights(spec: ClassSpec, ns: np.ndarray) -> np.ndarray:
-    lam = spec.lam if spec.lam is not None else 1.0
-    if spec.kind is ClassKind.STARLIKE:
-        return ns + lam - 1.0
-    if spec.kind is ClassKind.CONVEX:
-        return ns * (ns + lam - 1.0)
-    if spec.kind is ClassKind.UCV:
-        return ns * (2.0 * ns - 1.0)
-    return 2.0 * ns - 1.0
+    power, alpha, beta = spec.weight
+    return ns ** (power - 1) * (alpha * ns + beta)
 
 
 def coefficient_condition_check(f: PowerSeries, spec: ClassSpec) -> OracleReport:
@@ -143,11 +137,11 @@ def disc_sample_check(
 ) -> OracleReport:
     """Evaluate the defining inequality of the class on the sampling grid.
 
-    Defect conventions (pass means defect <= threshold everywhere):
-      starlike / convex : |z g'/g - 1|            vs lambda   (g = f or z f')
-      ucv               : |w| - Re(w), w = z f''/f'  vs 1
-      sp                : |v-1| - Re(v-1), v = z f'/f vs 1
-    Sample points where the denominator vanishes are skipped and counted.
+    With g = f, or g = z f' for the lifted classes (convex, ucv), and
+    u = z g'/g - 1, the defect is |u| for the lambda-disc (starlike,
+    convex) and |u| - Re(u) for Ronning's parabola (sp, ucv); pass means
+    defect <= threshold everywhere.  Sample points where g(z)/z vanishes are
+    skipped and counted.
     """
     _require_normalized(f)
     rr = grid.radii()
@@ -161,36 +155,14 @@ def disc_sample_check(
     mags = np.abs(a)
     keep = np.nonzero(mags > 1e-18 * max(1.0, float(mags.max())))[0]
     n_eff = int(keep[-1]) + 1 if keep.size else 1
-    a = a[:n_eff]
     ns = np.arange(1, n_eff + 1, dtype=float)
-    lam = spec.lam if spec.lam is not None else 1.0
-
-    if spec.kind in (ClassKind.STARLIKE, ClassKind.CONVEX, ClassKind.SP):
-        if spec.kind is ClassKind.CONVEX:
-            g = a * ns  # coefficients of z f'; g_1 = a_1 = 1 keeps normalization
-        else:
-            g = a
-        gn = np.arange(1, g.size + 1, dtype=float)
-        g_over_z = _horner(g, z)        # sum g_n z^(n-1) = g(z)/z
-        g_prime = _horner(g * gn, z)    # sum n g_n z^(n-1) = g'(z)
-        valid = np.abs(g_over_z) > DEFAULT_POLICY.abs_tol
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = g_prime / g_over_z      # = z g'(z)/g(z)
-        if spec.kind is ClassKind.SP:
-            defect = np.abs(w - 1.0) - (w - 1.0).real
-            threshold = 1.0
-        else:
-            defect = np.abs(w - 1.0)
-            threshold = lam
-    else:  # UCV
-        f_prime = _horner(a * ns, z)                     # sum n a_n z^(n-1) = f'(z)
-        fpp_coeffs = a[1:] * ns[1:] * (ns[1:] - 1.0)     # f''(z) = sum n(n-1) a_n z^(n-2)
-        f_pp = _horner(fpp_coeffs, z) if fpp_coeffs.size else np.zeros_like(z)
-        valid = np.abs(f_prime) > DEFAULT_POLICY.abs_tol
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = z * f_pp / f_prime
-        defect = np.abs(w) - w.real
-        threshold = 1.0
+    g = a[:n_eff] * ns if spec.lifted else a[:n_eff]  # z f' keeps g_1 = a_1 = 1
+    g_over_z = _horner(g, z)        # sum g_n z^(n-1) = g(z)/z
+    g_prime = _horner(g * ns, z)    # sum n g_n z^(n-1) = g'(z)
+    valid = np.abs(g_over_z) > DEFAULT_POLICY.abs_tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = g_prime / g_over_z - 1.0  # = z g'(z)/g(z) - 1
+    defect = np.abs(u) - u.real if spec.parabolic else np.abs(u)
 
     skipped = int((~valid).sum())
     if skipped == valid.size:
@@ -204,7 +176,7 @@ def disc_sample_check(
     warning = grid.r_max * (f.order + 1) * a_last > grid.disclaimer_tol
     return OracleReport(
         CheckKind.DISC_SAMPLE,
-        worst <= threshold,
+        worst <= spec.threshold,
         worst,
         location,
         int(valid.size),
@@ -214,17 +186,14 @@ def disc_sample_check(
 
 
 def worst_case_coefficients(source: SourceClass, N: int) -> PowerSeries:
-    """Extremal modulus sequence of the source class: 2(1-beta)/n or n."""
+    """Extremal modulus sequence scale * n**shift of the source class:
+    2(1-beta)/n for R(beta), n for S."""
     if N < 2:
         raise ValueError("need N >= 2")
-    ns = np.arange(2, N + 1, dtype=float)
-    if source.kind is SourceKind.RBETA:
-        coeffs = 2.0 * (1.0 - source.beta) / ns
-    elif source.kind is SourceKind.FULL_S:
-        coeffs = ns.copy()
-    else:
+    if source.kind is SourceKind.FUNCTION:
         raise ValueError("worst-case coefficients exist for rbeta and s sources only")
-    return PowerSeries((1.0,) + tuple(coeffs))
+    ns = np.arange(2, N + 1, dtype=float)
+    return PowerSeries((1.0,) + tuple(source.scale * ns ** source.shift))
 
 
 # ---------------------------------------------------------------- identities
@@ -338,16 +307,10 @@ _EULER_PARAMS = {
 }
 
 
-def _sample_euler(rng):
+def _sample_euler(m, rng):
+    """A point with c above a + b and above m a, for a kernel pairing a with c / m."""
     a, b = rng.uniform(0.2, 1.2), rng.uniform(0.4, 2.0)
-    c = a + b + rng.uniform(0.8, 3.0)
-    return IdentityPoint(a, b, c, 3, z=rng.uniform(0.05, 0.7))
-
-
-def _sample_euler_4f3(rng):
-    """As ``_sample_euler``, with c also above 3a: the 4f3 kernel pairs a with c/3."""
-    a, b = rng.uniform(0.2, 1.2), rng.uniform(0.4, 2.0)
-    c = max(a + b, 3.0 * a) + rng.uniform(0.8, 3.0)
+    c = max(a + b, m * a) + rng.uniform(0.8, 3.0)
     return IdentityPoint(a, b, c, 3, z=rng.uniform(0.05, 0.7))
 
 
@@ -378,10 +341,12 @@ IDENTITIES.update(
     (tag, Identity(1e-6, lemma.section.family, partial(_sample_lemma, lemma), partial(_lemma, lemma)))
     for tag, lemma in closedforms.LEMMAS.items()
 )
-_EULER_SAMPLERS = {"2f1": _sample_euler, "3f2quad": _sample_euler, "4f3": _sample_euler_4f3}
+# m of a kernel that pairs a with c / m; the 2f1 and 3f2quad kernels pair b
+# with c, so their m = 1 adds nothing to c > a + b.
+_EULER_PAIRING = {"2f1": 1.0, "3f2quad": 1.0, "4f3": 3.0}
 IDENTITIES.update(
-    (f"euler-{level}", Identity(1e-7, Family.SPLIT3, _EULER_SAMPLERS[level], partial(_euler, level)))
-    for level in _EULER_PARAMS
+    (f"euler-{level}", Identity(1e-7, Family.SPLIT3, partial(_sample_euler, m), partial(_euler, level)))
+    for level, m in _EULER_PAIRING.items()
 )
 
 

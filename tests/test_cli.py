@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -129,6 +130,25 @@ class TestCertify:
         )
         assert code == 4
         assert "hypothesis_error" in doc["certificate"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_allow_hypothesis_error_honours_format(self, fmt):
+        # R(beta) -> sp has a part-4 region message, which holds commas.
+        argv = (
+            "certify", "--family", "split3", "--a", "0.5", "--b", "0.5", "--c", "1.5",
+            "--class", "sp", "--source", "rbeta", "--beta", "0", "--allow-hypothesis-error",
+        )
+        code, doc = run_json(*argv)
+        assert code == 4
+        message = doc["certificate"]["hypothesis_error"]
+        assert "," in message
+        code, text = run(*argv, "--format", fmt)
+        assert code == 4
+        lines = text.splitlines()
+        if fmt == "csv":
+            assert list(csv.reader(lines)) == [["hypothesis_error"], [message]]
+        else:
+            assert lines == [f"hypothesis violated: {message}"]
 
     def test_beta_out_of_range_exit_one(self):
         code, _ = run(

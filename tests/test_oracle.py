@@ -138,18 +138,25 @@ class TestDiscSample:
         rep = disc_sample_check(series(1.0, eps), ClassSpec(ClassKind.STARLIKE, lam), SMALL_GRID)
         assert rep.passed
 
-    def test_ucv_sp_duality(self):
-        # f passes ucv sampling iff z f' passes sp sampling, with equal defect.
+    @staticmethod
+    def _check_lift_duality(lifted, plain):
+        # f passes lifted-class sampling iff z f' passes the plain class, with equal defect.
         rng = random.Random(7)
         for _ in range(25):
             f = random_small_series(rng)
             zfp = PowerSeries(
                 tuple(c * (i + 1) for i, c in enumerate(f.coefficients))
             )
-            rep_u = disc_sample_check(f, UCV, SMALL_GRID)
-            rep_s = disc_sample_check(zfp, SP, SMALL_GRID)
+            rep_u = disc_sample_check(f, lifted, SMALL_GRID)
+            rep_s = disc_sample_check(zfp, plain, SMALL_GRID)
             assert rep_u.passed == rep_s.passed
             assert abs(rep_u.worst_value - rep_s.worst_value) < 1e-9
+
+    def test_ucv_sp_duality(self):
+        self._check_lift_duality(UCV, SP)
+
+    def test_convex_starlike_duality(self):
+        self._check_lift_duality(CONV1, STAR1)
 
     def test_coefficient_pass_implies_sample_pass(self):
         rng = random.Random(13)
