@@ -1,20 +1,21 @@
 """Closed-form summation identities with certified evaluation.
 
 The split-ladder functions at unit argument all reduce to one outer
-expansion derived from the Euler integral: with k the split order and
-prefactor Gamma(c) Gamma(c-a-b) / (Gamma(b) Gamma(c-b)),
+expansion S derived from the Euler integral: with k the split order and
+pref = Gamma(c) Gamma(c-a-b) / (Gamma(b) Gamma(c-b)), kF(k-1)(a, b/k ladder;
+c/k ladder; 1) = pref * S(a, b, c).  Each order expands its factor in a u
+with |u| <= 1/2 on [0, 1], so the terms decay like 2^(-j):
 
-    kF(k-1)(a, b/k ladder; c/k ladder; 1)
-        = pref * sum_j binom(-a, j) [Gamma(b+2j)/Gamma(c-a+2j)]
-                 * 2F1(a + s*j, b+2j; c-a+2j; -1),
+    k = 3: (1+t+t^2)^{-a} = (1+t)^{-a} (1-u)^{-a}, u = -t^2/(1+t),
+        S = sum_j binom(-a, j) Gamma(b+2j)/Gamma(c-a+2j) 2F1(a+j, b+2j; c-a+2j; -1);
+    k = 4: ((1+t)(1+t^2))^{-a} = (1+t)^{-3a} (1-u)^{-a}, u = 2t/(1+t)^2,
+        S = sum_j (a)_j/j! 2^j Gamma(b+j)/Gamma(c-a+j) 2F1(3a+2j, b+j; c-a+j; -1).
 
-where s = 1 for the cubic ladder (the factor (1+t+t^2)^{-a} is expanded in
-powers of t^2/(1+t)) and s = 0 for the quartic one ((1+t^2)^{-a} in powers
-of t^2).  The frequently seen variant of the cubic formula with terminating
-2F1(-j, b+j; c-a+j; -1) factors is the term-by-term integration of a
-binomial series outside its disc of convergence: its terms grow like 2^j
-and the expansion diverges, so the convergent regrouping above is what this
-module evaluates (see the repository typo ledger).
+Both inner 2F1 keep C - B = c - a - b.  The printed quartic formula expands
+(1+t^2)^{-a} in powers of t^2, whose terms decay only polynomially.  The
+printed cubic variant with terminating 2F1(-j, b+j; c-a+j; -1) factors
+integrates a binomial series outside its disc of convergence: its terms
+grow like 2^j (see the repository typo ledger).
 
 The weighted ladder sums W_d = sum_n (n+1)^d T_n of the lemmas are linear
 combinations of the same expansion at shifted parameters: with G_m =
@@ -37,7 +38,7 @@ combination subtracts, not with the (possibly much smaller) result.
 
 The outer expansion S is summed by the package's one engine,
 ``series.chunked_sum``, with the inner 2F1(-1) tails of each chunk added to
-the bound; ``split_outer_sum`` passes the order's tail certifier.
+the bound; ``split_outer_sum`` passes its window-ratio tail certifier.
 """
 from __future__ import annotations
 
@@ -63,10 +64,11 @@ from .numcore import (
     pochhammer,
 )
 from .quadrature import DEFAULT_BUDGET, adaptive_quad
-from .series import _RAABE_WINDOW, EvalResult, PFQParams, chunked_sum, pfq_eval, raabe_gammas
+from .series import EvalResult, PFQParams, chunked_sum, pfq_eval
 
 _INNER_STOP_REL = 1e-17
 _INNER_MAX_ITERS = 4096
+_CERT_WINDOW = 64
 
 
 class Section(enum.Enum):
@@ -123,26 +125,32 @@ def _inner_2f1_batch(
     T = np.ones(L, dtype=complex)
     G = np.ones(L, dtype=complex)
     i = 0
+    slow = 0  # the row furthest from the stop test when it last failed
     while i < _INNER_MAX_ITERS:
         ratio = (A + i) * (m + i) / ((C + i) * (i + 1.0)) * 0.5
         T = T * ratio
         G += T
         i += 1
-        if i >= 8:
-            mags = np.abs(T)
-            if not np.all(mags <= _INNER_STOP_REL * np.maximum(np.abs(G), 1e-300)):
-                continue
-            alpha_lo, alpha_hi = np.minimum(np.abs(A), abs(m)), np.maximum(np.abs(A), abs(m))
-            beta_lo, beta_hi = np.minimum(C.real, 1.0), np.maximum(C.real, 1.0)
-            env = 0.5 * np.maximum((i + alpha_lo) / (i + beta_lo), 1.0) * np.maximum(
-                (i + alpha_hi) / (i + beta_hi), 1.0
-            )
-            env = np.where(beta_lo + i <= 0.0, np.inf, env)
-            env = np.where(mags == 0.0, 0.0, env)  # exactly terminated rows
-            if np.all(env < 1.0):
-                tails = mags * env / (1.0 - env)
-                scale = np.exp(-A * math.log(2.0))
-                return G * scale, tails * np.abs(scale)
+        # While that row alone fails with a factor-2 margin the full test
+        # would fail too, so the stop index is the full test's own.
+        if i < 8 or abs(T[slow]) > 2.0 * _INNER_STOP_REL * max(abs(G[slow]), 1e-300):
+            continue
+        mags = np.abs(T)
+        gmags = np.maximum(np.abs(G), 1e-300)
+        if not np.all(mags <= _INNER_STOP_REL * gmags):
+            slow = int(np.argmax(mags / gmags))
+            continue
+        alpha_lo, alpha_hi = np.minimum(np.abs(A), abs(m)), np.maximum(np.abs(A), abs(m))
+        beta_lo, beta_hi = np.minimum(C.real, 1.0), np.maximum(C.real, 1.0)
+        env = 0.5 * np.maximum((i + alpha_lo) / (i + beta_lo), 1.0) * np.maximum(
+            (i + alpha_hi) / (i + beta_hi), 1.0
+        )
+        env = np.where(beta_lo + i <= 0.0, np.inf, env)
+        env = np.where(mags == 0.0, 0.0, env)  # exactly terminated rows
+        if np.all(env < 1.0):
+            tails = mags * env / (1.0 - env)
+            scale = np.exp(-A * math.log(2.0))
+            return G * scale, tails * np.abs(scale)
     raise NoConvergenceError("inner half-argument series failed to settle")
 
 
@@ -155,15 +163,13 @@ def split_outer_sum(
 ) -> EvalResult:
     """The outer expansion S(a, b, c) for the given split order (3 or 4).
 
-    For order 3 the term ratio tends to 1/2 and the largest ratio over the
-    window certifies a geometric tail; for order 4 the terms decay
-    polynomially with alternating signs, certified by the alternating-tail
-    bound (real parameters) or a Raabe bound on the magnitudes.
+    The order selects the term ratio and the inner 2F1 parameters; in both
+    the term ratio tends to 1/2 in modulus and the largest ratio over the
+    last window certifies a geometric tail.
     """
     if order not in (3, 4):
         raise ValueError("split order must be 3 or 4")
     a, b, c = complex(a), complex(b), complex(c)
-    s_shift = 1 if order == 3 else 0
     m_fix = c - a - b
     if is_nonpositive_integer(b):
         raise PoleError(f"outer seed Gamma({b}) is at a pole")
@@ -173,46 +179,42 @@ def split_outer_sum(
 
     def chunk_terms(js: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal w_run
-        wr = (
-            -(a + js)
-            / (js + 1.0)
-            * (b + 2.0 * js)
-            * (b + 2.0 * js + 1.0)
-            / ((c - a + 2.0 * js) * (c - a + 2.0 * js + 1.0))
-        )
+        if order == 3:
+            wr = (
+                -(a + js)
+                / (js + 1.0)
+                * (b + 2.0 * js)
+                * (b + 2.0 * js + 1.0)
+                / ((c - a + 2.0 * js) * (c - a + 2.0 * js + 1.0))
+            )
+            A, C = a + js, c - a + 2.0 * js
+        else:
+            wr = 2.0 * (a + js) / (js + 1.0) * (b + js) / (c - a + js)
+            A, C = 3.0 * a + 2.0 * js, c - a + js
         w = w_run * np.concatenate(([1.0 + 0.0j], np.cumprod(wr[:-1])))
         w_run = w[-1] * wr[-1]
-        A = a + s_shift * js
-        C = c - a + 2.0 * js
         M, inner_tails = _inner_2f1_batch(A.astype(complex), m_fix, C.astype(complex))
         return w * M, float((np.abs(w) * inner_tails).sum())
 
-    real_params = abs(a.imag) == 0.0 and abs(b.imag) == 0.0 and abs(c.imag) == 0.0
-
     def outer_tail(js: np.ndarray, terms: np.ndarray, total: complex):
-        wlen = min(_RAABE_WINDOW, len(js) - 1)
+        wlen = min(_CERT_WINDOW, len(js) - 1)
         if wlen < 2:
             return None
-        recent = terms[-(wlen + 1):]
-        wm = np.abs(recent)
-        if order == 3:
-            if not np.all(wm[:-1] > 0):
-                return None
-            rho = float(np.max(wm[1:] / wm[:-1]))
-            return (total, float(wm[-1]) * rho / (1.0 - rho)) if rho <= 0.95 else None
-        if not np.all(wm > 0):
+        wm = np.abs(terms[-(wlen + 1):])
+        if not np.all(wm[:-1] > 0):
             return None
-        if real_params:
-            signs = np.sign(recent.real)
-            alternating = bool(np.all(signs[1:] * signs[:-1] < 0))
-            descending = bool(np.all(np.diff(wm) <= wm[:-1] * 1e-9))
-            if alternating and descending and wm[-1] < wm[0] * (1.0 - 1e-7):
-                return total, float(wm[-1])
-        jwin = js[-(wlen + 1):].astype(float)
-        gammas = raabe_gammas(jwin[:-1], wm[1:] / wm[:-1])
-        if gammas is None:
-            return None
-        return total, float(wm[-1]) * (int(js[-1]) + 2) / (float(gammas.min()) - 1.0)
+        rho = float(np.max(wm[1:] / wm[:-1]))
+        if order == 4:
+            # The quartic terms past J are (a)_j/j! times moments of u^j <= 2^(-j)
+            # of a positive measure when the parameters are real, c > a + b and
+            # b + J > 0, so every later ratio is at most 1/2 sup_{i >= J}
+            # |a+i|/(i+1): a proof, which the window (whose ratios climb to 1/2
+            # from below) is not.  Otherwise the window still has a say.
+            J = float(js[-1])
+            proven = 0.5 * max(1.0, (abs(a) + J) / (J + 1.0))
+            real = a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0
+            rho = proven if real and m_fix.real > 0.0 and b.real + J > 0.0 else max(rho, proven)
+        return (total, float(wm[-1]) * rho / (1.0 - rho)) if rho <= 0.95 else None
 
     terminal = -nonpositive_integer_value(a) if is_nonpositive_integer(a) else None
     return chunked_sum(chunk_terms, outer_tail, policy, terminal)

@@ -13,7 +13,8 @@ ladder sums (terms from the one-step ratio recurrence) use one of two:
   by |t_{n+1}| (n+1) / (gamma - 1), tightened to a bracket midpoint for
   positive real terms.
 
-``closedforms.split_outer_sum`` is the other caller, with its own certifiers.
+``closedforms.split_outer_sum`` is the other caller, with its own
+window-ratio tail certificate.
 """
 from __future__ import annotations
 
@@ -196,19 +197,6 @@ def term_ratios(
     return ratios
 
 
-def raabe_gammas(ms: np.ndarray, ratio_mods: np.ndarray) -> np.ndarray | None:
-    """Observed Raabe rates gamma_m = m (1 - |t_{m+1}/t_m|) over a window.
-
-    Returns them only when they have settled (nondecreasing along the
-    window) above 1, the condition for the Raabe tail bound; else None.
-    """
-    gammas = ms * (1.0 - ratio_mods)
-    settled = bool(np.all(np.diff(gammas) >= -1e-9 * np.maximum(1.0, gammas[:-1])))
-    if settled and float(gammas.min()) > _RAABE_MIN_GAMMA:
-        return gammas
-    return None
-
-
 def _series_sum(
     upper: tuple[complex, ...],
     lower: tuple[complex, ...],
@@ -241,12 +229,15 @@ def _series_sum(
     def raabe_tail(ns: np.ndarray, terms: np.ndarray, total: complex):
         n = int(ns[-1]) + 1
         window = min(_RAABE_WINDOW, len(ns))
-        gammas = raabe_gammas(ns[-window:].astype(float), np.abs(ratios[-window:]))
+        # Observed Raabe rates gamma_m = m (1 - |t_{m+1}/t_m|); the bound
+        # needs them settled (nondecreasing along the window) above 1.
+        gammas = ns[-window:].astype(float) * (1.0 - np.abs(ratios[-window:]))
+        settled = bool(np.all(np.diff(gammas) >= -1e-9 * np.maximum(1.0, gammas[:-1])))
         burn_in = 4.0 * (1.0 + max(
             max((abs(u) for u in upper), default=0.0),
             max((abs(l) for l in lower), default=0.0),
         ))
-        if gammas is None or n <= burn_in:
+        if not (settled and float(gammas.min()) > _RAABE_MIN_GAMMA) or n <= burn_in:
             return None
         upper_tail = abs(t) * (n + 1) / (float(gammas.min()) - 1.0)
         # When gamma_n climbs toward its exact limit sigma from below and the

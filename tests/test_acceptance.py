@@ -173,12 +173,7 @@ def build_crit5() -> dict:
                 else:
                     a = rng.uniform(0.05, 0.5)
                     b = rng.uniform(0.1, 2.5)
-                    if fam is Family.SPLIT4:
-                        # keep the alternating outer blocks decaying fast
-                        margin = a + part + 0.7 + rng.uniform(0.2, 2.5)
-                    else:
-                        margin = rng.uniform(1.5, 4.0)
-                    c = a + b + part + margin
+                    c = a + b + part + rng.uniform(1.5, 4.0)
                 fp = FamilyParams(a, b, c, fam)
                 lhs = weighted_pochhammer_sum(fp, _LEMMA_WEIGHTS[part], LEMMA_POLICY)
                 rhs = cf.lemma_closed_form(cf.LemmaId(sec, part), fp, LEMMA_POLICY)

@@ -18,9 +18,16 @@ import random
 
 import pytest
 
-from hypergft.certifier import certify_function_class, certify_operator_mapping
+from hypergft.certifier import (
+    Verdict,
+    certify_function_class,
+    certify_operator_mapping,
+    hypergeometric_coefficients,
+)
 from hypergft.classes import ClassKind, ClassSpec, SourceClass, SourceKind
+from hypergft.closedforms import LemmaId, Section, five_f4_at_1, ladder_sum_block, lemma_closed_form
 from hypergft.families import Family, FamilyParams
+from hypergft.oracle import coefficient_condition_check, disc_sample_check
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -162,3 +169,80 @@ def test_cancelling_rbeta_sp_within_its_bound():
     for _ in range(12):
         a, b = rng.uniform(1.3, 2.0), rng.uniform(4.6, 6.0)
         _check(Family.SPLIT4, a, b, a + b + rng.uniform(8.0, 16.0), None, 0.5, [(RBETA, SP)])
+
+
+# W_d of lemma part p (W_0 for the closed form at z = 1) as sum(coeff * pref G_m).
+_LEMMA_BLOCKS = {
+    0: {0: 1},
+    1: {1: 1, 0: 1},
+    2: {2: 1, 1: 3, 0: 1},
+    3: {3: 1, 2: 6, 1: 7, 0: 1},
+    -1: {-1: 1},
+}
+
+
+def _near_floor(seed, d, part4, count):
+    """Split4 points with c - a - b - d in (0.05, 0.5), off the part-4 poles;
+    with part4 also inside the part-4 region c > a + 3.  For d = -1 the
+    Euler integral of sum T_n/(n+1) needs c > b as well (for a < 1 its
+    integrand is about (1-t)^(c-b-1) at t = 1)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, b = rng.uniform(0.2, 2.5), rng.uniform(0.3, 6.0)
+        c = a + b + d + rng.uniform(0.05, 0.5)
+        if abs(a - 1) < 0.1 or min(abs(b - m) for m in range(1, 5)) < 0.1:
+            continue
+        if (part4 and c <= a + 3.05) or (d == -1 and c <= b):
+            continue
+        out.append((a, b, c, rng.uniform(0.2, 1.0), rng.uniform(0.0, 0.9)))
+    return out
+
+
+def _reference(a, b, c, combo, affine):
+    """sum(coeff * pref G_m) + affine(corr) at 30 digits, computing only the
+    blocks in combo (the others diverge this close to the floor)."""
+    with mpmath.workdps(DIGITS):
+        corr = mpmath.rf(c - 4, 4) / ((a - 1) * mpmath.rf(b - 4, 4))
+        total = affine(corr)
+        for m, coeff in combo.items():
+            total += coeff * (weighted_sum(a, b, c, 4, m) + (corr if m == -1 else 0))
+        return total
+
+
+@pytest.mark.parametrize("part", [0, 1, 2, 3, 4])
+def test_quartic_closed_forms_near_the_floor(part):
+    # part 0 is five_f4_at_1 (W_0); parts 1-4 are the sec3 lemmas.
+    d = (0, 1, 2, 3, -1)[part]
+    for a, b, c, _lam, _beta in _near_floor(f"floor/part{part}", d, d == -1, 3):
+        fp = FamilyParams(a, b, c, Family.SPLIT4)
+        res = five_f4_at_1(fp) if part == 0 else lemma_closed_form(LemmaId(Section.SEC3, part), fp)
+        ref = _reference(a, b, c, _LEMMA_BLOCKS[d], lambda corr: -corr if d == -1 else 0)
+        assert res.converged, (part, (a, b, c))
+        assert abs(res.value - complex(ref)) <= res.tail_bound, (part, (a, b, c), res, ref)
+
+
+@pytest.mark.parametrize("source,kind", CRITERIA)
+def test_every_quartic_criterion_near_the_floor(source, kind):
+    # d is the highest power of the criterion, max(m) over its blocks G_m.
+    keys = left_side(Family.SPLIT4, source, kind, 0.5, 0)[0]
+    d, part4 = max(keys), -1 in keys
+    for a, b, c, lam, beta in _near_floor(f"floor/{source.value}/{kind.value}", d, part4, 2):
+        cert = certify(FamilyParams(a, b, c, Family.SPLIT4), source, kind, lam, beta)
+        combo, _ = left_side(Family.SPLIT4, source, kind, lam, 0)
+        ref = _reference(a, b, c, combo, lambda corr: left_side(Family.SPLIT4, source, kind, lam, corr)[1])
+        assert all(ladder_sum_block(4, a, b, c, m).converged for m in combo), (a, b, c)
+        assert abs(cert.lhs - float(ref)) <= cert.lhs_tail_bound, (
+            cert.theorem_tag, (a, b, c, lam, beta), cert.lhs, float(ref), cert.lhs_tail_bound
+        )
+
+
+def test_near_floor_starlike_point_is_certified_and_passes_both_oracles():
+    # function -> starlike with c - a - b - 1 = 0.098, below where a t^2
+    # expansion of (1+t^2)^(-a) decays (c > 2a + b + 1 for G_1).
+    fp = FamilyParams(0.391667, 0.383333, 1.872727, Family.SPLIT4)
+    spec = ClassSpec(STAR, 0.381818)
+    assert certify_function_class(fp, spec).verdict is Verdict.CERTIFIED
+    f = hypergeometric_coefficients(fp, 500)
+    assert coefficient_condition_check(f, spec).passed
+    assert disc_sample_check(f, spec).passed
