@@ -505,24 +505,25 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
         return 1
     header = "family,source,class,a,b,c,lambda,beta,verdict,lhs,rhs,margin,error"
     lines = [header]
-    for a, b, c, lam, beta in points:
-        base = [
-            family.name.lower(),
-            source_kind.value,
-            kind.value,
-            _g17(a),
-            _g17(b),
-            _g17(c),
-            _g17(lam) if lam is not None else "",
-            _g17(beta) if beta is not None else "",
-        ]
-        try:
-            fp = FamilyParams(a, b, c, family)
-            cert = _certify(fp, ClassSpec(kind, lam), source_kind, beta, args.policy)
-            base += [cert.verdict.value, _g17(cert.lhs), _g17(cert.rhs), _g17(cert.margin), ""]
-        except HypergftError as exc:
-            base += ["error", "", "", "", type(exc).__name__]
-        lines.append(",".join(base))
+    with closedforms.shared_blocks():  # rows along a lambda or beta grid share every G_m
+        for a, b, c, lam, beta in points:
+            base = [
+                family.name.lower(),
+                source_kind.value,
+                kind.value,
+                _g17(a),
+                _g17(b),
+                _g17(c),
+                _g17(lam) if lam is not None else "",
+                _g17(beta) if beta is not None else "",
+            ]
+            try:
+                fp = FamilyParams(a, b, c, family)
+                cert = _certify(fp, ClassSpec(kind, lam), source_kind, beta, args.policy)
+                base += [cert.verdict.value, _g17(cert.lhs), _g17(cert.rhs), _g17(cert.margin), ""]
+            except HypergftError as exc:
+                base += ["error", "", "", "", type(exc).__name__]
+            lines.append(",".join(base))
     _render(args, "rows", lines[1:], {"header": header}, lines, "\n".join(lines), out)
     return 0
 

@@ -39,14 +39,22 @@ combination subtracts, not with the (possibly much smaller) result.
 The outer expansion S is summed by the package's one engine,
 ``series.chunked_sum``, with the inner 2F1(-1) tails of each chunk added to
 the bound; ``split_outer_sum`` passes its window-ratio tail certifier.
+
+Inside ``with shared_blocks():`` each block G_m is evaluated once and its
+result reused by every later combination at the same (order, a, b, c, m,
+policy); ``hypergft sweep`` opens one around its rows, which share the point
+(|a|, |b|, c) across a lambda or beta grid.  Nothing is kept across calls:
+outside the block no memo exists, and a block that raised is evaluated again.
 """
 from __future__ import annotations
 
 import cmath
+import contextlib
+import contextvars
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -69,6 +77,11 @@ from .series import EvalResult, PFQParams, chunked_sum, pfq_eval
 _INNER_STOP_REL = 1e-17
 _INNER_MAX_ITERS = 4096
 _CERT_WINDOW = 64
+
+# Block results of the innermost open ``shared_blocks``; None outside one.
+_SHARED_BLOCKS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "shared_blocks", default=None
+)
 
 
 class Section(enum.Enum):
@@ -250,6 +263,16 @@ def ladder_sum_block(
     )
 
 
+@contextlib.contextmanager
+def shared_blocks() -> Iterator[None]:
+    """Evaluate each block G_m at most once until the with-block exits."""
+    token = _SHARED_BLOCKS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_BLOCKS.reset(token)
+
+
 def block_combination(
     order: int, a: complex, b: complex, c: complex, weights: Mapping[int, float],
     policy: PrecisionPolicy = DEFAULT_POLICY,
@@ -259,7 +282,8 @@ def block_combination(
     The powers' G-combinations (``_PART_COEFFS``) are merged into one
     pref * sum(coeff * G_m), plus affine = -coeff_-1 * ``part4_affine``.
     The bound is |pref| sum |coeff| tail_m + GAMMA_EVAL_REL (|pref| sum
-    |coeff| |G_m| + |affine|); zero coefficients are skipped.
+    |coeff| |G_m| + |affine|); zero coefficients are skipped.  Blocks come
+    from the memo of an open ``shared_blocks`` when it holds them.
     """
     a, b, c = complex(a), complex(b), complex(c)
     combo: dict[int, float] = {}
@@ -269,6 +293,9 @@ def block_combination(
     inv = weights.get(-1, 0.0)
     affine = -inv * part4_affine(order, a, b, c) if inv != 0.0 else 0.0
     pref = family_prefactor(order, a, b, c)
+    memo = _SHARED_BLOCKS.get()
+    if memo is None:  # outside shared_blocks nothing outlives this call
+        memo = {}
     value = 0.0 + 0.0j
     tail = 0.0
     size = 0.0
@@ -277,7 +304,10 @@ def block_combination(
     for shift, coeff in combo.items():
         if coeff == 0.0:
             continue
-        blk = ladder_sum_block(order, a, b, c, shift, policy)
+        key = (order, a, b, c, shift, policy)
+        if key not in memo:  # a raised error leaves no entry
+            memo[key] = ladder_sum_block(order, a, b, c, shift, policy)
+        blk = memo[key]
         value += coeff * blk.value
         tail += abs(coeff) * blk.tail_bound
         size += abs(coeff) * abs(blk.value)

@@ -333,7 +333,7 @@ IDENTITIES: dict[str, Identity] = {
         lambda p, policy: _split_at_1(closedforms.four_f3_at_1, p, policy),
     ),
     "5f4-at-1": Identity(
-        1e-6, Family.SPLIT4, _above((0.05, 0.45), (0.1, 3.0), (1.25, 5.0), 4),
+        1e-6, Family.SPLIT4, _above((0.05, 0.45), (0.1, 3.0), (0.75, 5.0), 4),
         lambda p, policy: _split_at_1(closedforms.five_f4_at_1, p, policy),
     ),
 }

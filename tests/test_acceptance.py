@@ -135,7 +135,7 @@ def build_crit4() -> dict:
     for _ in range(200):
         a = rng.uniform(0.05, 0.45)
         b = rng.uniform(0.1, 3.0)
-        m = rng.uniform(1.25, 5.0)
+        m = rng.uniform(0.75, 5.0)
         fp = FamilyParams(a, b, a + b + m, Family.SPLIT4)
         closed = cf.five_f4_at_1(fp, POLICY)
         series = pfq_eval(PFQParams(fp.upper_params(), fp.lower_params()), 1.0, POLICY)

@@ -37,7 +37,14 @@ FUNCTION, RBETA, FULL_S = SourceKind.FUNCTION, SourceKind.RBETA, SourceKind.FULL
 
 
 def weighted_sum(a, b, c, k, m):
-    """sum_n n(n-1)...(n-m+1) T_n for m >= 0, sum_n T_n/(n+1) for m = -1."""
+    """sum_n n(n-1)...(n-m+1) T_n for m >= 0, sum_n T_n/(n+1) for m = -1.
+
+    Raises ValueError where the integral below diverges at t = 1: its
+    integrand is about (1-t)^(c-a-b-m-1) there, or (1-t)^(c-b-1) for m = -1
+    and a < 1, where g stays finite.
+    """
+    if not c - a - b - m > 0 or (m == -1 and a < 1 and not c > b):
+        raise ValueError(f"the Euler integral of weight {m} diverges at (a, b, c) = {(a, b, c)}")
     mpf = mpmath.mpf
     a, b, c = mpf(a), mpf(b), mpf(c)
 
@@ -66,6 +73,16 @@ def weighted_sum(a, b, c, k, m):
 
     pref = mpmath.gamma(c) / (mpmath.gamma(b) * mpmath.gamma(c - b))
     return pref * (mpmath.quad(left, [0, mpf(0.5) ** b]) + mpmath.quad(right, [0, mpf(0.5) ** s]))
+
+
+@pytest.mark.parametrize("a, b, c, m", [
+    (0.484, 5.798, 5.584, -1),  # inside the part-4 region, but c < b with a < 1
+    (0.6, 1.7, 2.2, 0),  # c = a + b - 0.1
+    (0.6, 1.7, 4.2, 2),  # c = a + b + 1.9
+])
+def test_weighted_sum_rejects_a_divergent_integral(a, b, c, m):
+    with pytest.raises(ValueError, match="diverges"):
+        weighted_sum(a, b, c, 4, m)
 
 
 def blocks(a, b, c, k):

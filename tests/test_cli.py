@@ -6,8 +6,10 @@ import math
 import pytest
 
 from hypergft import closedforms
+from hypergft.certifier import certify_function_class
+from hypergft.classes import ClassKind, ClassSpec
 from hypergft.cli import DEFAULT_TOLERANCES, _build_parser, main
-from hypergft.errors import InsufficientOrderError
+from hypergft.errors import InsufficientOrderError, NoConvergenceError
 from hypergft.families import Family, FamilyParams
 from hypergft.numcore import DEFAULT_POLICY
 from hypergft.oracle import IDENTITIES, identity_residual
@@ -322,6 +324,106 @@ class TestSweep:
         _, one = run(*args)
         _, two = run(*args)
         assert one == two
+
+
+def _count_blocks(monkeypatch):
+    """Record the arguments of every ladder_sum_block call and the memo it ran under."""
+    calls = []
+    block = closedforms.ladder_sum_block
+
+    def counted(*args):
+        calls.append((args, closedforms._SHARED_BLOCKS.get()))
+        return block(*args)
+
+    monkeypatch.setattr(closedforms, "ladder_sum_block", counted)
+    return calls
+
+
+# A lambda grid and an rbeta beta grid per family; the lowest c of each
+# breaks the hypothesis, and c = 6.2 of the beta grid lies in the R(beta)
+# band |a| + |b| - 1 < c <= |a| + |b| (lhs = inf).
+_SHARED_SWEEPS = [
+    (f"split{k}", grid)
+    for k in (3, 4)
+    for grid in (
+        ("--class", "convex", "--lambda", "0.2:1:0.2", "--a", "0.3", "--b", "0.4", "--c", "2:10:4"),
+        ("--class", "sp", "--source", "rbeta", "--beta", "0:0.8:0.4",
+         "--a", "1.5", "--b", "5.2", "--c", "4.2:8.2:2"),
+    )
+]
+
+
+class TestSharedBlocks:
+    """sweep evaluates each block G_m once per call and nothing across calls."""
+
+    @pytest.mark.parametrize("family, grid", _SHARED_SWEEPS)
+    def test_rows_equal_the_certify_reports(self, family, grid):
+        code, doc = run_json("sweep", "--family", family, *grid, "--format", "json")
+        assert code == 0
+        header = doc["params"]["header"].split(",")
+        kinds = set()
+        for line in doc["rows"]:
+            row = dict(zip(header, line.split(",")))
+            argv = ["certify", "--family", family, "--class", row["class"], "--source", row["source"],
+                    "--a", row["a"], "--b", row["b"], "--c", row["c"]]
+            argv += ["--lambda", row["lambda"]] if row["lambda"] else []
+            argv += ["--beta", row["beta"]] if row["beta"] else []
+            cert_code, cert_doc = run_json(*argv)
+            if row["verdict"] == "error":
+                assert (row["error"], cert_code, cert_doc) == ("HypothesisError", 4, None)
+                kinds.add("error")
+                continue
+            cert = cert_doc["certificate"]
+            numbers = [float(row[key]) for key in ("lhs", "rhs", "margin")]
+            assert numbers == [cert["lhs"], cert["rhs"], cert["margin"]], row
+            assert row["verdict"] == cert["verdict"]
+            kinds.add("band" if cert["lhs"] == math.inf else "finite")
+        expected = {"error", "finite"} | ({"band"} if "rbeta" in grid else set())
+        assert kinds == expected
+
+    @pytest.mark.parametrize("family, grid", _SHARED_SWEEPS)
+    def test_each_block_is_evaluated_once_per_sweep(self, family, grid, monkeypatch):
+        calls = _count_blocks(monkeypatch)
+        code, text = run("sweep", "--family", family, *grid)
+        assert code == 0
+        keys = [args for args, _ in calls]
+        assert keys and len(set(keys)) == len(keys)
+        # Every row with a finite lhs needs at least two blocks of its own.
+        finite = [r for r in text.splitlines()[1:] if r.split(",")[9] not in ("", "inf")]
+        assert len(keys) < 2 * len(finite)
+        assert all(isinstance(memo, dict) for _, memo in calls)
+        assert closedforms._SHARED_BLOCKS.get() is None
+
+    def test_second_sweep_evaluates_its_blocks_again(self, monkeypatch):
+        calls = _count_blocks(monkeypatch)
+        argv = ("sweep", "--family", "split4", *_SHARED_SWEEPS[2][1])
+        first = run(*argv)
+        once = [args for args, _ in calls]
+        assert once and run(*argv) == first
+        assert [args for args, _ in calls] == once + once
+
+    def test_certify_outside_a_sweep_sees_no_memo(self, monkeypatch):
+        calls = _count_blocks(monkeypatch)
+        fp = FamilyParams(0.3, 0.4, 8.0, Family.SPLIT4)
+        first = certify_function_class(fp, ClassSpec(ClassKind.CONVEX, 0.5))
+        assert certify_function_class(fp, ClassSpec(ClassKind.CONVEX, 0.5)) == first
+        assert len(calls) == 6
+        assert all(memo is None for _, memo in calls)
+
+    def test_raised_blocks_are_not_kept(self, monkeypatch):
+        calls = []
+
+        def fail(*args):
+            calls.append(args)
+            raise NoConvergenceError("no tail certificate")
+
+        monkeypatch.setattr(closedforms, "ladder_sum_block", fail)
+        code, text = run("sweep", "--family", "split3", "--class", "starlike",
+                         "--lambda", "0.2:1:0.2", "--a", "0.3", "--b", "0.4", "--c", "8")
+        rows = text.splitlines()[1:]
+        assert code == 0 and len(rows) == 5
+        assert all(r.endswith(",error,,,,NoConvergenceError") for r in rows)
+        assert len(calls) == len(rows) and len(set(calls)) == 1
 
 
 class TestConfigFile:
