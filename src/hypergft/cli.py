@@ -169,110 +169,6 @@ def _render(
     _emit(text, out)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """key = value lines, keys spelled as dests (lambda -> lam, - -> _)."""
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line must be key=value: {raw.rstrip()}")
-            key, val = (p.strip() for p in line.split("=", 1))
-            key = key.replace("-", "_")
-            out["lam" if key == "lambda" else key] = val
-    return out
-
-
-def _apply_config(command: argparse.ArgumentParser, entries: dict[str, str]) -> None:
-    """Make config entries the command's defaults, which satisfy required flags.
-
-    Values stay strings for argparse to parse, so explicit flags win; a
-    store_true flag takes true or false.
-    """
-    for action in command._actions:
-        if action.dest not in entries or action.default is argparse.SUPPRESS:
-            continue
-        value: str | bool = entries[action.dest]
-        if isinstance(action, argparse._StoreTrueAction):
-            if value.lower() not in ("true", "false"):
-                raise ValueError(f"{action.dest} must be true or false, got {value!r}")
-            value = value.lower() == "true"
-        action.default = value
-        action.required = False
-
-
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
-        prog="hypergft",
-        description="Evaluate split-ladder hypergeometric identities and certify class membership.",
-    )
-    parser.add_argument("--config", help="key=value file; flags override its entries")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--rel-tol", type=float, default=DEFAULT_POLICY.rel_tol)
-        p.add_argument("--abs-tol", type=float, default=DEFAULT_POLICY.abs_tol)
-        p.add_argument("--max-terms", type=int, default=DEFAULT_POLICY.max_terms)
-        p.add_argument("--format", choices=("json", "csv", "text"), default=None)
-        p.add_argument("--seed", type=int, default=0)
-
-    pe = sub.add_parser("eval", help="evaluate a series, closed form, or integral")
-    pe.add_argument("--pfq", help="series name like 2F1 (checked against the lists)")
-    pe.add_argument("--closed", help="gauss | shpot | 4f3 | 5f4 | lemma-secS-partP")
-    pe.add_argument("--euler", help="integral level: 2f1 | 3f2quad | 4f3 | pfq")
-    pe.add_argument("--upper", default="", help="comma-separated upper parameters")
-    pe.add_argument("--lower", default="", help="comma-separated lower parameters")
-    pe.add_argument("--a", default=None)
-    pe.add_argument("--b", default=None)
-    pe.add_argument("--c", type=float, default=None)
-    pe.add_argument("--z", default="0")
-    pe.add_argument("--quad-tol", type=float, default=1e-10)
-    common(pe)
-
-    pc = sub.add_parser("certify", help="emit a membership certificate")
-    pc.add_argument("--family", required=True, help="split3 | split4")
-    pc.add_argument("--a", required=True)
-    pc.add_argument("--b", required=True)
-    pc.add_argument("--c", type=float, required=True)
-    pc.add_argument("--class", dest="klass", required=True,
-                    choices=tuple(k.value for k in ClassKind))
-    pc.add_argument("--lambda", dest="lam", type=float, default=None)
-    pc.add_argument("--source", choices=tuple(s.value for s in SourceKind),
-                    default="function")
-    pc.add_argument("--beta", type=float, default=None)
-    pc.add_argument("--with-oracle", action="store_true",
-                    help="attach coefficient-sum and disc-sampling reports")
-    pc.add_argument("--oracle-order", type=int, default=500)
-    pc.add_argument("--allow-hypothesis-error", action="store_true",
-                    help="report hypothesis violations instead of erroring out")
-    common(pc)
-
-    pv = sub.add_parser("verify", help="run seeded residual draws for an identity")
-    pv.add_argument("--identity", required=True, choices=tuple(IDENTITIES))
-    pv.add_argument("--draws", type=int, default=100)
-    pv.add_argument("--tolerance", type=float, default=None)
-    pv.add_argument("--a", default=None)
-    pv.add_argument("--b", default=None)
-    pv.add_argument("--c", type=float, default=None)
-    common(pv)
-
-    ps = sub.add_parser("sweep", help="certify over a parameter grid, CSV per row")
-    ps.add_argument("--family", required=True)
-    ps.add_argument("--class", dest="klass", required=True,
-                    choices=tuple(k.value for k in ClassKind))
-    ps.add_argument("--source", choices=tuple(s.value for s in SourceKind),
-                    default="function")
-    ps.add_argument("--a", default="0.5")
-    ps.add_argument("--b", default="0.5")
-    ps.add_argument("--c", default="10")
-    ps.add_argument("--lambda", dest="lam", default=None)
-    ps.add_argument("--beta", default=None)
-    common(ps)
-    return parser, sub.choices
-
-
 # ---------------------------------------------------------------- eval
 
 
@@ -531,27 +427,131 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
 # ---------------------------------------------------------------- entry
 
 
+def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
+    """The key = value lines of a config file as the command's own flags.
+
+    A key is a flag name (_ or -) and becomes --key=value, so argparse checks
+    the value as it checks a typed flag; an on/off flag takes true or false.
+    """
+    flags: list[str] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"config line must be key=value: {raw.rstrip()}")
+            key, value = (p.strip() for p in line.split("=", 1))
+            flag = "--" + key.replace("_", "-")
+            action = command._option_string_actions.get(flag)
+            if action is None:
+                raise ValueError(f"unknown key {key!r} for {command.prog}")
+            if isinstance(action, argparse._StoreTrueAction):
+                if value.lower() not in ("true", "false"):
+                    raise ValueError(f"{key} must be true or false, got {value!r}")
+                flags += [flag] if value.lower() == "true" else []
+            else:
+                flags.append(f"{flag}={value}")
+    return flags
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser (--config, the command, the rest) and one parser per command."""
+    commands: dict[str, argparse.ArgumentParser] = {}
+
+    def command(name: str, help: str, handler) -> argparse.ArgumentParser:
+        p = commands[name] = argparse.ArgumentParser(prog=f"hypergft {name}", description=help)
+        p.set_defaults(command=name, handler=handler)
+        return p
+
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--rel-tol", type=float, default=DEFAULT_POLICY.rel_tol)
+        p.add_argument("--abs-tol", type=float, default=DEFAULT_POLICY.abs_tol)
+        p.add_argument("--max-terms", type=int, default=DEFAULT_POLICY.max_terms)
+        p.add_argument("--format", choices=("json", "csv", "text"), default=None)
+        p.add_argument("--seed", type=int, default=0)
+
+    pe = command("eval", "evaluate a series, closed form, or integral", cmd_eval)
+    pe.add_argument("--pfq", help="series name like 2F1 (checked against the lists)")
+    pe.add_argument("--closed", help="gauss | shpot | 4f3 | 5f4 | lemma-secS-partP")
+    pe.add_argument("--euler", help="integral level: 2f1 | 3f2quad | 4f3 | pfq")
+    pe.add_argument("--upper", default="", help="comma-separated upper parameters")
+    pe.add_argument("--lower", default="", help="comma-separated lower parameters")
+    pe.add_argument("--a", default=None)
+    pe.add_argument("--b", default=None)
+    pe.add_argument("--c", type=float, default=None)
+    pe.add_argument("--z", default="0")
+    pe.add_argument("--quad-tol", type=float, default=1e-10)
+    common(pe)
+
+    pc = command("certify", "emit a membership certificate", cmd_certify)
+    pc.add_argument("--family", required=True, help="split3 | split4")
+    pc.add_argument("--a", required=True)
+    pc.add_argument("--b", required=True)
+    pc.add_argument("--c", type=float, required=True)
+    pc.add_argument("--class", dest="klass", required=True,
+                    choices=tuple(k.value for k in ClassKind))
+    pc.add_argument("--lambda", dest="lam", type=float, default=None)
+    pc.add_argument("--source", choices=tuple(s.value for s in SourceKind),
+                    default="function")
+    pc.add_argument("--beta", type=float, default=None)
+    pc.add_argument("--with-oracle", action="store_true",
+                    help="attach coefficient-sum and disc-sampling reports")
+    pc.add_argument("--oracle-order", type=int, default=500)
+    pc.add_argument("--allow-hypothesis-error", action="store_true",
+                    help="report hypothesis violations instead of erroring out")
+    common(pc)
+
+    pv = command("verify", "run seeded residual draws for an identity", cmd_verify)
+    pv.add_argument("--identity", required=True, choices=tuple(IDENTITIES))
+    pv.add_argument("--draws", type=int, default=100)
+    pv.add_argument("--tolerance", type=float, default=None)
+    pv.add_argument("--a", default=None)
+    pv.add_argument("--b", default=None)
+    pv.add_argument("--c", type=float, default=None)
+    common(pv)
+
+    ps = command("sweep", "certify over a parameter grid, CSV per row", cmd_sweep)
+    ps.add_argument("--family", required=True)
+    ps.add_argument("--class", dest="klass", required=True,
+                    choices=tuple(k.value for k in ClassKind))
+    ps.add_argument("--source", choices=tuple(s.value for s in SourceKind),
+                    default="function")
+    ps.add_argument("--a", default="0.5")
+    ps.add_argument("--b", default="0.5")
+    ps.add_argument("--c", default="10")
+    ps.add_argument("--lambda", dest="lam", default=None)
+    ps.add_argument("--beta", default=None)
+    common(ps)
+
+    parser = argparse.ArgumentParser(
+        prog="hypergft", allow_abbrev=False,  # --c is not --config
+        description="Evaluate split-ladder hypergeometric identities and certify class membership.",
+    )
+    parser.add_argument("--config", help="key=value file of the command's flags; "
+                        "flags given after the command override it")
+    parser.add_argument("command", choices=tuple(commands),
+                        help="; ".join(f"{n}: {p.description}" for n, p in commands.items()))
+    parser.add_argument("rest", nargs=argparse.REMAINDER, metavar="FLAGS",
+                        help="the command's flags; hypergft COMMAND -h lists them")
+    return parser, commands
+
+
+_PARSER, _COMMANDS = _build_parsers()
+
+
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser, commands = _build_parser()
-    # Read --config first so its values can fill required flags (no
-    # abbreviations: --c must not match --config).
-    early = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    early.add_argument("--config")
     try:
-        config_path = early.parse_known_args(argv)[0].config
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    if config_path:
+        top = _PARSER.parse_args(argv)
+        command = _COMMANDS[top.command]
         try:
-            entries = _read_config_file(config_path)
-            for command in commands.values():
-                _apply_config(command, entries)
+            flags = _config_flags(top.config, command) if top.config else []
         except (OSError, ValueError) as exc:
             print(f"bad config file: {exc}", file=sys.stderr)
             return 1
-    try:
-        args = parser.parse_args(argv)
+        # Config flags go first, so a flag given on the command line wins.
+        args = command.parse_args(flags + top.rest)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 
@@ -562,14 +562,8 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         return 1
     args.format = args.format or ("csv" if args.command == "sweep" else "json")
 
-    handler = {
-        "eval": cmd_eval,
-        "certify": cmd_certify,
-        "verify": cmd_verify,
-        "sweep": cmd_sweep,
-    }[args.command]
     try:
-        return handler(args, out)
+        return args.handler(args, out)
     except (ValueError, KeyError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 1

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -8,7 +9,7 @@ import pytest
 from hypergft import closedforms
 from hypergft.certifier import certify_function_class
 from hypergft.classes import ClassKind, ClassSpec
-from hypergft.cli import DEFAULT_TOLERANCES, _build_parser, main
+from hypergft.cli import _COMMANDS, DEFAULT_TOLERANCES, main
 from hypergft.errors import InsufficientOrderError, NoConvergenceError
 from hypergft.families import Family, FamilyParams
 from hypergft.numcore import DEFAULT_POLICY
@@ -239,8 +240,7 @@ class TestVerify:
         assert "--draws" in capsys.readouterr().err
 
     def test_tags_are_the_registry_keys(self):
-        _, commands = _build_parser()
-        choices = next(a.choices for a in commands["verify"]._actions if a.dest == "identity")
+        choices = next(a.choices for a in _COMMANDS["verify"]._actions if a.dest == "identity")
         assert len(IDENTITIES) == 16
         assert tuple(choices) == tuple(IDENTITIES)
         assert tuple(DEFAULT_TOLERANCES) == tuple(IDENTITIES)
@@ -494,6 +494,58 @@ class TestConfigFile:
         )
         assert code == 0
         assert doc["params"]["c"] == 30.0
+
+    def test_class_key_satisfies_required_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c = 30\nclass = ucv\n")
+        code, doc = run_json(
+            "--config", str(cfg), "certify", "--family", "split3", "--a", "0.5", "--b", "0.5",
+        )
+        assert code == 0
+        assert doc["params"]["class"] == "ucv"
+
+    def test_invalid_choice_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        code, text = run("--config", str(cfg), "verify", "--identity", "gauss", "--draws", "2")
+        assert code == 1
+        assert text == ""
+        assert "xml" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,command", [
+        ("lamda = 0.5", ("sweep", "--family", "split3", "--class", "starlike")),
+        ("draws = 5", ("certify", "--family", "split3", "--a", "0.1", "--b", "0.1",
+                       "--c", "25", "--class", "sp")),
+    ])
+    def test_unknown_key_exits_one_and_names_it(self, tmp_path, capsys, line, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, text = run("--config", str(cfg), *command)
+        assert code == 1
+        assert text == ""
+        err = capsys.readouterr().err
+        assert "bad config file" in err and repr(line.split()[0]) in err
+
+    def test_negative_complex_value_is_not_an_option(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a = -0.3+0.2j\nb = 1\nc = 3\n")
+        code, doc = run_json("--config", str(cfg), "eval", "--closed", "gauss")
+        assert code == 0
+        assert doc["params"]["a"] == {"re": -0.3, "im": 0.2}
+
+    def test_calls_do_not_rebuild_the_parser(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c = 30\n")
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "__init__",
+            lambda self, *a, **k: built.append(k.get("prog")) or init(self, *a, **k),
+        )
+        argv = ("certify", "--family", "split3", "--a", "0.5", "--b", "0.5", "--class", "ucv")
+        assert run("--config", str(cfg), *argv)[0] == 0
+        assert run(*argv, "--c", "30")[0] == 0
+        assert built == []
 
 
 class TestFormatsAgree:
