@@ -193,37 +193,35 @@ def _eval_series(args: argparse.Namespace) -> tuple[EvalResult, dict[str, Any]]:
     return pfq_eval(pfq, z, args.policy), params
 
 
-def _family_from_args(args: argparse.Namespace, family: Family) -> FamilyParams:
+def _abc_args(args: argparse.Namespace) -> tuple[complex, complex, float]:
+    """--a, --b and --c, every one required."""
     if args.a is None or args.b is None or args.c is None:
         raise ValueError("--a, --b and --c are required here")
-    return FamilyParams(_parse_complex(args.a), _parse_complex(args.b), args.c, family)
+    return _parse_complex(args.a), _parse_complex(args.b), args.c
 
 
 def _eval_closed(args: argparse.Namespace) -> tuple[EvalResult, dict[str, Any]]:
     tag = args.closed.strip().lower()
+    if tag not in ("gauss", "shpot", "shpot-srivastava", "4f3", "5f4", *closedforms.LEMMAS):
+        raise ValueError(f"unknown closed form {args.closed!r}")
+    a, b, c = _abc_args(args)
+    params = {"closed": tag, "a": a, "b": b, "c": c}
     if tag == "gauss":
-        a, b = _parse_complex(args.a), _parse_complex(args.b)
-        value = closedforms.gauss_2f1_at_1(a, b, args.c)
+        value = closedforms.gauss_2f1_at_1(a, b, c)
         res = EvalResult(value, GAMMA_EVAL_REL * abs(value), 1, True)
-        params = {"closed": tag, "a": a, "b": b, "c": args.c}
     elif tag in ("shpot", "shpot-srivastava"):
-        a, b = _parse_complex(args.a).real, _parse_complex(args.b).real
-        value = closedforms.shpot_srivastava_3f2(a, b, args.c)
+        params.update(a=a.real, b=b.real)
+        value = closedforms.shpot_srivastava_3f2(a.real, b.real, c)
         res = EvalResult(complex(value), GAMMA_EVAL_REL * abs(value), 1, True)
-        params = {"closed": tag, "a": a, "b": b, "c": args.c}
     elif tag in ("4f3", "5f4"):
         family = Family.SPLIT3 if tag == "4f3" else Family.SPLIT4
-        fp = _family_from_args(args, family)
         fn = closedforms.four_f3_at_1 if tag == "4f3" else closedforms.five_f4_at_1
-        res = fn(fp, args.policy)
-        params = {"closed": tag, "a": fp.a, "b": fp.b, "c": fp.c, "family": family.name.lower()}
-    elif tag in closedforms.LEMMAS:
-        lemma = closedforms.LEMMAS[tag]
-        fp = _family_from_args(args, lemma.section.family)
-        res = closedforms.lemma_closed_form(lemma, fp, args.policy)
-        params = {"closed": tag, "a": fp.a, "b": fp.b, "c": fp.c}
+        res = fn(FamilyParams(a, b, c, family), args.policy)
+        params["family"] = family.name.lower()
     else:
-        raise ValueError(f"unknown closed form {args.closed!r}")
+        lemma = closedforms.LEMMAS[tag]
+        fp = FamilyParams(a, b, c, lemma.section.family)
+        res = closedforms.lemma_closed_form(lemma, fp, args.policy)
     return res, params
 
 
@@ -282,7 +280,7 @@ def _certify(
 
 def cmd_certify(args: argparse.Namespace, out) -> int:
     family, kind, source_kind = _target_args(args)
-    fp = _family_from_args(args, family)
+    fp = FamilyParams(*_abc_args(args), family)
     lam = _default_lambda(kind, args.lam)
     spec = ClassSpec(kind, lam)
     if source_kind is SourceKind.RBETA and args.beta is None:
@@ -349,6 +347,8 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         b = _parse_complex(args.b) if args.b is not None else 1.0
         c = args.c if args.c is not None else 4.0
         points = [IdentityPoint(a, b, c, identity.family.order)]
+    elif args.b is not None or args.c is not None:
+        raise ValueError("--b and --c need --a (they give a single point)")
     else:
         if args.draws < 1:
             raise ValueError(f"--draws must be at least 1, got {args.draws}")

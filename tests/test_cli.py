@@ -60,6 +60,16 @@ class TestEval:
         code, _ = run("eval", "--closed", "nonsense", "--a", "1", "--b", "1", "--c", "3")
         assert code == 1
 
+    @pytest.mark.parametrize("tag", ["gauss", "shpot", "shpot-srivastava", "4f3", "5f4",
+                                     "lemma-sec2-part1"])
+    @pytest.mark.parametrize("given", [("--b", "1", "--c", "3"), ("--a", "0.3", "--c", "3"),
+                                       ("--a", "0.3", "--b", "1")])
+    def test_closed_form_missing_parameter_is_bad_input(self, tag, given, capsys):
+        code, text = run("eval", "--closed", tag, *given)
+        assert code == 1
+        assert text == ""
+        assert "bad input: --a, --b and --c are required here" in capsys.readouterr().err
+
     def test_zero_gamma_ratio_exits_two(self, capsys):
         # Gamma(b) with b = -1 sits in the prefactor's denominator: ZeroError.
         code, text = run("eval", "--closed", "4f3", "--a", "0.5", "--b", "-1", "--c", "5")
@@ -238,6 +248,13 @@ class TestVerify:
         code, _ = run("verify", "--identity", "gauss", "--draws", draws)
         assert code == 1
         assert "--draws" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given", [("--b", "2"), ("--c", "4"), ("--b", "2", "--c", "4")])
+    def test_point_parameters_without_a_rejected(self, given, capsys):
+        code, text = run("verify", "--identity", "gauss", *given)
+        assert code == 1
+        assert text == ""
+        assert "--a" in capsys.readouterr().err
 
     def test_tags_are_the_registry_keys(self):
         choices = next(a.choices for a in _COMMANDS["verify"]._actions if a.dest == "identity")
