@@ -177,8 +177,9 @@ def split_outer_sum(
     """The outer expansion S(a, b, c) for the given split order (3 or 4).
 
     The order selects the term ratio and the inner 2F1 parameters; in both
-    the term ratio tends to 1/2 in modulus and the largest ratio over the
-    last window certifies a geometric tail.
+    the term ratio tends to 1/2 in modulus. For real parameters with
+    c > a + b a proven ratio bound certifies the geometric tail; complex
+    parameters also take the largest ratio over the last window, an estimate.
     """
     if order not in (3, 4):
         raise ValueError("split order must be 3 or 4")
@@ -217,16 +218,16 @@ def split_outer_sum(
         if not np.all(wm[:-1] > 0):
             return None
         rho = float(np.max(wm[1:] / wm[:-1]))
-        if order == 4:
-            # The quartic terms past J are (a)_j/j! times moments of u^j <= 2^(-j)
-            # of a positive measure when the parameters are real, c > a + b and
-            # b + J > 0, so every later ratio is at most 1/2 sup_{i >= J}
-            # |a+i|/(i+1): a proof, which the window (whose ratios climb to 1/2
-            # from below) is not.  Otherwise the window still has a say.
-            J = float(js[-1])
-            proven = 0.5 * max(1.0, (abs(a) + J) / (J + 1.0))
-            real = a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0
-            rho = proven if real and m_fix.real > 0.0 and b.real + J > 0.0 else max(rho, proven)
+        # Past J the terms are (a)_j/j! times moments of |u|^j <= 2^(-j) of a
+        # positive measure (u = -t^2/(1+t) for order 3, 2t/(1+t)^2 for order 4)
+        # when the parameters are real, c > a + b and b + J > 0, so every later
+        # ratio is at most 1/2 sup_{i >= J} |a+i|/(i+1): a proof, which the
+        # window (whose ratios climb to 1/2 from below) is not.  Otherwise the
+        # window still has a say.
+        J = float(js[-1])
+        proven = 0.5 * max(1.0, (abs(a) + J) / (J + 1.0))
+        real = a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0
+        rho = proven if real and m_fix.real > 0.0 and b.real + J > 0.0 else max(rho, proven)
         return (total, float(wm[-1]) * rho / (1.0 - rho)) if rho <= 0.95 else None
 
     terminal = -nonpositive_integer_value(a) if is_nonpositive_integer(a) else None
