@@ -136,8 +136,8 @@ class TestOuterEngineExits:
 
     @pytest.mark.parametrize("order", [3, 4])
     def test_every_budget_exit_is_within_its_bound(self, order):
-        # The proven ratio covers the smallest cuts too: the order-3 window
-        # estimate it replaced fell 1.006x short of the error at 4 terms.
+        # The smallest cuts matter most: their observed term ratios sit furthest below
+        # the 1/2 that later ratios climb to.
         ref = split_outer_sum(order, 0.3, 0.9, 6.0)
         for max_terms in range(4, 40):
             res = split_outer_sum(order, 0.3, 0.9, 6.0, PrecisionPolicy(max_terms=max_terms))
