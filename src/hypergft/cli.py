@@ -10,14 +10,15 @@ Exit codes
           (--allow-hypothesis-error writes the violation as a report in --format, still exit 4)
   verify  0 all residuals within tolerance / 5 residual failure / 1 bad input
   sweep   0 rows computed (per-row failures recorded) / 1 empty grid or bad input
-  any     2 constraint violation, gamma pole or zero gamma ratio / 3 no convergence
-          / 1 any other package error
+  any     2 constraint violation, gamma pole, zero or overflowing gamma ratio
+          / 3 no convergence / 1 any other package error, or stdout closed early
 """
 from __future__ import annotations
 
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from typing import Any, Sequence
@@ -563,7 +564,14 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     args.format = args.format or ("csv" if args.command == "sweep" else "json")
 
     try:
-        return args.handler(args, out)
+        code = args.handler(args, out)
+        out.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (| head).  Point stdout at devnull so the
+        # interpreter's flush at exit cannot raise again (Python signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, KeyError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import PoleError, ZeroError
+from .errors import ConstraintError, PoleError, ZeroError
 
 # Radius around 0, -1, -2, ... inside which an argument counts as a gamma pole.
 POLE_TOL = 1e-12
@@ -112,7 +112,8 @@ def gamma_ratio(numerators: list[complex], denominators: list[complex]) -> compl
     """exp(sum log Gamma(numerators) - sum log Gamma(denominators)).
 
     Works where the individual gammas would overflow; exponentiating the
-    difference of logs makes the result branch-insensitive.
+    difference of logs makes the result branch-insensitive.  A ratio beyond
+    the float range raises ConstraintError.
     """
     acc = 0.0 + 0.0j
     for v in numerators:
@@ -125,7 +126,16 @@ def gamma_ratio(numerators: list[complex], denominators: list[complex]) -> compl
         if is_nonpositive_integer(v):
             raise ZeroError(f"gamma_ratio denominator pole at {v}; ratio is zero")
         acc -= log_gamma(v)
-    return cmath.exp(acc)
+    try:
+        return cmath.exp(acc)
+    except OverflowError:
+        def gammas(vs):
+            vs = [complex(v) for v in vs]
+            return " ".join(f"Gamma({v.real if v.imag == 0 else v:g})" for v in vs)
+        raise ConstraintError(
+            f"gamma ratio {gammas(numerators)} / ({gammas(denominators)}) "
+            f"= exp({acc.real:.6g}) overflows the float range"
+        ) from None
 
 
 def _as_output(value: complex, *inputs: complex):

@@ -4,8 +4,9 @@ Two kinds of evidence, deliberately unsophisticated:
 
 * coefficient sums - the classical sufficient conditions, evaluated on the
   truncated coefficient vector plus a geometric tail estimate;
-* disc sampling - the defining inequalities themselves, evaluated by Horner
-  on a radial-angular grid.  Sampling a truncation is a falsifier near the
+* disc sampling - the defining inequalities themselves, evaluated on a
+  radial-angular grid, where each circle of the grid is summed by one
+  folded inverse FFT.  Sampling a truncation is a falsifier near the
   boundary, not a prover, so reports carry a truncation disclaimer when the
   dropped coefficients could still matter.
 
@@ -125,11 +126,26 @@ def coefficient_condition_check(f: PowerSeries, spec: ClassSpec) -> OracleReport
     )
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        out = out * z + c
-    return out
+def _on_grid(polys: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """sum_k polys[p, k] z^k for each row p at every grid point, shape
+    (rows, n_radii, n_angles), z = r e^(i theta) as in radii() and angles().
+
+    On the M = n_angles equispaced angles z^k depends on k mod M only, so per
+    radius r the coefficients scaled by r^k are folded mod M and one inverse
+    FFT sums them at every angle (Bornemann, Found. Comput. Math. 2011).  The
+    fold is r^j sum_q c_(j+qM) (r^M)^q: a product with the (n_radii x blocks)
+    matrix of (r^M)^q, so no (n_radii x N) array is formed.
+    """
+    m = grid.n_angles
+    rows, n = polys.shape
+    blocks = -(-n // m)
+    padded = np.zeros((rows, blocks * m), dtype=complex)  # zero past N
+    padded[:, :n] = polys
+    r = grid.radii()[:, None]
+    folded = (r ** (m * np.arange(blocks))) @ padded.reshape(rows, blocks, m)
+    folded *= r ** np.arange(m)
+    # Entry k is sum_j folded_j e^(2 pi i jk/M), unscaled: the value at angles()[k].
+    return np.fft.ifft(folded, axis=-1, norm="forward")
 
 
 def disc_sample_check(
@@ -140,8 +156,9 @@ def disc_sample_check(
     With g = f, or g = z f' for the lifted classes (convex, ucv), and
     u = z g'/g - 1, the defect is |u| for the lambda-disc (starlike,
     convex) and |u| - Re(u) for Ronning's parabola (sp, ucv); pass means
-    defect <= threshold everywhere.  Sample points where g(z)/z vanishes are
-    skipped and counted.
+    defect <= threshold everywhere.  g(z)/z and g'(z) are summed at the
+    grid's equispaced angles by one folded inverse FFT per radius.  Sample
+    points where g(z)/z vanishes are skipped and counted.
     """
     _require_normalized(f)
     rr = grid.radii()
@@ -150,15 +167,14 @@ def disc_sample_check(
 
     a = np.asarray(f.coefficients, dtype=complex)
     # Trailing coefficients below 1e-18 of the largest cannot move any defect
-    # beyond double rounding; dropping them keeps Horner cost proportional to
-    # the effective order.
+    # beyond double rounding; dropping them folds only the effective order.
     mags = np.abs(a)
     keep = np.nonzero(mags > 1e-18 * max(1.0, float(mags.max())))[0]
     n_eff = int(keep[-1]) + 1 if keep.size else 1
     ns = np.arange(1, n_eff + 1, dtype=float)
     g = a[:n_eff] * ns if spec.lifted else a[:n_eff]  # z f' keeps g_1 = a_1 = 1
-    g_over_z = _horner(g, z)        # sum g_n z^(n-1) = g(z)/z
-    g_prime = _horner(g * ns, z)    # sum n g_n z^(n-1) = g'(z)
+    # sum g_n z^(n-1) = g(z)/z and sum n g_n z^(n-1) = g'(z)
+    g_over_z, g_prime = _on_grid(np.stack((g, g * ns)), grid)
     valid = np.abs(g_over_z) > DEFAULT_POLICY.abs_tol
     with np.errstate(divide="ignore", invalid="ignore"):
         u = g_prime / g_over_z - 1.0  # = z g'(z)/g(z) - 1

@@ -3,9 +3,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hypergft
 from hypergft import closedforms
 from hypergft.certifier import certify_function_class
 from hypergft.classes import ClassKind, ClassSpec
@@ -120,6 +125,18 @@ class TestEval:
 
 
 class TestCertify:
+    def test_overflowing_prefactor_exits_two_with_one_line(self, capsys):
+        code, text = run(
+            "certify", "--family", "split3", "--a", "0.5", "--b", "0.5", "--c", "175",
+            "--class", "starlike",
+        )
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("constraint violated: gamma ratio Gamma(175) Gamma(174) / ")
+        assert "overflows the float range" in err
+
     def test_certified_exit_zero(self):
         code, doc = run_json(
             "certify", "--family", "split3", "--a", "0.1", "--b", "0.1", "--c", "20",
@@ -327,6 +344,37 @@ class TestSweep:
         rows = text.strip().splitlines()[1:]
         assert any("HypothesisError" in r for r in rows)
         assert any("certified" in r for r in rows)
+
+    def test_overflowing_prefactor_rows_are_error_rows(self):
+        # The ladder prefactor leaves the float range near c = 175 (a = b = 0.5).
+        code, text = run(
+            "sweep", "--family", "split3", "--class", "starlike",
+            "--a", "0.5", "--b", "0.5", "--c", "20:200:90",
+        )
+        assert code == 0
+        rows = [r.split(",") for r in text.strip().splitlines()[1:]]
+        assert [(r[5], r[8], r[12]) for r in rows] == [
+            ("20", "certified", ""), ("110", "certified", ""), ("200", "error", "ConstraintError"),
+        ]
+
+    def test_closed_stdout_ends_without_traceback(self):
+        # 1000 rows outgrow the pipe buffer, so the writes after the reader
+        # closes hit the broken pipe.
+        src = str(Path(hypergft.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hypergft.cli", "sweep", "--family", "split3",
+             "--class", "starlike", "--lambda", "0.001:1:0.001", "--a", "0.1", "--b", "0.1",
+             "--c", "20"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert first.startswith(b"family,source,class,")
+        assert b"Traceback" not in err and b"Error" not in err
 
     def test_empty_grid_exit_one(self):
         code, _ = run(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypergft.errors import PoleError, ZeroError
+from hypergft.errors import ConstraintError, PoleError, ZeroError
 from hypergft.numcore import (
     DEFAULT_POLICY,
     PrecisionPolicy,
@@ -106,6 +106,13 @@ class TestGammaRatio:
         got = gamma_ratio([1e4, 1e4], [1e4 - 2.5, 1e4 + 2.5])
         # Gamma(x)^2 / (Gamma(x-a)Gamma(x+a)) -> 1 as x grows, slowly from below.
         assert 0.9 < abs(got) < 1.1
+
+    def test_beyond_float_range_is_a_constraint_error(self):
+        # log of the ratio is about 724 > log(max float) = 709.8.
+        with pytest.raises(ConstraintError, match=r"Gamma\(175\) Gamma\(174\) / \(Gamma\(0.5\) Gamma\(174.5\)\)"):
+            gamma_ratio([175.0, 174.0], [0.5, 174.5])
+        with pytest.raises(ConstraintError, match=r"Gamma\(400\+1j\)"):
+            gamma_ratio([400 + 1j], [1.0])
 
     def test_numerator_pole(self):
         with pytest.raises(PoleError):

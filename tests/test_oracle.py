@@ -1,15 +1,25 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypergft import oracle
+from hypergft.certifier import (
+    Verdict,
+    certify_function_class,
+    certify_operator_mapping,
+    hadamard_convolve,
+    hypergeometric_coefficients,
+)
 from hypergft.classes import ClassKind, ClassSpec, SourceClass, SourceKind
 from hypergft.errors import InsufficientOrderError, NormalizationError
 from hypergft.closedforms import LEMMAS
 from hypergft.families import Family, FamilyParams
 from hypergft.numcore import PrecisionPolicy
 from hypergft.oracle import (
+    DEFAULT_GRID,
     IDENTITIES,
     GridSpec,
     IdentityPoint,
@@ -170,6 +180,101 @@ class TestDiscSample:
         r1 = disc_sample_check(f, STAR1)
         r2 = disc_sample_check(f, STAR1)
         assert r1 == r2
+
+
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Reference sum_k coeffs[k] z^k: one array update per coefficient."""
+    out = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        out = out * z + c
+    return out
+
+
+def _horner_on_grid(polys, grid):
+    """What the oracle's grid evaluation computes, by Horner at the grid points."""
+    z = grid.radii()[:, None] * np.exp(1j * grid.angles()[None, :])
+    return np.stack([_horner(p, z) for p in polys])
+
+
+def _seeded_coefficients(seed, N):
+    """a_1 = 1, then moduli n^s rho^n (s in [-2, 1], rho in [0.97, 1]) with
+    random phases, or real signs on even seeds."""
+    rng = np.random.default_rng(seed)
+    ns = np.arange(1, N + 1, dtype=float)
+    mods = ns ** rng.uniform(-2.0, 1.0) * rng.uniform(0.97, 1.0) ** ns
+    if seed % 2:
+        phases = np.exp(2j * np.pi * rng.random(N))
+    else:
+        phases = rng.choice((-1.0, 1.0), N).astype(complex)
+    coeffs = mods * phases
+    coeffs[0] = 1.0
+    return coeffs
+
+
+class TestGridEvaluation:
+    """The folded-FFT grid evaluation against Horner at the grid points."""
+
+    @pytest.mark.parametrize("grid", [SMALL_GRID, GridSpec(n_radii=24, n_angles=64), DEFAULT_GRID],
+                             ids=lambda g: f"{g.n_radii}x{g.n_angles}")
+    @pytest.mark.parametrize("N", [1, 2, 47, 48, 49, 64, 256, 500, 1000])
+    def test_matches_horner(self, N, grid):
+        r = grid.radii()[:, None]
+        for seed in (2 * N, 2 * N + 1):
+            a = _seeded_coefficients(seed, N)
+            ns = np.arange(1, N + 1, dtype=float)
+            for lifted in (False, True):
+                g = a * ns if lifted else a
+                polys = np.stack((g, g * ns))  # g(z)/z and g'(z)
+                fast = oracle._on_grid(polys, grid)
+                ref = _horner_on_grid(polys, grid)
+                for p, got, want in zip(polys, fast, ref):
+                    scale = _horner(np.abs(p), r)  # sum |c_k| r^k per radius
+                    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    @staticmethod
+    def _certified_targets():
+        """One seeded certified target of order 500 per ladder, source and
+        class (S has no ucv criterion), as (target, spec)."""
+        rng = random.Random(1212)
+        out = []
+        for fam in (Family.SPLIT3, Family.SPLIT4):
+            for src in ("function", "rbeta", "s"):
+                for kind in ClassKind:
+                    if src == "s" and kind is ClassKind.UCV:
+                        continue  # no criterion maps S into ucv
+                    for _ in range(20):
+                        lam = rng.uniform(0.2, 1.0) if kind in (ClassKind.STARLIKE, ClassKind.CONVEX) else None
+                        a, b = rng.uniform(0.05, 0.6), rng.uniform(0.1, 1.2)
+                        fp = FamilyParams(a, b, a + b + 4.2 + rng.uniform(0.3, 20.0), fam)
+                        spec = ClassSpec(kind, lam)
+                        source = {"rbeta": SourceClass(SourceKind.RBETA, rng.uniform(0.0, 0.9)),
+                                  "s": SourceClass(SourceKind.FULL_S)}.get(src)
+                        cert = (certify_function_class(fp, spec) if source is None
+                                else certify_operator_mapping(fp, source, spec))
+                        if cert.verdict is Verdict.CERTIFIED:
+                            target = hypergeometric_coefficients(fp, 500)
+                            if source is not None:
+                                target = hadamard_convolve(target, worst_case_coefficients(source, 500))
+                            out.append((target, spec))
+                            break
+        return out
+
+    def test_reports_match_a_horner_evaluated_report(self, monkeypatch):
+        targets = self._certified_targets()
+        assert len(targets) == 22  # every combination found one
+        fast = [disc_sample_check(f, spec) for f, spec in targets]
+        monkeypatch.setattr(oracle, "_on_grid", _horner_on_grid)
+        for (f, spec), got in zip(targets, fast):
+            want = disc_sample_check(f, spec)
+            assert (got.passed, got.skipped, got.budget) == (want.passed, want.skipped, want.budget)
+            assert got.truncation_warning == want.truncation_warning
+            assert abs(got.worst_value - want.worst_value) <= 1e-12 * max(1.0, abs(want.worst_value))
+            # Real coefficients make the defect symmetric under conjugation,
+            # so the worst point is defined up to that reflection.
+            real = not np.any(np.asarray(f.coefficients).imag)
+            assert got.worst_location == want.worst_location or (
+                real and got.worst_location == want.worst_location.conjugate()
+            )
 
 
 class TestWorstCase:
