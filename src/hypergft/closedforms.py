@@ -38,7 +38,7 @@ combination subtracts, not with the (possibly much smaller) result.
 
 The outer expansion S is summed by the package's one engine,
 ``series.chunked_sum``, with the inner 2F1(-1) tails of each chunk added to
-the bound; ``split_outer_sum`` passes its window-ratio tail certifier.
+the bound; ``split_outer_sum`` passes its proven outer-ratio certifier.
 
 Inside ``with shared_blocks():`` each block G_m is evaluated once and its
 result reused by every later combination at the same (order, a, b, c, m,
@@ -76,7 +76,6 @@ from .series import EvalResult, PFQParams, chunked_sum, pfq_eval
 
 _INNER_STOP_REL = 1e-17
 _INNER_MAX_ITERS = 4096
-_CERT_WINDOW = 64
 
 # Block results of the innermost open ``shared_blocks``; None outside one.
 _SHARED_BLOCKS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
@@ -177,9 +176,14 @@ def split_outer_sum(
     """The outer expansion S(a, b, c) for the given split order (3 or 4).
 
     The order selects the term ratio and the inner 2F1 parameters; in both
-    the term ratio tends to 1/2 in modulus. For real parameters with
-    c > a + b a proven ratio bound certifies the geometric tail; complex
-    parameters also take the largest ratio over the last window, an estimate.
+    the term ratio tends to 1/2 in modulus.  The seed Gamma(b)/Gamma(c-a)
+    multiplies the value and the bound at the end, so at large c no running
+    product leaves the float range.  Term j is (a)_j/j! times the moment of
+    u^j (|u| <= 1/2) of t^(b-1) (1-t)^(m-1) (1+t)^(-e a) dt/Gamma(m), m = c-a-b,
+    once Re m > 0 and Re b + j > 0.  So past the last index J the tail is at
+    most M rho/(1-rho), rho = 1/2 max(1, (|a|+J)/(J+1)), with M = |term J| for
+    real parameters, else (|a|)_J/J! times the |u|^J moment of the real measure
+    with exponents Re b - 1, Re m - 1 and -e Re a: one real inner row.
     """
     if order not in (3, 4):
         raise ValueError("split order must be 3 or 4")
@@ -189,49 +193,38 @@ def split_outer_sum(
         raise PoleError(f"outer seed Gamma({b}) is at a pole")
     if is_nonpositive_integer(c - a):
         raise PoleError(f"outer seed 1/Gamma({c - a}) is at a pole")
-    w_run = cmath.exp(log_gamma(b) - log_gamma(c - a))
+    # Term j carries Gamma(b+kj)/Gamma(c-a+kj) 2F1(e a + (3-k) j, b+kj; c-a+kj; -1).
+    k, e = (2, 1) if order == 3 else (1, 3)
+    w_run = 1.0 + 0.0j
 
     def chunk_terms(js: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal w_run
-        if order == 3:
-            wr = (
-                -(a + js)
-                / (js + 1.0)
-                * (b + 2.0 * js)
-                * (b + 2.0 * js + 1.0)
-                / ((c - a + 2.0 * js) * (c - a + 2.0 * js + 1.0))
-            )
-            A, C = a + js, c - a + 2.0 * js
-        else:
-            wr = 2.0 * (a + js) / (js + 1.0) * (b + js) / (c - a + js)
-            A, C = 3.0 * a + 2.0 * js, c - a + js
+        wr = (a + js) / (js + 1.0) * (-1.0 if order == 3 else 2.0)
+        for i in range(k):
+            wr = wr * (b + k * js + i) / (c - a + k * js + i)
         w = w_run * np.concatenate(([1.0 + 0.0j], np.cumprod(wr[:-1])))
         w_run = w[-1] * wr[-1]
-        M, inner_tails = _inner_2f1_batch(A.astype(complex), m_fix, C.astype(complex))
+        M, inner_tails = _inner_2f1_batch(e * a + (3 - k) * js, m_fix, c - a + k * js)
         return w * M, float((np.abs(w) * inner_tails).sum())
 
-    def outer_tail(js: np.ndarray, terms: np.ndarray, total: complex):
-        wlen = min(_CERT_WINDOW, len(js) - 1)
-        if wlen < 2:
+    def outer_tail(n: int, terms: np.ndarray, total: complex):
+        J = n - 1
+        rho = 0.5 * max(1.0, (abs(a) + J) / (J + 1.0))
+        if m_fix.real <= 0.0 or b.real + J <= 0.0 or rho > 0.95:
             return None
-        wm = np.abs(terms[-(wlen + 1):])
-        if not np.all(wm[:-1] > 0):
-            return None
-        rho = float(np.max(wm[1:] / wm[:-1]))
-        # Past J the terms are (a)_j/j! times moments of |u|^j <= 2^(-j) of a
-        # positive measure (u = -t^2/(1+t) for order 3, 2t/(1+t)^2 for order 4)
-        # when the parameters are real, c > a + b and b + J > 0, so every later
-        # ratio is at most 1/2 sup_{i >= J} |a+i|/(i+1): a proof, which the
-        # window (whose ratios climb to 1/2 from below) is not.  Otherwise the
-        # window still has a say.
-        J = float(js[-1])
-        proven = 0.5 * max(1.0, (abs(a) + J) / (J + 1.0))
-        real = a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0
-        rho = proven if real and m_fix.real > 0.0 and b.real + J > 0.0 else max(rho, proven)
-        return (total, float(wm[-1]) * rho / (1.0 - rho)) if rho <= 0.95 else None
+        major = abs(terms[-1])
+        if a.imag or b.imag or c.imag:  # over |seed| like the terms; order 4's u^J holds 2^J
+            w = gamma_ratio([abs(a) + J, b.real + k * J, m_fix.real, c - a],
+                            [abs(a), J + 1.0, (c - a).real + k * J, m_fix, b])
+            M, tail = _inner_2f1_batch(np.array([e * a.real + (3 - k) * J]), m_fix.real,
+                                       np.array([(c - a).real + k * J]))
+            major = abs(w) * math.ldexp(float(M[0].real + tail[0]), J * (order - 3))
+        return total, major * rho / (1.0 - rho)
 
     terminal = -nonpositive_integer_value(a) if is_nonpositive_integer(a) else None
-    return chunked_sum(chunk_terms, outer_tail, policy, terminal)
+    res = chunked_sum(chunk_terms, outer_tail, policy, terminal)
+    seed = cmath.exp(log_gamma(b) - log_gamma(c - a))
+    return EvalResult(seed * res.value, abs(seed) * res.tail_bound, res.terms_used, res.converged)
 
 
 def ladder_sum_block(

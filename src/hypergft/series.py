@@ -8,13 +8,12 @@ ladder sums (terms from the one-step ratio recurrence) use one of two:
 * geometric - for |z| < 1 (or p <= q) the future term ratios are bounded by
   a monotone rational envelope R(n) built from parameter moduli, giving
   tail <= |t_{n+1}| / (1 - R(n+1));
-* Raabe - on the unit circle the ratios approach 1 like 1 - gamma/n; once the
-  observed gamma_n = n(1 - |t_{n+1}/t_n|) settles above 1 the tail is bounded
-  by |t_{n+1}| (n+1) / (gamma - 1), tightened to a bracket midpoint for
-  positive real terms.
+* Raabe - on the unit circle with p = q + 1 a real majorant of the term
+  ratios read from the parameters bounds the tail from index N by
+  |t_N| (N+s+sigma_lo-1)/(sigma_lo-1), and brackets it for positive terms.
 
-``closedforms.split_outer_sum`` is the other caller, with its own
-window-ratio tail certificate.
+``closedforms.split_outer_sum`` is the other caller, with its own proven
+outer-ratio tail certificate.
 """
 from __future__ import annotations
 
@@ -35,8 +34,6 @@ from .numcore import (
 )
 
 _UNIT_CIRCLE_TOL = 1e-14
-_RAABE_WINDOW = 64
-_RAABE_MIN_GAMMA = 1.0 + 1e-9
 _CHUNK_RAMP = (64, 256, 1024, 4096)
 
 
@@ -140,15 +137,15 @@ def _geometric_ratio_envelope(
 
 def chunked_sum(
     chunk_terms: Callable[[np.ndarray], tuple[np.ndarray, float]],
-    certify_tail: Callable[[np.ndarray, np.ndarray, complex], tuple[complex, float] | None],
+    certify_tail: Callable[[int, np.ndarray, complex], tuple[complex, float] | None],
     policy: PrecisionPolicy,
     terminal: int | None = None,
 ) -> EvalResult:
     """Sum a series chunk by chunk until a certified tail meets the policy.
 
     chunk_terms(ns) gives the terms at indices ns and the inner-series error
-    they carry; certify_tail(ns, terms, total) gives (value, truncation
-    bound) or None.  The accumulated inner error is added to every bound.
+    they carry; certify_tail(n, terms, total), after n terms, gives (value,
+    truncation bound) or None.  The accumulated inner error is added to every bound.
     terminal, when given, is the index of the last nonzero term: the sum
     stops there exactly.  An exhausted budget returns the last certified
     pair with converged=False; no certificate at all raises.
@@ -174,7 +171,7 @@ def chunked_sum(
             if n > terminal:
                 return EvalResult(complex(total), inner_err, n, bool(inner_err <= scale))
             continue
-        cert = certify_tail(ns, terms, total)
+        cert = certify_tail(n, terms, total)
         if cert is not None:
             pending = (cert[0], cert[1] + inner_err)
             if pending[1] <= scale:
@@ -207,11 +204,13 @@ def _series_sum(
     """Sum sum_n (n+1)^weight_power * prod(a)_n/prod(b)_n/(1)_n * z^n with a certified tail."""
     z = complex(z)
     az = abs(z)
+    raabe = abs(az - 1.0) <= _UNIT_CIRCLE_TOL and len(upper) == len(lower) + 1
+    z = z / az if raabe else z  # past the circle the series diverges: summed at z/|z|
+    positive = z == 1.0 and all(v.imag == 0.0 for v in upper + lower)
     t = 1.0 + 0.0j  # first term of the next chunk
-    ratios = None  # of the last chunk, for the Raabe certificate
 
     def chunk_terms(ns: np.ndarray) -> tuple[np.ndarray, float]:
-        nonlocal t, ratios
+        nonlocal t
         ratios = term_ratios(upper, lower, z, ns)
         if weight_power:
             ratios *= ((ns + 2.0) / (ns + 1.0)) ** weight_power
@@ -219,45 +218,51 @@ def _series_sum(
         t = terms[-1] * ratios[-1]
         return terms, 0.0
 
-    def geometric_tail(ns: np.ndarray, terms: np.ndarray, total: complex):
-        n = int(ns[-1]) + 1
+    def geometric_tail(n: int, terms: np.ndarray, total: complex):
         rho = _geometric_ratio_envelope(upper, lower, az, n)
         if rho < 1.0:
             return total, abs(t) / (1.0 - rho)
         return None
 
-    def raabe_tail(ns: np.ndarray, terms: np.ndarray, total: complex):
-        n = int(ns[-1]) + 1
-        window = min(_RAABE_WINDOW, len(ns))
-        # Observed Raabe rates gamma_m = m (1 - |t_{m+1}/t_m|); the bound
-        # needs them settled (nondecreasing along the window) above 1.
-        gammas = ns[-window:].astype(float) * (1.0 - np.abs(ratios[-window:]))
-        settled = bool(np.all(np.diff(gammas) >= -1e-9 * np.maximum(1.0, gammas[:-1])))
-        burn_in = 4.0 * (1.0 + max(
-            max((abs(u) for u in upper), default=0.0),
-            max((abs(l) for l in lower), default=0.0),
-        ))
-        if not (settled and float(gammas.min()) > _RAABE_MIN_GAMMA) or n <= burn_in:
+    def raabe_tail(n: int, terms: np.ndarray, total: complex):
+        # r(m) = prod (m+A_i)/(m+B_i) >= |t_{m+1}/t_m| for all m >= n, with
+        # equality for real parameters, pairs the sorted upper parameters with
+        # the sorted lower ones and the 1 of n!, plus d pairs (2, 1), or (1, 2)
+        # for d = -1, of the weight (n+1)^d; |u+m| <= m + A with
+        # A = Re u + (Im u)^2/(2(n + Re u)).  With sigma = sum(B_i - A_i) and
+        # s = sum(B_i^2 - A_i^2)/(2 sigma), (m+s) log(1/r(m)) = sigma + sum_i
+        # int_{A_i}^{B_i} (s-x)/(m+x) dx, whose positive and negative parts
+        # shrink as m grows: sigma_lo <= (m+s) log(1/r(m)) <= sigma_hi.
+        if n + min(v.real for v in upper + lower) <= 0.0:
             return None
-        upper_tail = abs(t) * (n + 1) / (float(gammas.min()) - 1.0)
-        # When gamma_n climbs toward its exact limit sigma from below and the
-        # recent terms are positive reals, the tail is also bounded below by
-        # |t| n/(sigma-1); adding the bracket midpoint shrinks the certified
-        # error to the half-width.
-        sigma = 1.0 + sum(l.real for l in lower) - sum(u.real for u in upper) - weight_power
-        recent = terms[-window:]
-        positive_real = bool(
-            np.all(recent.real > 0) and np.all(np.abs(recent.imag) <= 1e-12 * recent.real)
-        )
-        if positive_real and sigma > 1.0 and float(gammas.max()) <= sigma * (1.0 + 1e-9):
-            lower_tail = abs(t) * n / (sigma - 1.0)
-            if lower_tail <= upper_tail:
-                mid = total + 0.5 * (upper_tail + lower_tail)
-                # 1e-14 covers summation rounding over ~1e6 terms
-                return mid, 0.5 * (upper_tail - lower_tail) + 1e-14 * abs(mid)
-        return total, upper_tail
+        d = weight_power
+        A = [u.real + u.imag**2 / (2.0 * (n + u.real)) for u in upper]
+        A = sorted(A + [2.0] * d + [1.0] * -d)
+        B = sorted([l.real for l in lower] + [1.0] + [1.0] * d + [2.0] * -d)
+        sigma = sum(B) - sum(A)
+        if sigma <= 1.0:
+            return None
+        s = sum(b * b - a * a for a, b in zip(A, B)) / (2.0 * sigma)
+        pieces = [  # (s-x)/(m+x) keeps its sign from a to the clipped s, and on to b
+            (n + s) * np.log1p((x2 - x1) / (n + x1)) - (x2 - x1)
+            for a, b in zip(A, B)
+            for x1, x2 in ((a, sorted((a, s, b))[1]), (sorted((a, s, b))[1], b))
+        ]
+        sigma_lo = sigma + sum(min(p, 0.0) for p in pieces)
+        sigma_hi = sigma + sum(max(p, 0.0) for p in pieces)
+        if n + s <= 0.0 or sigma_lo <= 1.0:
+            return None
+        # Sum r(m) <= (m+s)/(m+s+sigma_lo) by 2F1(x, 1; y; 1) = (y-1)/(y-x-1); exact
+        # positive ratios r(m) >= 1 - sigma_hi/(m+s) bound the tail below too.
+        upper_tail = abs(t) * (n + s + sigma_lo - 1.0) / (sigma_lo - 1.0)
+        if not (positive and t.real > 0.0 and n + s > sigma_hi):
+            return total, upper_tail
+        lower_tail = t.real * (n + s - 1.0) / (sigma_hi - 1.0)
+        mid = total + 0.5 * (upper_tail + lower_tail)
+        # 1e-14 covers summation rounding over ~1e6 terms
+        return mid, 0.5 * (upper_tail - lower_tail) + 1e-14 * abs(mid)
 
-    certify = raabe_tail if abs(az - 1.0) <= _UNIT_CIRCLE_TOL else geometric_tail
+    certify = raabe_tail if raabe else geometric_tail
     return chunked_sum(chunk_terms, certify, policy, _terminating_order(upper))
 
 

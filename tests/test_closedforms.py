@@ -135,13 +135,22 @@ class TestOuterEngineExits:
         assert abs(res.value - ref.value) <= res.tail_bound + ref.tail_bound
 
     @pytest.mark.parametrize("order", [3, 4])
-    def test_every_budget_exit_is_within_its_bound(self, order):
+    @pytest.mark.parametrize("a, b, c", [
+        (0.3, 0.9, 6.0),
+        (0.3 + 0.2j, 0.9 - 0.4j, 6.0),
+        # t^(b-1) oscillates: |term J| times rho misses the tail 17-fold at order 4
+        (0.6 + 0.4j, 1.9 - 5.1j, 3.7),
+    ], ids=["real", "complex", "oscillating"])
+    def test_every_budget_exit_is_within_its_bound(self, order, a, b, c):
         # The smallest cuts matter most: their observed term ratios sit furthest below
         # the 1/2 that later ratios climb to.
-        ref = split_outer_sum(order, 0.3, 0.9, 6.0)
-        for max_terms in range(4, 40):
-            res = split_outer_sum(order, 0.3, 0.9, 6.0, PrecisionPolicy(max_terms=max_terms))
+        ref = split_outer_sum(order, a, b, c)
+        for max_terms in range(1, 40):
+            res = split_outer_sum(order, a, b, c, PrecisionPolicy(max_terms=max_terms))
+            if res.converged:  # not a budget exit: its bound sits at the rounding level
+                break
             assert abs(res.value - ref.value) <= res.tail_bound, max_terms
+        assert max_terms > 15
 
     def test_no_certificate_raises(self):
         # At a = 60.5 the ratio bound past the last index J = 63 of a 64-term
@@ -158,6 +167,23 @@ class TestOuterEngineExits:
         assert res.converged and res.tail_bound == 0.0 and res.terms_used == 3
         pref = family_prefactor(order, -2.0, 0.7, 3.5)
         assert_close(pref * res.value, series.value, rel=1e-12)
+
+
+class TestComplexOuterPath:
+    """The closed forms at complex a and b, whose outer tails are majorised
+    through the real measure, against mpmath's pFq."""
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_closed_form_and_lemmas(self, order, weighted_reference):
+        fp = FamilyParams(0.3 + 0.2j, 1.1 - 0.4j, 12.0, Family(order))
+        section = Section.SEC2 if order == 3 else Section.SEC3
+        results = {0: (four_f3_at_1 if order == 3 else five_f4_at_1)(fp)}
+        for part in (1, 2, 3, 4):
+            lemma = LemmaId(section, part)
+            results[lemma.power] = lemma_closed_form(lemma, fp)
+        for d, res in results.items():
+            ref = weighted_reference(fp.upper_params(), fp.lower_params(), 1.0, d)
+            assert res.converged and abs(res.value - ref) <= res.tail_bound, (d, res, ref)
 
 
 class TestLadderCollapse:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypergft.series import (
     ConvergenceClass,
     EvalResult,
     PFQParams,
+    _series_sum,
     convergence_class,
     pfq_eval,
     two_f1_neg1,
@@ -88,6 +90,17 @@ class TestPFQEval:
         relaxed = pfq_eval(PFQParams((1.0, 1.0), (3.0,)), 1.0, PrecisionPolicy(rel_tol=1e-4))
         assert relaxed.converged
         assert abs(relaxed.value - 2.0) <= relaxed.tail_bound
+
+    def test_p_le_q_on_the_unit_circle(self):
+        # The geometric envelope covers p <= q on |z| = 1 as well.
+        res = pfq_eval(PFQParams((1.0,), (2.0,)), 1.0)
+        assert res.converged and rel_err(res.value, math.e - 1.0) < 1e-14
+
+    def test_complex_p_le_q_on_the_unit_circle(self, weighted_reference):
+        params, z = PFQParams((0.5 + 1.0j,), (2.0 - 0.5j,)), cmath.exp(2.1j)
+        res = pfq_eval(params, z)
+        ref = weighted_reference(params.upper, params.lower, z, 0)
+        assert res.converged and abs(res.value - ref) <= res.tail_bound + 1e-15 * abs(ref)
 
     def test_divergent_raises(self):
         with pytest.raises(DivergentError):
@@ -207,8 +220,10 @@ class TestEngineExits:
         assert abs(res.value - ref.value) <= res.tail_bound + ref.tail_bound
 
     def test_no_certificate_raises(self):
+        # The Raabe rule certifies nothing before the index passes every
+        # parameter, and the 64-term budget ends before it passes -100.5.
         with pytest.raises(NoConvergenceError):
-            pfq_eval(PFQParams((0.5, 1.0), (3.0,)), 1.0, self.SHORT)
+            pfq_eval(PFQParams((-100.5, 1.0), (3.0,)), 1.0, self.SHORT)
 
     def test_terminating_is_exact(self):
         # 2F1(-3, 2; 5; 7/10) summed in exact rationals.
@@ -231,6 +246,34 @@ class TestEngineExits:
         ):
             assert type(res.value) is complex and type(res.tail_bound) is float
             assert type(res.converged) is bool
+
+
+class TestRaabeEngineExits:
+    """Budget exits of the Raabe rule on |z| = 1, cut at every few terms."""
+
+    @pytest.mark.parametrize("d", [-1, 0, 1, 2, 3])
+    @pytest.mark.parametrize("a, b, c, z", [
+        (0.7, 1.2, 7.4, 1.0),
+        (0.3 + 0.4j, 0.7 - 0.2j, 6.5 - 0.3j, 1.0),
+        (0.7, 1.2, 7.4, cmath.exp(0.7j)),
+        # sigma_lo without Q(n) misses the tail up to 500-fold here
+        (5.3, 7.1, 16.9, 1.0),
+        # |u+m| taken as m + Re u misses it by 9% here
+        (0.5 + 3.0j, 1.0 - 2.0j, 8.0 + 1.0j, 1.0),
+    ], ids=["real", "complex", "circle", "large", "imaginary"])
+    def test_every_budget_exit_is_within_its_bound(self, a, b, c, z, d, weighted_reference):
+        ref = weighted_reference((a, b), (c,), z, d)
+        exits = 0
+        for max_terms in range(2, 2000, 3):
+            try:
+                res = _series_sum((a, b), (c,), z, PrecisionPolicy(max_terms=max_terms), d)
+            except NoConvergenceError:  # no certificate before n passes the parameters
+                continue
+            if res.converged:
+                break
+            exits += 1
+            assert abs(res.value - ref) <= res.tail_bound, (max_terms, res, ref)
+        assert exits >= 30
 
 
 def fp3(a, b, c):
