@@ -48,12 +48,11 @@ outside the block no memo exists, and a block that raised is evaluated again.
 """
 from __future__ import annotations
 
-import cmath
 import contextlib
 import contextvars
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -66,8 +65,8 @@ from .numcore import (
     POLE_TOL,
     PrecisionPolicy,
     gamma_ratio,
+    gamma_ratio_with_error,
     is_nonpositive_integer,
-    log_gamma,
     nonpositive_integer_value,
     pochhammer,
 )
@@ -117,9 +116,9 @@ class LemmaId:
 LEMMAS = {f"lemma-{s.value}-part{p}": LemmaId(s, p) for s in Section for p in (1, 2, 3, 4)}
 
 
-def family_prefactor(order: int, a: complex, b: complex, c: complex) -> complex:
-    """Gamma(c) Gamma(c-a-b) / (Gamma(b) Gamma(c-b))."""
-    return gamma_ratio([c, c - a - b], [b, c - b])
+def family_prefactor(order: int, a: complex, b: complex, c: complex) -> tuple[complex, float]:
+    """Gamma(c) Gamma(c-a-b) / (Gamma(b) Gamma(c-b)) and its relative error bound."""
+    return gamma_ratio_with_error([c, c - a - b], [b, c - b])
 
 
 def _inner_2f1_batch(
@@ -176,14 +175,13 @@ def split_outer_sum(
     """The outer expansion S(a, b, c) for the given split order (3 or 4).
 
     The order selects the term ratio and the inner 2F1 parameters; in both
-    the term ratio tends to 1/2 in modulus.  The seed Gamma(b)/Gamma(c-a)
-    multiplies the value and the bound at the end, so at large c no running
-    product leaves the float range.  Term j is (a)_j/j! times the moment of
-    u^j (|u| <= 1/2) of t^(b-1) (1-t)^(m-1) (1+t)^(-e a) dt/Gamma(m), m = c-a-b,
-    once Re m > 0 and Re b + j > 0.  So past the last index J the tail is at
-    most M rho/(1-rho), rho = 1/2 max(1, (|a|+J)/(J+1)), with M = |term J| for
-    real parameters, else (|a|)_J/J! times the |u|^J moment of the real measure
-    with exponents Re b - 1, Re m - 1 and -e Re a: one real inner row.
+    the term ratio tends to 1/2 in modulus.  The seed Gamma(b)/Gamma(c-a) multiplies
+    value and bound at the end, so at large c no running product leaves the float
+    range.  Term j is (a)_j/j! times the moment of u^j (|u| <= 1/2) of t^(b-1)
+    (1-t)^(m-1) (1+t)^(-e a) dt/Gamma(m), m = c-a-b, once Re m > 0 and Re b + j > 0,
+    so past the last index J the tail is at most M rho/(1-rho), rho = 1/2 max(1,
+    (|a|+J)/(J+1)), with M = |term J| for real parameters, else (|a|)_J/J! times the
+    |u|^J moment of the real measure (exponents Re b - 1, Re m - 1, -e Re a).
     """
     if order not in (3, 4):
         raise ValueError("split order must be 3 or 4")
@@ -221,9 +219,11 @@ def split_outer_sum(
             major = abs(w) * math.ldexp(float(M[0].real + tail[0]), J * (order - 3))
         return total, major * rho / (1.0 - rho)
 
+    seed = gamma_ratio([b], [c - a])
+    if abs(seed) > 1.0:  # the sum stops on its unseeded bound; |seed| <= 1 only tightens it
+        policy = replace(policy, abs_tol=policy.abs_tol / abs(seed))
     terminal = -nonpositive_integer_value(a) if is_nonpositive_integer(a) else None
     res = chunked_sum(chunk_terms, outer_tail, policy, terminal)
-    seed = cmath.exp(log_gamma(b) - log_gamma(c - a))
     return EvalResult(seed * res.value, abs(seed) * res.tail_bound, res.terms_used, res.converged)
 
 
@@ -275,9 +275,10 @@ def block_combination(
 
     The powers' G-combinations (``_PART_COEFFS``) are merged into one
     pref * sum(coeff * G_m), plus affine = -coeff_-1 * ``part4_affine``.
-    The bound is |pref| sum |coeff| tail_m + GAMMA_EVAL_REL (|pref| sum
-    |coeff| |G_m| + |affine|); zero coefficients are skipped.  Blocks come
-    from the memo of an open ``shared_blocks`` when it holds them.
+    The bound is |pref| sum |coeff| (tail_m + rel_m |G_m|) + GAMMA_EVAL_REL |affine|,
+    rel_m the rounding of pref and of the seed of G_m (``gamma_ratio_with_error``);
+    zero coefficients are skipped.  Blocks come from the memo of an open
+    ``shared_blocks`` when it holds them.
     """
     a, b, c = complex(a), complex(b), complex(c)
     combo: dict[int, float] = {}
@@ -286,28 +287,27 @@ def block_combination(
             combo[shift] = combo.get(shift, 0.0) + weight * coeff
     inv = weights.get(-1, 0.0)
     affine = -inv * part4_affine(order, a, b, c) if inv != 0.0 else 0.0
-    pref = family_prefactor(order, a, b, c)
+    pref, pref_rel = family_prefactor(order, a, b, c)
     memo = _SHARED_BLOCKS.get()
     if memo is None:  # outside shared_blocks nothing outlives this call
         memo = {}
     value = 0.0 + 0.0j
     tail = 0.0
-    size = 0.0
     terms = 0
     converged = True
-    for shift, coeff in combo.items():
+    for m, coeff in combo.items():
         if coeff == 0.0:
             continue
-        key = (order, a, b, c, shift, policy)
+        key = (order, a, b, c, m, policy)
         if key not in memo:  # a raised error leaves no entry
-            memo[key] = ladder_sum_block(order, a, b, c, shift, policy)
-        blk = memo[key]
+            blk = ladder_sum_block(order, a, b, c, m, policy)  # with seed Gamma(b')/Gamma(c'-a'):
+            memo[key] = blk, gamma_ratio_with_error([b + order * m], [c - a + (order - 1) * m])[1]
+        blk, seed_rel = memo[key]
         value += coeff * blk.value
-        tail += abs(coeff) * blk.tail_bound
-        size += abs(coeff) * abs(blk.value)
+        tail += abs(coeff) * (blk.tail_bound + (pref_rel + seed_rel) * abs(blk.value))
         terms += blk.terms_used
         converged = converged and blk.converged
-    bound = abs(pref) * tail + GAMMA_EVAL_REL * (abs(pref) * size + abs(affine))
+    bound = abs(pref) * tail + GAMMA_EVAL_REL * abs(affine)
     return EvalResult(pref * value + affine, bound, terms, converged)
 
 

@@ -205,7 +205,7 @@ def _series_sum(
     z = complex(z)
     az = abs(z)
     raabe = abs(az - 1.0) <= _UNIT_CIRCLE_TOL and len(upper) == len(lower) + 1
-    z = z / az if raabe else z  # past the circle the series diverges: summed at z/|z|
+    z = z / az if raabe and az > 1.0 else z  # past the circle the series diverges: summed at z/|z|
     positive = z == 1.0 and all(v.imag == 0.0 for v in upper + lower)
     t = 1.0 + 0.0j  # first term of the next chunk
 
@@ -225,14 +225,12 @@ def _series_sum(
         return None
 
     def raabe_tail(n: int, terms: np.ndarray, total: complex):
-        # r(m) = prod (m+A_i)/(m+B_i) >= |t_{m+1}/t_m| for all m >= n, with
-        # equality for real parameters, pairs the sorted upper parameters with
-        # the sorted lower ones and the 1 of n!, plus d pairs (2, 1), or (1, 2)
-        # for d = -1, of the weight (n+1)^d; |u+m| <= m + A with
-        # A = Re u + (Im u)^2/(2(n + Re u)).  With sigma = sum(B_i - A_i) and
-        # s = sum(B_i^2 - A_i^2)/(2 sigma), (m+s) log(1/r(m)) = sigma + sum_i
-        # int_{A_i}^{B_i} (s-x)/(m+x) dx, whose positive and negative parts
-        # shrink as m grows: sigma_lo <= (m+s) log(1/r(m)) <= sigma_hi.
+        # r(m) = prod (m+A_i)/(m+B_i) >= |t_{m+1}/t_m| for m >= n (equal for real
+        # parameters) pairs sorted upper with sorted lower parameters and the 1 of n!,
+        # plus d pairs (2, 1) (one (1, 2) for d = -1); |u+m| <= m + Re u + (Im u)^2/
+        # (2(n + Re u)).  With sigma = sum(B - A), s = sum(B^2 - A^2)/(2 sigma), (m+s)
+        # log(1/r(m)) = sigma + sum int_A^B (s-x)/(m+x) dx, whose positive and negative
+        # parts shrink as m grows: it lies in [sigma_lo, sigma_hi] for all m >= n.
         if n + min(v.real for v in upper + lower) <= 0.0:
             return None
         d = weight_power

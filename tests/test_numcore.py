@@ -11,6 +11,7 @@ from hypergft.numcore import (
     DEFAULT_POLICY,
     PrecisionPolicy,
     gamma_ratio,
+    gamma_ratio_with_error,
     gen_binomial,
     is_nonpositive_integer,
     log_gamma,
@@ -113,6 +114,17 @@ class TestGammaRatio:
             gamma_ratio([175.0, 174.0], [0.5, 174.5])
         with pytest.raises(ConstraintError, match=r"Gamma\(400\+1j\)"):
             gamma_ratio([400 + 1j], [1.0])
+
+    def test_error_bound_covers_large_arguments(self):
+        # Near 600 each log-gamma value is off by about 1e-13, which exp turns
+        # into a relative error of the ratio beyond GAMMA_EVAL_REL alone.
+        mpmath = pytest.importorskip("mpmath")
+        for c in (100.0, 150.0, 170.0):
+            got, rel = gamma_ratio_with_error([c, c - 1.0], [0.5, c - 0.5])
+            with mpmath.workdps(30):
+                ref = mpmath.gamma(c) * mpmath.gamma(c - 1) / (mpmath.gamma(0.5) * mpmath.gamma(c - 0.5))
+            assert got == gamma_ratio([c, c - 1.0], [0.5, c - 0.5])
+            assert rel_err(got, float(ref)) <= rel, c
 
     def test_numerator_pole(self):
         with pytest.raises(PoleError):

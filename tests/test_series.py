@@ -102,6 +102,16 @@ class TestPFQEval:
         ref = weighted_reference(params.upper, params.lower, z, 0)
         assert res.converged and abs(res.value - ref) <= res.tail_bound + 1e-15 * abs(ref)
 
+    def test_just_inside_the_unit_circle_is_summed_there(self):
+        # Within 1e-14 of the circle but inside it, z itself is summed: moving it
+        # to z/|z| = 1 shifts this 2F1 by 3e-12 of its value, 19 times its bound.
+        mpmath = pytest.importorskip("mpmath")
+        z = 1.0 - 9e-15
+        res = pfq_eval(PFQParams((50.0, 50.0), (108.5,)), z)
+        with mpmath.workdps(30):
+            ref = float(mpmath.hyp2f1(50, 50, 108.5, mpmath.mpf(z)))
+        assert res.converged and abs(res.value - ref) <= res.tail_bound
+
     def test_divergent_raises(self):
         with pytest.raises(DivergentError):
             pfq_eval(PFQParams((1.0, 1.0, 1.0), (2.0,)), 0.1)
