@@ -43,7 +43,7 @@ from .errors import (
     ZeroError,
 )
 from .families import Family, FamilyParams, parse_family
-from .numcore import DEFAULT_POLICY, GAMMA_EVAL_REL, PrecisionPolicy
+from .numcore import DEFAULT_POLICY, PrecisionPolicy
 from .oracle import (
     IDENTITIES,
     IdentityPoint,
@@ -208,12 +208,10 @@ def _eval_closed(args: argparse.Namespace) -> tuple[EvalResult, dict[str, Any]]:
     a, b, c = _abc_args(args)
     params = {"closed": tag, "a": a, "b": b, "c": c}
     if tag == "gauss":
-        value = closedforms.gauss_2f1_at_1(a, b, c)
-        res = EvalResult(value, GAMMA_EVAL_REL * abs(value), 1, True)
+        res = closedforms.gauss_2f1_at_1(a, b, c)
     elif tag in ("shpot", "shpot-srivastava"):
         params.update(a=a.real, b=b.real)
-        value = closedforms.shpot_srivastava_3f2(a.real, b.real, c)
-        res = EvalResult(complex(value), GAMMA_EVAL_REL * abs(value), 1, True)
+        res = closedforms.shpot_srivastava_3f2(a.real, b.real, c)
     elif tag in ("4f3", "5f4"):
         family = Family.SPLIT3 if tag == "4f3" else Family.SPLIT4
         fn = closedforms.four_f3_at_1 if tag == "4f3" else closedforms.five_f4_at_1

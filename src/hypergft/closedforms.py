@@ -36,9 +36,9 @@ z = 1 (W_0), the lemmas (W_1, W_2, W_3, W_-1) and every certificate (two
 adjacent powers); its gamma allowance scales with the blocks a cancelling
 combination subtracts, not with the (possibly much smaller) result.
 
-The outer expansion S is summed by the package's one engine,
-``series.chunked_sum``, with the inner 2F1(-1) tails of each chunk added to
-the bound; ``split_outer_sum`` passes its proven outer-ratio certifier.
+The outer expansion S and, one batch per outer chunk, its inner 2F1(-1)
+values are summed by the package's one engine, ``series.chunked_sum``; the
+inner tails are added to the outer bound, closed by a proven outer ratio.
 
 Inside ``with shared_blocks():`` each block G_m is evaluated once and its
 result reused by every later combination at the same (order, a, b, c, m,
@@ -57,7 +57,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import ConstraintError, NoConvergenceError, PoleError
+from .errors import ConstraintError, PoleError
 from .families import Family, FamilyParams, part4_pole, weighted_sum_region
 from .numcore import (
     DEFAULT_POLICY,
@@ -73,8 +73,7 @@ from .numcore import (
 from .quadrature import DEFAULT_BUDGET, adaptive_quad
 from .series import EvalResult, PFQParams, chunked_sum, pfq_eval
 
-_INNER_STOP_REL = 1e-17
-_INNER_MAX_ITERS = 4096
+_INNER_POLICY = PrecisionPolicy(rel_tol=1e-17, max_terms=4096)
 
 # Block results of the innermost open ``shared_blocks``; None outside one.
 _SHARED_BLOCKS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
@@ -124,45 +123,36 @@ def family_prefactor(order: int, a: complex, b: complex, c: complex) -> tuple[co
 def _inner_2f1_batch(
     A: np.ndarray, m: complex, C: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized 2F1(A_j, B_j; C_j; -1) with C_j - B_j = m via the
-    half-argument transform; returns (values, absolute tail bounds).
+    """Vectorized 2F1(A_j, B_j; C_j; -1) with C_j - B_j = m via the half-argument
+    transform 2^(-A_j) 2F1(A_j, m; C_j; 1/2), summed as one ``chunked_sum`` batch;
+    returns (values, absolute tail bounds).
 
-    Each row's tail past the exit index i is bounded by the geometric-ratio
-    envelope of ``series._geometric_ratio_envelope`` for 2F1(A_j, m; C_j;
-    1/2), taken row-wise: R_j(i) >= |t_{n+1}/t_n| for all n >= i, so the
-    tail is at most |t_i| R_j / (1 - R_j).
+    Row j's tail from index n is at most |t_n| / (1 - R_j(n)), where R_j is the
+    envelope of ``series._geometric_ratio_envelope`` taken row-wise; no tail is
+    certified while some R_j(n) >= 1.  An exhausted budget returns the last
+    certified tails, which the caller adds to its bound.
     """
-    L = A.shape[0]
-    T = np.ones(L, dtype=complex)
-    G = np.ones(L, dtype=complex)
-    i = 0
-    slow = 0  # the row furthest from the stop test when it last failed
-    while i < _INNER_MAX_ITERS:
-        ratio = (A + i) * (m + i) / ((C + i) * (i + 1.0)) * 0.5
-        T = T * ratio
-        G += T
-        i += 1
-        # While that row alone fails with a factor-2 margin the full test
-        # would fail too, so the stop index is the full test's own.
-        if i < 8 or abs(T[slow]) > 2.0 * _INNER_STOP_REL * max(abs(G[slow]), 1e-300):
-            continue
-        mags = np.abs(T)
-        gmags = np.maximum(np.abs(G), 1e-300)
-        if not np.all(mags <= _INNER_STOP_REL * gmags):
-            slow = int(np.argmax(mags / gmags))
-            continue
-        alpha_lo, alpha_hi = np.minimum(np.abs(A), abs(m)), np.maximum(np.abs(A), abs(m))
-        beta_lo, beta_hi = np.minimum(C.real, 1.0), np.maximum(C.real, 1.0)
-        env = 0.5 * np.maximum((i + alpha_lo) / (i + beta_lo), 1.0) * np.maximum(
-            (i + alpha_hi) / (i + beta_hi), 1.0
-        )
-        env = np.where(beta_lo + i <= 0.0, np.inf, env)
-        env = np.where(mags == 0.0, 0.0, env)  # exactly terminated rows
-        if np.all(env < 1.0):
-            tails = mags * env / (1.0 - env)
-            scale = np.exp(-A * math.log(2.0))
-            return G * scale, tails * np.abs(scale)
-    raise NoConvergenceError("inner half-argument series failed to settle")
+    A, C = A[:, None], C[:, None]
+    alpha_lo, alpha_hi = np.minimum(np.abs(A), abs(m)), np.maximum(np.abs(A), abs(m))
+    beta_lo, beta_hi = np.minimum(C.real, 1.0), np.maximum(C.real, 1.0)
+    t = np.ones_like(A)  # first term of the next chunk, per row
+
+    def chunk_terms(ns: np.ndarray) -> tuple[np.ndarray, float]:
+        nonlocal t
+        ratios = (A + ns) * (m + ns) / ((C + ns) * (ns + 1.0)) * 0.5
+        terms = t * np.cumprod(np.concatenate((np.ones_like(t), ratios[:, :-1]), axis=1), axis=1)
+        t = terms[:, -1:] * ratios[:, -1:]
+        return terms, 0.0
+
+    def certify_tail(n: int, terms: np.ndarray, total: np.ndarray):
+        env = 0.5 * np.maximum((n + alpha_lo) / (n + beta_lo), 1.0) * np.maximum(
+            (n + alpha_hi) / (n + beta_hi), 1.0)
+        env = np.where(beta_lo + n <= 0.0, np.inf, env)
+        return (total, (np.abs(t) / (1.0 - env))[:, 0]) if np.all(env < 1.0) else None
+
+    res = chunked_sum(chunk_terms, certify_tail, _INNER_POLICY)
+    scale = (np.exp2(-A.real) * np.exp(-1j * math.log(2.0) * A.imag))[:, 0]  # to an ulp for real A
+    return res.value * scale, res.tail_bound * np.abs(scale)
 
 
 def split_outer_sum(
@@ -210,14 +200,14 @@ def split_outer_sum(
         rho = 0.5 * max(1.0, (abs(a) + J) / (J + 1.0))
         if m_fix.real <= 0.0 or b.real + J <= 0.0 or rho > 0.95:
             return None
-        major = abs(terms[-1])
+        major = float(abs(terms[-1]))
         if a.imag or b.imag or c.imag:  # over |seed| like the terms; order 4's u^J holds 2^J
             w = gamma_ratio([abs(a) + J, b.real + k * J, m_fix.real, c - a],
                             [abs(a), J + 1.0, (c - a).real + k * J, m_fix, b])
             M, tail = _inner_2f1_batch(np.array([e * a.real + (3 - k) * J]), m_fix.real,
                                        np.array([(c - a).real + k * J]))
             major = abs(w) * math.ldexp(float(M[0].real + tail[0]), J * (order - 3))
-        return total, major * rho / (1.0 - rho)
+        return complex(total), major * rho / (1.0 - rho)
 
     seed = gamma_ratio([b], [c - a])
     if abs(seed) > 1.0:  # the sum stops on its unseeded bound; |seed| <= 1 only tightens it
@@ -328,20 +318,23 @@ def part4_affine(order: int, a: complex, b: complex, c: complex):
     return pochhammer(c - k, k) / ((a - 1.0) * pochhammer(b - k, k))
 
 
-def gauss_2f1_at_1(a: complex, b: complex, c: complex) -> complex:
-    """2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))."""
+def gauss_2f1_at_1(a: complex, b: complex, c: complex) -> EvalResult:
+    """2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)), bounded
+    by its gamma rounding (``gamma_ratio_with_error``)."""
     a, b, c = complex(a), complex(b), complex(c)
     if not (c.real > b.real > 0):
         raise ConstraintError("requires Re(c) > Re(b) > 0")
     if not (c - a - b).real > 0:
         raise ConstraintError("requires Re(c-a-b) > 0")
-    return gamma_ratio([c, c - a - b], [c - a, c - b])
+    value, rel = gamma_ratio_with_error([c, c - a - b], [c - a, c - b])
+    return EvalResult(value, rel * abs(value), 1, True)
 
 
-def shpot_srivastava_3f2(a: float, b: float, c: float) -> float:
+def shpot_srivastava_3f2(a: float, b: float, c: float) -> EvalResult:
     """3F2(a, b, c; b+1, c+1; 1) for 0 < a < min(1, b+1, c+1), b != c.
 
-    Equals bc/(c-b) * Gamma(1-a) [Gamma(b)/Gamma(1-a+b) - Gamma(c)/Gamma(1-a+c)].
+    Equals bc/(c-b) * Gamma(1-a) [Gamma(b)/Gamma(1-a+b) - Gamma(c)/Gamma(1-a+c)];
+    the terms cancel as c -> b, so each is bounded before the subtraction.
     """
     if not (a > 0 and b > 0 and c > 0):
         raise ConstraintError("requires a, b, c > 0")
@@ -349,9 +342,12 @@ def shpot_srivastava_3f2(a: float, b: float, c: float) -> float:
         raise ConstraintError("requires c != b")
     if not a < min(1.0, b + 1.0, c + 1.0):
         raise ConstraintError("requires a < min(1, b+1, c+1)")
-    term_b = math.exp(math.lgamma(1.0 - a) + math.lgamma(b) - math.lgamma(1.0 - a + b))
-    term_c = math.exp(math.lgamma(1.0 - a) + math.lgamma(c) - math.lgamma(1.0 - a + c))
-    return b * c / (c - b) * (term_b - term_c)
+    term_b, rel_b = gamma_ratio_with_error([1.0 - a, b], [1.0 - a + b])
+    term_c, rel_c = gamma_ratio_with_error([1.0 - a, c], [1.0 - a + c])
+    pref = b * c / (c - b)
+    value = pref * (term_b - term_c)  # 4 ulps below: c - b, the product, the difference
+    bound = abs(pref) * (rel_b * abs(term_b) + rel_c * abs(term_c)) + 2.0**-50 * abs(value)
+    return EvalResult(value, bound, 1, True)
 
 
 def _unit_sum(fp: FamilyParams, family: Family, name: str, policy: PrecisionPolicy) -> EvalResult:

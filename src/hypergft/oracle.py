@@ -270,7 +270,7 @@ def _sample_pochhammer_split(rng):
 
 
 def _gauss(p, policy):
-    closed = closedforms.gauss_2f1_at_1(p.a, p.b, p.c)
+    closed = closedforms.gauss_2f1_at_1(p.a, p.b, p.c).value
     series = pfq_eval(PFQParams((p.a, p.b), (p.c,)), 1.0, policy)
     return _reldiff(series.value, closed)
 
@@ -284,7 +284,7 @@ def _sample_shpot_srivastava(rng):
 
 def _shpot_srivastava(p, policy):
     a, b, c = complex(p.a).real, complex(p.b).real, float(p.c)
-    closed = closedforms.shpot_srivastava_3f2(a, b, c)
+    closed = closedforms.shpot_srivastava_3f2(a, b, c).value
     series = pfq_eval(PFQParams((a, b, c), (b + 1.0, c + 1.0)), 1.0, policy)
     return _reldiff(series.value, closed)
 

@@ -1,9 +1,10 @@
 """Direct series evaluation on the package's one chunked summation engine.
 
-``chunked_sum`` owns the chunk ramp, the running sum, the terminating stop,
-the budget and the ``rel_tol * |total| + abs_tol`` test; each caller passes a
-chunk-term function and a tail certifier.  Plain pFq series and the weighted
-ladder sums (terms from the one-step ratio recurrence) use one of two:
+``chunked_sum`` owns the chunk ramp, the running sum (of one series, or of a
+batch of rows along the last axis), the terminating stop, the budget and the
+``rel_tol * |total| + abs_tol`` test; each caller passes a chunk-term function
+and a tail certifier.  Plain pFq series and the weighted ladder sums (terms
+from the one-step ratio recurrence) use one of two:
 
 * geometric - for |z| < 1 (or p <= q) the future term ratios are bounded by
   a monotone rational envelope R(n) built from parameter moduli, giving
@@ -12,13 +13,14 @@ ladder sums (terms from the one-step ratio recurrence) use one of two:
   ratios read from the parameters bounds the tail from index N by
   |t_N| (N+s+sigma_lo-1)/(sigma_lo-1), and brackets it for positive terms.
 
-``closedforms.split_outer_sum`` is the other caller, with its own proven
-outer-ratio tail certificate.
+``closedforms.split_outer_sum`` (proven outer ratio) and the inner 2F1(-1)
+batch it sums each chunk with (row-wise geometric envelope) are the others.
 """
 from __future__ import annotations
 
 import cmath
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -141,14 +143,14 @@ def chunked_sum(
     policy: PrecisionPolicy,
     terminal: int | None = None,
 ) -> EvalResult:
-    """Sum a series chunk by chunk until a certified tail meets the policy.
+    """Sum series chunk by chunk until every certified tail meets the policy.
 
-    chunk_terms(ns) gives the terms at indices ns and the inner-series error
-    they carry; certify_tail(n, terms, total), after n terms, gives (value,
-    truncation bound) or None.  The accumulated inner error is added to every bound.
-    terminal, when given, is the index of the last nonzero term: the sum
-    stops there exactly.  An exhausted budget returns the last certified
-    pair with converged=False; no certificate at all raises.
+    chunk_terms(ns) gives the terms at indices ns along the last axis (a row per
+    series) and the inner-series error they carry; certify_tail(n, terms, total),
+    after n terms, gives (value, truncation bound) or None.  The accumulated inner
+    error is added to every bound.  terminal, when given, is the index of the last
+    nonzero term: the sum stops there exactly.  An exhausted budget returns the
+    last certified pair with converged=False; no certificate at all raises.
     """
     total = 0.0 + 0.0j
     inner_err = 0.0
@@ -163,7 +165,7 @@ def chunked_sum(
             chunk = min(chunk, terminal + 1 - n)
         ns = np.arange(n, n + chunk)
         terms, err = chunk_terms(ns)
-        total += terms.sum()
+        total = total + terms.sum(axis=-1)
         inner_err += err
         n += chunk
         scale = policy.rel_tol * abs(total) + policy.abs_tol
@@ -174,10 +176,10 @@ def chunked_sum(
         cert = certify_tail(n, terms, total)
         if cert is not None:
             pending = (cert[0], cert[1] + inner_err)
-            if pending[1] <= scale:
-                return EvalResult(complex(pending[0]), float(pending[1]), n, True)
+            if np.logical_and.reduce(pending[1] <= scale, axis=None):  # every row
+                return EvalResult(*pending, n, True)
     if pending is not None:
-        return EvalResult(complex(pending[0]), float(pending[1]), n, False)
+        return EvalResult(*pending, n, False)
     raise NoConvergenceError(f"tail not certified within {policy.max_terms} terms")
 
 
@@ -221,7 +223,7 @@ def _series_sum(
     def geometric_tail(n: int, terms: np.ndarray, total: complex):
         rho = _geometric_ratio_envelope(upper, lower, az, n)
         if rho < 1.0:
-            return total, abs(t) / (1.0 - rho)
+            return complex(total), float(abs(t)) / (1.0 - rho)
         return None
 
     def raabe_tail(n: int, terms: np.ndarray, total: complex):
@@ -242,7 +244,7 @@ def _series_sum(
             return None
         s = sum(b * b - a * a for a, b in zip(A, B)) / (2.0 * sigma)
         pieces = [  # (s-x)/(m+x) keeps its sign from a to the clipped s, and on to b
-            (n + s) * np.log1p((x2 - x1) / (n + x1)) - (x2 - x1)
+            (n + s) * math.log1p((x2 - x1) / (n + x1)) - (x2 - x1)
             for a, b in zip(A, B)
             for x1, x2 in ((a, sorted((a, s, b))[1]), (sorted((a, s, b))[1], b))
         ]
@@ -252,11 +254,11 @@ def _series_sum(
             return None
         # Sum r(m) <= (m+s)/(m+s+sigma_lo) by 2F1(x, 1; y; 1) = (y-1)/(y-x-1); exact
         # positive ratios r(m) >= 1 - sigma_hi/(m+s) bound the tail below too.
-        upper_tail = abs(t) * (n + s + sigma_lo - 1.0) / (sigma_lo - 1.0)
+        upper_tail = float(abs(t)) * (n + s + sigma_lo - 1.0) / (sigma_lo - 1.0)
         if not (positive and t.real > 0.0 and n + s > sigma_hi):
-            return total, upper_tail
-        lower_tail = t.real * (n + s - 1.0) / (sigma_hi - 1.0)
-        mid = total + 0.5 * (upper_tail + lower_tail)
+            return complex(total), upper_tail
+        lower_tail = float(t.real) * (n + s - 1.0) / (sigma_hi - 1.0)
+        mid = complex(total) + 0.5 * (upper_tail + lower_tail)
         # 1e-14 covers summation rounding over ~1e6 terms
         return mid, 0.5 * (upper_tail - lower_tail) + 1e-14 * abs(mid)
 

@@ -65,7 +65,7 @@ def build_crit2() -> dict:
         b = rng.uniform(0.05, 2.5)
         c = a + b + rng.uniform(1.0, 5.0)  # Re(c-a-b) > 0.1 with headroom
         series = pfq_eval(PFQParams((a, b), (c,)), 1.0, POLICY)
-        closed = cf.gauss_2f1_at_1(a, b, c)
+        closed = cf.gauss_2f1_at_1(a, b, c).value
         budget = 10.0 * (series.tail_bound + 1e-13 * abs(closed))
         defect = abs(series.value - closed)
         worst_ratio = max(worst_ratio, defect / budget)
@@ -92,7 +92,7 @@ def build_crit3() -> dict:
         c = rng.uniform(0.1, 4.0)
         while abs(b - c) < 0.05:
             c = rng.uniform(0.1, 4.0)
-        closed = cf.shpot_srivastava_3f2(a, b, c)
+        closed = cf.shpot_srivastava_3f2(a, b, c).value
         series = pfq_eval(
             PFQParams((a, b, c), (b + 1.0, c + 1.0)), 1.0,
             PrecisionPolicy(rel_tol=1e-12, max_terms=400_000),

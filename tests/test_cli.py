@@ -44,6 +44,23 @@ class TestEval:
         assert code == 0
         assert abs(doc["result"]["value"]["re"] - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("tag, a, b, c", [
+        ("shpot", "0.948", "26.7652", "26.7652012"),  # two gamma terms cancel as c -> b
+        ("gauss", "0.5", "0.5", "170"),  # log-gamma values near 700
+    ])
+    def test_closed_gamma_forms_within_bound(self, tag, a, b, c):
+        mpmath = pytest.importorskip("mpmath")
+        code, doc = run_json("eval", "--closed", tag, "--a", a, "--b", b, "--c", c)
+        assert code == 0
+        with mpmath.workdps(30):
+            a, b, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+            if tag == "gauss":
+                ref = mpmath.hyp2f1(a, b, c, 1)
+            else:
+                ref = mpmath.hyp3f2(a, b, c, b + 1, c + 1, 1)
+        res = doc["result"]
+        assert abs(res["value"]["re"] - float(ref)) <= res["tail_bound"]
+
     def test_divergent_exits_two(self):
         code, _ = run("eval", "--pfq", "3F2", "--upper", "1,1,1", "--lower", "2,0.5",
                       "--z", "2.0")

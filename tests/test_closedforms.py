@@ -1,10 +1,13 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from hypergft.closedforms import (
     LemmaId,
     Section,
+    _inner_2f1_batch,
     euler_integral,
     family_prefactor,
     five_f4_at_1,
@@ -36,14 +39,14 @@ def assert_close(x, y, rel=1e-10, extra=0.0):
 
 class TestGauss:
     def test_a_zero(self):
-        assert_close(gauss_2f1_at_1(0.0, 1.3, 2.9), 1.0, rel=1e-13)
+        assert_close(gauss_2f1_at_1(0.0, 1.3, 2.9).value, 1.0, rel=1e-13)
 
     def test_telescoping_point(self):
         # 2F1(1,1;3;1): sum 2/((n+1)(n+2)) telescopes to 2.
-        assert_close(gauss_2f1_at_1(1.0, 1.0, 3.0), 2.0, rel=1e-13)
+        assert_close(gauss_2f1_at_1(1.0, 1.0, 3.0).value, 2.0, rel=1e-13)
 
     def test_half_half_two(self):
-        assert_close(gauss_2f1_at_1(0.5, 0.5, 2.0), 4.0 / math.pi, rel=1e-13)
+        assert_close(gauss_2f1_at_1(0.5, 0.5, 2.0).value, 4.0 / math.pi, rel=1e-13)
 
     def test_region_violations(self):
         with pytest.raises(ConstraintError):
@@ -54,17 +57,17 @@ class TestGauss:
     def test_matches_series(self):
         for (a, b, c) in [(0.3, 0.7, 3.0), (1.2, 0.4, 4.5), (0.9, 1.9, 5.2)]:
             series = pfq_eval(PFQParams((a, b), (c,)), 1.0, BIG)
-            closed = gauss_2f1_at_1(a, b, c)
+            closed = gauss_2f1_at_1(a, b, c).value
             assert abs(series.value - closed) <= 10 * (series.tail_bound + 1e-13 * abs(closed))
 
 
 class TestShpotSrivastava:
     def test_small_a_limit(self):
-        assert abs(shpot_srivastava_3f2(1e-12, 1.0, 2.0) - 1.0) < 1e-9
+        assert abs(shpot_srivastava_3f2(1e-12, 1.0, 2.0).value - 1.0) < 1e-9
 
     def test_against_direct_series(self):
         for (a, b, c) in [(0.5, 1.0, 2.0), (0.25, 0.5, 3.0), (0.4, 2.5, 1.25)]:
-            closed = shpot_srivastava_3f2(a, b, c)
+            closed = shpot_srivastava_3f2(a, b, c).value
             series = pfq_eval(PFQParams((a, b, c), (b + 1, c + 1)), 1.0, BIG)
             assert abs(series.value - closed) <= 1e-8 * abs(closed) + series.tail_bound
 
@@ -205,10 +208,10 @@ class TestLadderCollapse:
         # series degenerates to a plain Gauss evaluation.
         for (a, b) in [(0.3, 1.2), (0.6, 2.0), (0.45, 0.9)]:
             f3 = four_f3_at_1(fp3(a, b, b + 1.0), BIG)
-            g3 = gauss_2f1_at_1(a, b / 3.0, (b + 3.0) / 3.0)
+            g3 = gauss_2f1_at_1(a, b / 3.0, (b + 3.0) / 3.0).value
             assert_close(f3.value, g3, rel=1e-9, extra=10 * f3.tail_bound)
             f4 = five_f4_at_1(fp4(a, b, b + 1.0), BIG)
-            g4 = gauss_2f1_at_1(a, b / 4.0, (b + 4.0) / 4.0)
+            g4 = gauss_2f1_at_1(a, b / 4.0, (b + 4.0) / 4.0).value
             assert_close(f4.value, g4, rel=1e-9, extra=10 * f4.tail_bound)
 
 
@@ -305,13 +308,38 @@ class TestSplitOuterSum:
         a, b, c = 0.35, 1.4, 6.0
         for j in range(5):
             scalar = two_f1_neg1(a, b + 2 * j, c - a + 2 * j, BIG)
-            from hypergft.closedforms import _inner_2f1_batch
-            import numpy as np
-
             vals, tails = _inner_2f1_batch(
                 np.array([a], dtype=complex), c - a - b, np.array([c - a + 2 * j], dtype=complex)
             )
             assert abs(vals[0] - scalar.value) <= 1e-12 * abs(scalar.value) + tails[0] + scalar.tail_bound
+
+    def test_inner_batch_matches_mpmath(self):
+        # Every row lies within its certified tail plus 1e-14 |ref|; the 1e-14
+        # term is summation rounding, which no bound counts yet (ROADMAP item 1).
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(14)
+        js = np.arange(64)
+        batches = []
+        for m in (0.3, 6.0, 160.0, complex(2.5, 1.5)):  # m = 160 runs into the second chunk
+            a = complex(rng.uniform(0.05, 2.0), rng.uniform(-1.0, 1.0) if m.imag else 0.0)
+            b = rng.uniform(0.1, 3.0)
+            c = a + b + m
+            batches.append((a + js, m, c - a + 2 * js))  # cubic rows of split_outer_sum
+            batches.append((3 * a + 2 * js, m, c - a + js))  # quartic rows
+        batches.append(([-3.0, 0.5, -7.0], 2.5, [4.5, 4.5, 9.1]))  # rows 0 and 2 terminate
+        # ratios near 0.995 at 1/2: 4096 terms leave tails of 1e-13 relative
+        budget = ([0.5, 1.0, 2.0, 0.3 + 0.4j], 1e6, [1e6 / 1.99] * 4)
+        batches.append(budget)
+        for A, m, C in batches:
+            A, C = np.asarray(A, dtype=complex), np.asarray(C, dtype=complex)
+            vals, tails = _inner_2f1_batch(A, m, C)
+            with mpmath.workdps(30):
+                for Aj, Cj, v, tail in zip(A, C, vals, tails):
+                    ref = complex(mpmath.hyp2f1(complex(Aj), complex(Cj - m), complex(Cj), -1,
+                                                maxterms=10**6))
+                    assert abs(v - ref) <= tail + 1e-14 * abs(ref), (Aj, m, Cj)
+            if m == budget[1]:  # the budget ran out: no row met the 1e-17 stop
+                assert np.all(tails > 1e-17 * np.abs(vals))
 
 
 class TestEulerIntegral:
