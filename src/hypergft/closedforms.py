@@ -39,6 +39,8 @@ combination subtracts, not with the (possibly much smaller) result.
 The outer expansion S and, one batch per outer chunk, its inner 2F1(-1)
 values are summed by the package's one engine, ``series.chunked_sum``; the
 inner tails are added to the outer bound, closed by a proven outer ratio.
+For real a, b, c (every certificate's point (|a|, |b|, c) among them) the
+outer weights and the inner rows are float64, otherwise complex128.
 
 Inside ``with shared_blocks():`` each block G_m is evaluated once and its
 result reused by every later combination at the same (order, a, b, c, m,
@@ -71,7 +73,7 @@ from .numcore import (
     pochhammer,
 )
 from .quadrature import DEFAULT_BUDGET, adaptive_quad
-from .series import EvalResult, PFQParams, chunked_sum, pfq_eval
+from .series import EvalResult, PFQParams, chunked_sum, half_power, pfq_eval
 
 _INNER_POLICY = PrecisionPolicy(rel_tol=1e-17, max_terms=4096)
 
@@ -125,7 +127,7 @@ def _inner_2f1_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized 2F1(A_j, B_j; C_j; -1) with C_j - B_j = m via the half-argument
     transform 2^(-A_j) 2F1(A_j, m; C_j; 1/2), summed as one ``chunked_sum`` batch;
-    returns (values, absolute tail bounds).
+    returns (values, absolute tail bounds), float64 rows for real A, m and C.
 
     Row j's tail from index n is at most |t_n| / (1 - R_j(n)), where R_j is the
     envelope of ``series._geometric_ratio_envelope`` taken row-wise; no tail is
@@ -151,7 +153,7 @@ def _inner_2f1_batch(
         return (total, (np.abs(t) / (1.0 - env))[:, 0]) if np.all(env < 1.0) else None
 
     res = chunked_sum(chunk_terms, certify_tail, _INNER_POLICY)
-    scale = (np.exp2(-A.real) * np.exp(-1j * math.log(2.0) * A.imag))[:, 0]  # to an ulp for real A
+    scale = half_power(A[:, 0])
     return res.value * scale, res.tail_bound * np.abs(scale)
 
 
@@ -176,21 +178,23 @@ def split_outer_sum(
     if order not in (3, 4):
         raise ValueError("split order must be 3 or 4")
     a, b, c = complex(a), complex(b), complex(c)
-    m_fix = c - a - b
     if is_nonpositive_integer(b):
         raise PoleError(f"outer seed Gamma({b}) is at a pole")
     if is_nonpositive_integer(c - a):
         raise PoleError(f"outer seed 1/Gamma({c - a}) is at a pole")
+    if not (a.imag or b.imag or c.imag):  # float64 weights and inner rows
+        a, b, c = a.real, b.real, c.real
+    m_fix = c - a - b
     # Term j carries Gamma(b+kj)/Gamma(c-a+kj) 2F1(e a + (3-k) j, b+kj; c-a+kj; -1).
     k, e = (2, 1) if order == 3 else (1, 3)
-    w_run = 1.0 + 0.0j
+    w_run = 1.0
 
     def chunk_terms(js: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal w_run
         wr = (a + js) / (js + 1.0) * (-1.0 if order == 3 else 2.0)
         for i in range(k):
             wr = wr * (b + k * js + i) / (c - a + k * js + i)
-        w = w_run * np.concatenate(([1.0 + 0.0j], np.cumprod(wr[:-1])))
+        w = w_run * np.concatenate(([1.0], np.cumprod(wr[:-1])))
         w_run = w[-1] * wr[-1]
         M, inner_tails = _inner_2f1_batch(e * a + (3 - k) * js, m_fix, c - a + k * js)
         return w * M, float((np.abs(w) * inner_tails).sum())

@@ -158,7 +158,8 @@ def disc_sample_check(
     convex) and |u| - Re(u) for Ronning's parabola (sp, ucv); pass means
     defect <= threshold everywhere.  g(z)/z and g'(z) are summed at the
     grid's equispaced angles by one folded inverse FFT per radius.  Sample
-    points where g(z)/z vanishes are skipped and counted.
+    points where g(z)/z vanishes are skipped and counted.  For real
+    coefficients the worst point reported is the one with Im z >= 0.
     """
     _require_normalized(f)
     rr = grid.radii()
@@ -184,6 +185,9 @@ def disc_sample_check(
     if skipped == valid.size:
         raise DivisionNearZeroError("every sample point sits on a zero of the denominator")
     defect = np.where(valid, defect, -np.inf)
+    if not a.imag.any():  # defect(conj z) = defect(z): report the worst point with Im z >= 0
+        k = np.arange(grid.n_angles)
+        defect = np.maximum(defect, defect[:, -k % grid.n_angles])
     flat = int(np.argmax(defect))
     worst = float(defect.flat[flat])
     location = complex(z.flat[flat])

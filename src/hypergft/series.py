@@ -15,10 +15,13 @@ from the one-step ratio recurrence) use one of two:
 
 ``closedforms.split_outer_sum`` (proven outer ratio) and the inner 2F1(-1)
 batch it sums each chunk with (row-wise geometric envelope) are the others.
+
+The engine and the term arithmetic are dtype-generic: each caller reads the
+dtype from its values at entry, so a series whose parameters and z are all
+real (imaginary parts exactly 0) is summed in float64, any other in complex128.
 """
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -152,7 +155,7 @@ def chunked_sum(
     nonzero term: the sum stops there exactly.  An exhausted budget returns the
     last certified pair with converged=False; no certificate at all raises.
     """
-    total = 0.0 + 0.0j
+    total = 0.0  # takes the dtype of the terms
     inner_err = 0.0
     n = 0
     chunk_idx = 0
@@ -186,14 +189,14 @@ def chunked_sum(
 def term_ratios(
     upper: tuple[complex, ...], lower: tuple[complex, ...], z: complex, ns: np.ndarray
 ) -> np.ndarray:
-    """One-step ratios t_{n+1}/t_n = z prod(a+n) / (prod(b+n) (n+1)) of pFq at the indices ns."""
-    ratios = np.ones(len(ns), dtype=complex) * z
+    """One-step ratios t_{n+1}/t_n = z prod(a+n) / (prod(b+n) (n+1)) of pFq at the indices ns,
+    float64 when z and every parameter are floats, else complex128."""
+    ratios = np.full(len(ns), z)
     for a in upper:
-        ratios *= a + ns
+        ratios = ratios * (a + ns)
     for b in lower:
-        ratios /= b + ns
-    ratios /= ns + 1
-    return ratios
+        ratios = ratios / (b + ns)
+    return ratios / (ns + 1)
 
 
 def _series_sum(
@@ -205,18 +208,21 @@ def _series_sum(
 ) -> EvalResult:
     """Sum sum_n (n+1)^weight_power * prod(a)_n/prod(b)_n/(1)_n * z^n with a certified tail."""
     z = complex(z)
+    real = z.imag == 0.0 and all(v.imag == 0.0 for v in upper + lower)
+    if real:  # float64 terms
+        upper, lower, z = tuple(u.real for u in upper), tuple(l.real for l in lower), z.real
     az = abs(z)
     raabe = abs(az - 1.0) <= _UNIT_CIRCLE_TOL and len(upper) == len(lower) + 1
     z = z / az if raabe and az > 1.0 else z  # past the circle the series diverges: summed at z/|z|
-    positive = z == 1.0 and all(v.imag == 0.0 for v in upper + lower)
-    t = 1.0 + 0.0j  # first term of the next chunk
+    positive = real and z == 1.0
+    t = 1.0  # first term of the next chunk
 
     def chunk_terms(ns: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal t
         ratios = term_ratios(upper, lower, z, ns)
         if weight_power:
             ratios *= ((ns + 2.0) / (ns + 1.0)) ** weight_power
-        terms = t * np.concatenate(([1.0 + 0.0j], np.cumprod(ratios[:-1])))
+        terms = t * np.concatenate(([1.0], np.cumprod(ratios[:-1])))
         t = terms[-1] * ratios[-1]
         return terms, 0.0
 
@@ -281,6 +287,13 @@ def pfq_eval(params: PFQParams, z: complex, policy: PrecisionPolicy = DEFAULT_PO
     return _series_sum(params.upper, params.lower, z, policy)
 
 
+def half_power(a: complex | np.ndarray) -> complex | np.ndarray:
+    """2^(-a) of a scalar or array, to an ulp in modulus: exp2(-Re a), times the phase
+    exp(-i ln2 Im a) for complex a (exp(-a ln 2) rounds to about |a| ulps)."""
+    mag = np.exp2(-np.real(a))
+    return mag * np.exp(-1j * math.log(2.0) * np.imag(a)) if np.iscomplexobj(a) else mag
+
+
 def two_f1_neg1(
     a: complex, b: complex, c: complex, policy: PrecisionPolicy = DEFAULT_POLICY
 ) -> EvalResult:
@@ -298,7 +311,7 @@ def two_f1_neg1(
     if is_nonpositive_integer(a) or is_nonpositive_integer(b):
         return _series_sum((a, b), (c,), -1.0, policy)
     res = _series_sum((a, c - b), (c,), 0.5, policy)
-    scale = cmath.exp(-a * cmath.log(2.0))
+    scale = complex(half_power(a))
     return EvalResult(res.value * scale, res.tail_bound * abs(scale), res.terms_used, res.converged)
 
 

@@ -181,6 +181,17 @@ class TestDiscSample:
         r2 = disc_sample_check(f, STAR1)
         assert r1 == r2
 
+    def test_real_coefficients_report_the_upper_half_plane(self):
+        # The defect is equal at z and conj(z) up to rounding, which alone
+        # would pick 0.8024-0.5951i here.
+        report = disc_sample_check(series(1.0, -0.3, -0.2, 0.1), STAR1)
+        assert abs(report.worst_location - (0.8024043239491644 + 0.5951036051879408j)) < 1e-12
+
+    def test_complex_coefficients_keep_the_lower_half_plane(self):
+        # No conjugate symmetry: the worst point -0.999i is not reflected.
+        report = disc_sample_check(series(1.0, -0.15j, 0.05), STAR1)
+        assert abs(report.worst_location - (-0.999j)) < 1e-12
+
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Reference sum_k coeffs[k] z^k: one array update per coefficient."""
@@ -269,12 +280,11 @@ class TestGridEvaluation:
             assert (got.passed, got.skipped, got.budget) == (want.passed, want.skipped, want.budget)
             assert got.truncation_warning == want.truncation_warning
             assert abs(got.worst_value - want.worst_value) <= 1e-12 * max(1.0, abs(want.worst_value))
-            # Real coefficients make the defect symmetric under conjugation,
-            # so the worst point is defined up to that reflection.
-            real = not np.any(np.asarray(f.coefficients).imag)
-            assert got.worst_location == want.worst_location or (
-                real and got.worst_location == want.worst_location.conjugate()
-            )
+            # Real coefficients make the defect symmetric under conjugation:
+            # the worst point is reported in the upper half-plane.
+            assert not np.any(np.asarray(f.coefficients).imag)
+            assert got.worst_location == want.worst_location
+            assert got.worst_location.imag >= 0.0
 
 
 class TestWorstCase:

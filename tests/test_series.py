@@ -215,6 +215,16 @@ class TestTwoF1Neg1:
         with pytest.raises(PoleError):
             two_f1_neg1(0.5, 1.0, -1.0)
 
+    @pytest.mark.parametrize("a, b, c", [(120.3, 5.5, 6.0), (200.1, 0.5, 1.5)])
+    def test_half_argument_scale_is_exact(self, a, b, c):
+        # 2^(-a) to 2 ulps; exp(-a ln 2) is off by about |a| ulps, which no bound counts.
+        mpmath = pytest.importorskip("mpmath")
+        half = _series_sum((a, c - b), (c,), 0.5, PrecisionPolicy())
+        ratio = two_f1_neg1(a, b, c).value / half.value
+        with mpmath.workdps(30):
+            ref = float(mpmath.power(2, -mpmath.mpf(a)))
+        assert ratio.imag == 0.0 and abs(ratio.real - ref) <= 2 * math.ulp(ref)
+
 
 class TestEngineExits:
     """The three ways the chunked summation engine stops, on the pFq caller."""
