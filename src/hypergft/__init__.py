@@ -50,7 +50,6 @@ from .numcore import (
     DEFAULT_POLICY,
     PrecisionPolicy,
     gamma_ratio,
-    gen_binomial,
     log_gamma,
     pochhammer,
     pochhammer_split_residual,
@@ -64,7 +63,6 @@ from .oracle import (
     identity_residual,
     worst_case_coefficients,
 )
-from .powerseries import PowerSeries
 from .series import (
     ConvergenceClass,
     EvalResult,
@@ -100,7 +98,6 @@ __all__ = [
     "OracleReport",
     "PFQParams",
     "PoleError",
-    "PowerSeries",
     "PrecisionPolicy",
     "QuadratureError",
     "Section",
@@ -118,7 +115,6 @@ __all__ = [
     "four_f3_at_1",
     "gamma_ratio",
     "gauss_2f1_at_1",
-    "gen_binomial",
     "hadamard_convolve",
     "hypergeometric_coefficients",
     "identity_residual",

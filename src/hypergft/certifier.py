@@ -32,6 +32,11 @@ source belongs to ``certify_function_class`` (ValueError from
 
 A verdict allows the bound of ``block_combination`` plus |Im lhs|
 (rounding, the blocks are real) plus an absolute GAMMA_EVAL_REL floor.
+
+The oracles check a certificate on a truncation: ``hypergeometric_coefficients``
+gives the coefficient array a_1..a_N of z * (split-ladder series), a 1-D
+numpy array with a_1 = 1, and ``hadamard_convolve`` multiplies two such
+arrays elementwise.
 """
 from __future__ import annotations
 
@@ -45,11 +50,10 @@ import numpy as np
 from .classes import ClassKind, ClassSpec, SourceClass, SourceKind
 from .closedforms import block_combination
 from .closedforms import ladder_sum_block  # noqa: F401  (re-exported)
-from .errors import HypothesisError, NormalizationError
+from .errors import HypothesisError
 from .families import Family, FamilyParams, part4_pole, weighted_sum_region
 from .numcore import DEFAULT_POLICY, GAMMA_EVAL_REL, PrecisionPolicy
-from .oracle import OracleReport
-from .powerseries import PowerSeries
+from .oracle import OracleReport, normalized_coefficients
 from .series import term_ratios
 
 
@@ -153,22 +157,19 @@ def certify_operator_mapping(
     return _criterion(fp, source, spec, tag, policy)
 
 
-def hypergeometric_coefficients(fp: FamilyParams, N: int) -> PowerSeries:
-    """Taylor coefficients A_1..A_N of z * (split-ladder series) by stable recurrence."""
+def hypergeometric_coefficients(fp: FamilyParams, N: int) -> np.ndarray:
+    """Coefficient array A_1..A_N of z * (split-ladder series) by stable recurrence."""
     if N < 1:
         raise ValueError("need N >= 1")
     # A_{n+1}/A_n is the series term ratio at z = 1 and index n - 1.
     ratios = term_ratios(fp.upper_params(), fp.lower_params(), 1.0, np.arange(N - 1))
-    coeffs = np.concatenate(([1.0 + 0.0j], np.cumprod(ratios)))
-    return PowerSeries(tuple(coeffs))
+    return np.concatenate(([1.0 + 0.0j], np.cumprod(ratios)))
 
 
-def hadamard_convolve(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    """Componentwise coefficient product, truncated to the shorter series."""
-    for side, name in ((f, "left"), (g, "right")):
-        if not side.is_normalized:
-            raise NormalizationError(f"{name} series is not normalized to a_1 = 1")
-    n = min(f.order, g.order)
-    return PowerSeries(
-        tuple(f.coefficients[i] * g.coefficients[i] for i in range(n))
-    )
+def hadamard_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Componentwise product of two coefficient arrays a_1..a_N, truncated to
+    the shorter one."""
+    f = normalized_coefficients(f, "left series")
+    g = normalized_coefficients(g, "right series")
+    n = min(len(f), len(g))
+    return f[:n] * g[:n]

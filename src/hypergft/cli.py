@@ -16,8 +16,10 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import cmath
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -61,9 +63,20 @@ DEFAULT_TOLERANCES = {tag: identity.tolerance for tag, identity in IDENTITIES.it
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise ValueError(f"cannot parse {text!r} as a number") from exc
+    if not cmath.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def finite_float(text: str) -> float:
+    """The type of every float flag and of each number of a range."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def _parse_list(text: str) -> tuple[complex, ...]:
@@ -76,10 +89,10 @@ def _parse_range(text: str) -> list[float]:
     """lo:hi:step inclusive grid, or a single value."""
     parts = text.split(":")
     if len(parts) == 1:
-        return [float(parts[0])]
+        return [finite_float(parts[0])]
     if len(parts) != 3:
         raise ValueError(f"range must be lo:hi:step, got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
+    lo, hi, step = (finite_float(p) for p in parts)
     if step <= 0 or hi < lo:
         raise ValueError(f"bad range {text!r}")
     out = []
@@ -459,13 +472,16 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     commands: dict[str, argparse.ArgumentParser] = {}
 
     def command(name: str, help: str, handler) -> argparse.ArgumentParser:
-        p = commands[name] = argparse.ArgumentParser(prog=f"hypergft {name}", description=help)
+        # A flag's invalid value raises ArgumentError, reported by main as bad input.
+        p = commands[name] = argparse.ArgumentParser(
+            prog=f"hypergft {name}", description=help, exit_on_error=False
+        )
         p.set_defaults(command=name, handler=handler)
         return p
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--rel-tol", type=float, default=DEFAULT_POLICY.rel_tol)
-        p.add_argument("--abs-tol", type=float, default=DEFAULT_POLICY.abs_tol)
+        p.add_argument("--rel-tol", type=finite_float, default=DEFAULT_POLICY.rel_tol)
+        p.add_argument("--abs-tol", type=finite_float, default=DEFAULT_POLICY.abs_tol)
         p.add_argument("--max-terms", type=int, default=DEFAULT_POLICY.max_terms)
         p.add_argument("--format", choices=("json", "csv", "text"), default=None)
         p.add_argument("--seed", type=int, default=0)
@@ -478,22 +494,22 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     pe.add_argument("--lower", default="", help="comma-separated lower parameters")
     pe.add_argument("--a", default=None)
     pe.add_argument("--b", default=None)
-    pe.add_argument("--c", type=float, default=None)
+    pe.add_argument("--c", type=finite_float, default=None)
     pe.add_argument("--z", default="0")
-    pe.add_argument("--quad-tol", type=float, default=1e-10)
+    pe.add_argument("--quad-tol", type=finite_float, default=1e-10)
     common(pe)
 
     pc = command("certify", "emit a membership certificate", cmd_certify)
     pc.add_argument("--family", required=True, help="split3 | split4")
     pc.add_argument("--a", required=True)
     pc.add_argument("--b", required=True)
-    pc.add_argument("--c", type=float, required=True)
+    pc.add_argument("--c", type=finite_float, required=True)
     pc.add_argument("--class", dest="klass", required=True,
                     choices=tuple(k.value for k in ClassKind))
-    pc.add_argument("--lambda", dest="lam", type=float, default=None)
+    pc.add_argument("--lambda", dest="lam", type=finite_float, default=None)
     pc.add_argument("--source", choices=tuple(s.value for s in SourceKind),
                     default="function")
-    pc.add_argument("--beta", type=float, default=None)
+    pc.add_argument("--beta", type=finite_float, default=None)
     pc.add_argument("--with-oracle", action="store_true",
                     help="attach coefficient-sum and disc-sampling reports")
     pc.add_argument("--oracle-order", type=int, default=500)
@@ -504,10 +520,10 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     pv = command("verify", "run seeded residual draws for an identity", cmd_verify)
     pv.add_argument("--identity", required=True, choices=tuple(IDENTITIES))
     pv.add_argument("--draws", type=int, default=100)
-    pv.add_argument("--tolerance", type=float, default=None)
+    pv.add_argument("--tolerance", type=finite_float, default=None)
     pv.add_argument("--a", default=None)
     pv.add_argument("--b", default=None)
-    pv.add_argument("--c", type=float, default=None)
+    pv.add_argument("--c", type=finite_float, default=None)
     common(pv)
 
     ps = command("sweep", "certify over a parameter grid, CSV per row", cmd_sweep)
@@ -553,6 +569,9 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         args = command.parse_args(flags + top.rest)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    except argparse.ArgumentError as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return 1
 
     try:
         args.policy = PrecisionPolicy(args.rel_tol, args.abs_tol, args.max_terms)

@@ -1,4 +1,4 @@
-"""Foundational numerics: log-gamma, gamma ratios, Pochhammer symbols, binomials.
+"""Foundational numerics: log-gamma, gamma ratios, Pochhammer symbols.
 
 Everything downstream (series summation, closed forms, certification) funnels
 its gamma arithmetic through this module so that a single precision policy and
@@ -194,13 +194,3 @@ def pochhammer_split_residual(a: complex, k: int, n: int) -> float:
             rhs *= base + i
     return abs(lhs - rhs) / max(abs(lhs), DEFAULT_POLICY.abs_tol)
 
-
-def gen_binomial(alpha: complex, n: int):
-    """Generalized binomial coefficient binom(alpha, n) = (alpha)(alpha-1)...(alpha-n+1)/n!."""
-    if n < 0:
-        raise ValueError("binomial order must be a natural number")
-    za = complex(alpha)
-    out = 1.0 + 0.0j
-    for j in range(n):
-        out *= (za - j) / (j + 1)
-    return _as_output(out, alpha)

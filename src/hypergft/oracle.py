@@ -3,7 +3,7 @@
 Two kinds of evidence, deliberately unsophisticated:
 
 * coefficient sums - the classical sufficient conditions, evaluated on the
-  truncated coefficient vector plus a geometric tail estimate;
+  truncated coefficient array a_1..a_N plus a geometric tail estimate;
 * disc sampling - the defining inequalities themselves, evaluated on a
   radial-angular grid, where each circle of the grid is summed by one
   folded inverse FFT.  Sampling a truncation is a falsifier near the
@@ -34,7 +34,6 @@ from .errors import (
 )
 from .families import Family, FamilyParams
 from .numcore import DEFAULT_POLICY, PrecisionPolicy, pochhammer_split_residual
-from .powerseries import PowerSeries
 from .series import PFQParams, pfq_eval, weighted_pochhammer_sum
 
 
@@ -74,9 +73,22 @@ class OracleReport:
     truncation_warning: bool = False
 
 
-def _require_normalized(f: PowerSeries) -> None:
-    if not f.is_normalized:
-        raise NormalizationError("series must be normalized to a_1 = 1")
+NORMALIZATION_TOL = 1e-12
+
+
+def normalized_coefficients(f, name: str = "series") -> np.ndarray:
+    """f as a coefficient array a_1..a_N of z + sum_{n>=2} a_n z^n.
+
+    A list or tuple is converted and an array is used as is, never written
+    to; ValueError unless non-empty and 1-D, NormalizationError (naming
+    ``name``) unless a_1 = 1.
+    """
+    f = np.asarray(f)
+    if f.ndim != 1 or not f.size:
+        raise ValueError(f"{name} needs a non-empty coefficient array a_1..a_N")
+    if abs(f[0] - 1.0) > NORMALIZATION_TOL:
+        raise NormalizationError(f"{name} is not normalized to a_1 = 1")
+    return f
 
 
 def _weights(spec: ClassSpec, ns: np.ndarray) -> np.ndarray:
@@ -84,25 +96,22 @@ def _weights(spec: ClassSpec, ns: np.ndarray) -> np.ndarray:
     return ns ** (power - 1) * (alpha * ns + beta)
 
 
-def coefficient_condition_check(f: PowerSeries, spec: ClassSpec) -> OracleReport:
-    """Weighted coefficient sum against the class threshold.
+def coefficient_condition_check(f: np.ndarray, spec: ClassSpec) -> OracleReport:
+    """Weighted coefficient sum of the coefficient array a_1..a_N against the
+    class threshold.
 
     Passing requires sum + tail <= threshold, where the tail extrapolates the
     last term ratio geometrically; a partial sum already above the threshold
     fails outright (adding the tail can only hurt).
     """
-    _require_normalized(f)
-    if f.order < 2:
-        terms = np.zeros(0)
-    else:
-        ns = np.arange(2, f.order + 1, dtype=float)
-        mods = np.abs(np.asarray(f.coefficients[1:], dtype=complex))
-        terms = _weights(spec, ns) * mods
+    f = normalized_coefficients(f)
+    ns = np.arange(2, len(f) + 1, dtype=float)
+    terms = _weights(spec, ns) * np.abs(f[1:])
     total = float(terms.sum())
     threshold = spec.threshold
     worst_idx = int(np.argmax(terms)) + 2 if terms.size else 1
     if total > threshold:
-        return OracleReport(CheckKind.COEFF_SUM, False, total, worst_idx, f.order)
+        return OracleReport(CheckKind.COEFF_SUM, False, total, worst_idx, len(f))
     if terms.size < 2 or terms[-1] == 0.0:
         tail = 0.0
     else:
@@ -122,7 +131,7 @@ def coefficient_condition_check(f: PowerSeries, spec: ClassSpec) -> OracleReport
         total_with_tail <= threshold,
         total_with_tail,
         worst_idx,
-        f.order,
+        len(f),
     )
 
 
@@ -149,9 +158,10 @@ def _on_grid(polys: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def disc_sample_check(
-    f: PowerSeries, spec: ClassSpec, grid: GridSpec = DEFAULT_GRID
+    f: np.ndarray, spec: ClassSpec, grid: GridSpec = DEFAULT_GRID
 ) -> OracleReport:
-    """Evaluate the defining inequality of the class on the sampling grid.
+    """Evaluate the defining inequality of the class on the sampling grid for
+    the coefficient array a_1..a_N of f.
 
     With g = f, or g = z f' for the lifted classes (convex, ucv), and
     u = z g'/g - 1, the defect is |u| for the lambda-disc (starlike,
@@ -161,12 +171,11 @@ def disc_sample_check(
     points where g(z)/z vanishes are skipped and counted.  For real
     coefficients the worst point reported is the one with Im z >= 0.
     """
-    _require_normalized(f)
+    a = normalized_coefficients(f)
     rr = grid.radii()
     th = grid.angles()
     z = rr[:, None] * np.exp(1j * th[None, :])
 
-    a = np.asarray(f.coefficients, dtype=complex)
     # Trailing coefficients below 1e-18 of the largest cannot move any defect
     # beyond double rounding; dropping them folds only the effective order.
     mags = np.abs(a)
@@ -192,8 +201,7 @@ def disc_sample_check(
     worst = float(defect.flat[flat])
     location = complex(z.flat[flat])
 
-    a_last = abs(f.coefficients[-1])
-    warning = grid.r_max * (f.order + 1) * a_last > grid.disclaimer_tol
+    warning = bool(grid.r_max * (len(a) + 1) * abs(a[-1]) > grid.disclaimer_tol)
     return OracleReport(
         CheckKind.DISC_SAMPLE,
         worst <= spec.threshold,
@@ -205,15 +213,15 @@ def disc_sample_check(
     )
 
 
-def worst_case_coefficients(source: SourceClass, N: int) -> PowerSeries:
-    """Extremal modulus sequence scale * n**shift of the source class:
-    2(1-beta)/n for R(beta), n for S."""
+def worst_case_coefficients(source: SourceClass, N: int) -> np.ndarray:
+    """Coefficient array a_1..a_N of the extremal modulus sequence
+    scale * n**shift of the source class: 2(1-beta)/n for R(beta), n for S."""
     if N < 2:
         raise ValueError("need N >= 2")
     if source.kind is SourceKind.FUNCTION:
         raise ValueError("worst-case coefficients exist for rbeta and s sources only")
     ns = np.arange(2, N + 1, dtype=float)
-    return PowerSeries((1.0,) + tuple(source.scale * ns ** source.shift))
+    return np.concatenate(([1.0], source.scale * ns ** source.shift))
 
 
 # ---------------------------------------------------------------- identities

@@ -14,6 +14,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from hypergft import closedforms as cf
@@ -32,7 +33,6 @@ from hypergft.oracle import (
     disc_sample_check,
     worst_case_coefficients,
 )
-from hypergft.powerseries import PowerSeries
 from hypergft.series import PFQParams, pfq_eval, two_f1_neg1, weighted_pochhammer_sum
 
 POLICY = PrecisionPolicy(rel_tol=1e-12, max_terms=150_000)
@@ -286,7 +286,7 @@ def build_crit7() -> dict:
         coeffs = [1.0] + [
             scale * rho ** n / (n * n) * rng.choice((1.0, -1.0)) for n in range(2, 15)
         ]
-        f = PowerSeries(tuple(coeffs))
+        f = np.array(coeffs)
         star = coefficient_condition_check(f, ClassSpec(ClassKind.STARLIKE, lam))
         conv = coefficient_condition_check(f, ClassSpec(ClassKind.CONVEX, lam))
         sp = coefficient_condition_check(f, ClassSpec(ClassKind.SP))
@@ -345,9 +345,9 @@ def build_crit8() -> dict:
 
 def build_crit9() -> dict:
     star1 = ClassSpec(ClassKind.STARLIKE, 1.0)
-    half_plane = PowerSeries(tuple([1.0] * 200))  # z/(1-z) truncated
-    koebe = PowerSeries(tuple(float(n) for n in range(1, 201)))
-    identity = PowerSeries((1.0,))
+    half_plane = np.array([1.0] * 200)  # z/(1-z) truncated
+    koebe = np.array([float(n) for n in range(1, 201)])
+    identity = np.array((1.0,))
 
     rep_half = disc_sample_check(half_plane, star1)
     rep_koebe = disc_sample_check(koebe, ClassSpec(ClassKind.UCV))

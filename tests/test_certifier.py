@@ -23,7 +23,6 @@ from hypergft.oracle import (
     disc_sample_check,
     worst_case_coefficients,
 )
-from hypergft.powerseries import PowerSeries
 
 STAR1 = ClassSpec(ClassKind.STARLIKE, 1.0)
 CONV1 = ClassSpec(ClassKind.CONVEX, 1.0)
@@ -44,13 +43,13 @@ def fp4(a, b, c):
 class TestHypergeometricCoefficients:
     def test_first_coefficient_is_one(self):
         f = hypergeometric_coefficients(fp3(0.5, 1.0, 4.0), 10)
-        assert f.coefficient(1) == 1.0
+        assert f[0] == 1.0
 
     def test_flat_family(self):
         # a = 1 and b = c make every ratio cancel: A_n = 1 for all n.
         f = hypergeometric_coefficients(fp3(1.0, 2.0, 2.0), 12)
         for n in range(1, 13):
-            assert abs(f.coefficient(n) - 1.0) < 1e-13
+            assert abs(f[n - 1] - 1.0) < 1e-13
 
     def test_matches_pochhammer_formula(self):
         fp = fp3(0.5, 1.0, 4.0)
@@ -62,26 +61,26 @@ class TestHypergeometricCoefficients:
             for l in fp.lower_params():
                 direct /= pochhammer(l, n - 1)
             direct /= math.factorial(n - 1)
-            assert abs(f.coefficient(n) - direct) <= 1e-13 * max(1.0, abs(direct))
+            assert abs(f[n - 1] - direct) <= 1e-13 * max(1.0, abs(direct))
 
 
 class TestHadamard:
     def test_identity_element(self):
-        f = PowerSeries((1.0, 0.5, 0.25))
-        ones = PowerSeries((1.0, 1.0, 1.0))
-        assert hadamard_convolve(f, ones) == f
+        f = np.array((1.0, 0.5, 0.25))
+        ones = np.array((1.0, 1.0, 1.0))
+        assert np.array_equal(hadamard_convolve(f, ones), f)
 
     def test_componentwise(self):
-        out = hadamard_convolve(PowerSeries((1.0, 1.0)), PowerSeries((1.0, 3.0)))
-        assert out == PowerSeries((1.0, 3.0))
+        out = hadamard_convolve(np.array((1.0, 1.0)), np.array((1.0, 3.0)))
+        assert np.array_equal(out, np.array((1.0, 3.0)))
 
     def test_truncates_to_shorter(self):
-        out = hadamard_convolve(PowerSeries((1.0, 2.0, 3.0)), PowerSeries((1.0, 5.0)))
-        assert out.order == 2
+        out = hadamard_convolve(np.array((1.0, 2.0, 3.0)), np.array((1.0, 5.0)))
+        assert len(out) == 2
 
     def test_normalization_enforced(self):
         with pytest.raises(NormalizationError):
-            hadamard_convolve(PowerSeries((2.0, 1.0)), PowerSeries((1.0, 1.0)))
+            hadamard_convolve(np.array((2.0, 1.0)), np.array((1.0, 1.0)))
 
 
 class TestFunctionClassCertificates:
@@ -225,7 +224,7 @@ class TestCoefficientOracleAgreement:
                 # terms t_n = w(n)|A_n| decay like n^-p with p >= 7 here, so
                 # both the dropped tail (about t_N N / (p - 1)) and the
                 # extrapolation (about t_N N / p) lie in [0, N t_N].
-                last = float(_weights(spec, np.array([float(N)]))[0]) * abs(target.coefficients[-1])
+                last = float(_weights(spec, np.array([float(N)]))[0]) * abs(target[-1])
                 tol = (
                     N * last / scale
                     + cert.lhs_tail_bound

@@ -630,6 +630,48 @@ class TestConfigFile:
         assert built == []
 
 
+class TestNonFiniteInput:
+    """inf, nan and overflowing literals are bad input on one line, whether
+    they come as a float flag, a complex number or a range end."""
+
+    CERTIFY = ("certify", "--family", "split3", "--b", "0.5", "--class", "sp")
+
+    @pytest.mark.parametrize("argv", [
+        (*CERTIFY, "--a", "0.5", "--c", "inf"),
+        (*CERTIFY, "--a", "nan", "--c", "10"),
+        (*CERTIFY, "--a", "0.5", "--c", "10", "--source", "rbeta", "--beta", "nan"),
+        ("eval", "--pfq", "2F1", "--upper", "1,1", "--lower", "inf", "--z", "0.5"),
+        ("eval", "--pfq", "1F0", "--upper", "1", "--z", "1e400"),
+        ("eval", "--closed", "gauss", "--a", "0.5", "--b", "infj", "--c", "3"),
+        ("eval", "--pfq", "2F1", "--upper", "1,1", "--lower", "2", "--z", "0.5",
+         "--rel-tol", "nan"),
+        ("verify", "--identity", "gauss", "--draws", "2", "--tolerance", "inf"),
+        ("sweep", "--family", "split3", "--class", "sp", "--c", "4:inf:1"),
+        ("sweep", "--family", "split3", "--class", "sp", "--c=-inf"),
+        ("sweep", "--family", "split3", "--class", "starlike", "--lambda", "0.2:1:nan"),
+    ])
+    def test_exits_one_with_one_line(self, argv, capsys):
+        code, text = run(*argv)
+        assert code == 1
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("bad input: ") and err.count("\n") == 1
+        assert "finite" in err
+
+    def test_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c = inf\n")
+        code, text = run("--config", str(cfg), *self.CERTIFY, "--a", "0.5")
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err.startswith("bad input: argument --c: ")
+
+    def test_finite_values_still_parse(self):
+        code, doc = run_json(*self.CERTIFY, "--a", "0.5", "--c", "1e1")
+        assert code == 0
+        assert doc["params"]["c"] == 10.0
+
+
 class TestFormatsAgree:
     """Every --format of a command carries the numbers of its JSON report."""
 

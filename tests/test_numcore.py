@@ -12,7 +12,6 @@ from hypergft.numcore import (
     PrecisionPolicy,
     gamma_ratio,
     gamma_ratio_with_error,
-    gen_binomial,
     is_nonpositive_integer,
     log_gamma,
     pochhammer,
@@ -217,24 +216,3 @@ class TestSplitResidual:
             worst = max(worst, pochhammer_split_residual(a, k, n))
         assert worst <= 1e-10
 
-
-class TestGenBinomial:
-    def test_negative_one_choose_three(self):
-        assert gen_binomial(-1.0, 3) == pytest.approx(-1.0, rel=1e-14)
-
-    def test_order_zero(self):
-        assert gen_binomial(2.3 + 0.5j, 0) == 1.0
-
-    def test_negative_half(self):
-        assert gen_binomial(-0.5, 2) == pytest.approx(0.375, rel=1e-14)
-
-    @given(
-        st.complex_numbers(min_magnitude=0.01, max_magnitude=8, allow_nan=False, allow_infinity=False),
-        st.integers(min_value=0, max_value=30),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_pochhammer_link(self, a, n):
-        # binom(-a, n) n! = (-1)^n (a)_n
-        lhs = gen_binomial(-a, n) * math.factorial(n)
-        rhs = (-1) ** n * pochhammer(a, n)
-        assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), abs(rhs), 1.0)

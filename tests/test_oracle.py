@@ -28,7 +28,6 @@ from hypergft.oracle import (
     identity_residual,
     worst_case_coefficients,
 )
-from hypergft.powerseries import PowerSeries
 
 STAR1 = ClassSpec(ClassKind.STARLIKE, 1.0)
 CONV1 = ClassSpec(ClassKind.CONVEX, 1.0)
@@ -39,7 +38,7 @@ SMALL_GRID = GridSpec(n_radii=24, n_angles=48)
 
 
 def series(*coeffs):
-    return PowerSeries(tuple(coeffs))
+    return np.array(coeffs)
 
 
 def random_small_series(rng, order=12, budget=0.8):
@@ -49,7 +48,7 @@ def random_small_series(rng, order=12, budget=0.8):
     coeffs = [1.0]
     for n, take in zip(range(2, order + 1), takes):
         coeffs.append(take / n * rng.choice((1, -1)))
-    return PowerSeries(tuple(coeffs))
+    return np.array(coeffs)
 
 
 class TestClassSpec:
@@ -108,8 +107,8 @@ class TestCoefficientCheck:
         # Adding coefficient mass never flips failed -> passed.
         rng = random.Random(seed)
         coeffs = [1.0] + [rng.uniform(0, 0.2) for _ in range(6)]
-        base = PowerSeries(tuple(coeffs))
-        bumped = PowerSeries(tuple(coeffs[:3] + [coeffs[3] + 0.3] + coeffs[4:]))
+        base = np.array(coeffs)
+        bumped = np.array(coeffs[:3] + [coeffs[3] + 0.3] + coeffs[4:])
         try:
             rep_base = coefficient_condition_check(base, STAR1)
             rep_bumped = coefficient_condition_check(bumped, STAR1)
@@ -154,8 +153,8 @@ class TestDiscSample:
         rng = random.Random(7)
         for _ in range(25):
             f = random_small_series(rng)
-            zfp = PowerSeries(
-                tuple(c * (i + 1) for i, c in enumerate(f.coefficients))
+            zfp = np.array(
+                tuple(c * (i + 1) for i, c in enumerate(f))
             )
             rep_u = disc_sample_check(f, lifted, SMALL_GRID)
             rep_s = disc_sample_check(zfp, plain, SMALL_GRID)
@@ -282,7 +281,7 @@ class TestGridEvaluation:
             assert abs(got.worst_value - want.worst_value) <= 1e-12 * max(1.0, abs(want.worst_value))
             # Real coefficients make the defect symmetric under conjugation:
             # the worst point is reported in the upper half-plane.
-            assert not np.any(np.asarray(f.coefficients).imag)
+            assert not np.any(np.asarray(f).imag)
             assert got.worst_location == want.worst_location
             assert got.worst_location.imag >= 0.0
 
@@ -290,18 +289,58 @@ class TestGridEvaluation:
 class TestWorstCase:
     def test_rbeta_values(self):
         f = worst_case_coefficients(SourceClass(SourceKind.RBETA, 0.0), 5)
-        assert f.coefficient(2) == 1.0
+        assert f[1] == 1.0
         f = worst_case_coefficients(SourceClass(SourceKind.RBETA, 0.5), 5)
-        assert f.coefficient(4) == 0.25
+        assert f[3] == 0.25
 
     def test_univalent_values(self):
         f = worst_case_coefficients(SourceClass(SourceKind.FULL_S), 6)
-        assert f.coefficient(5) == 5.0
-        assert f.coefficient(1) == 1.0
+        assert f[4] == 5.0
+        assert f[0] == 1.0
 
     def test_function_source_rejected(self):
         with pytest.raises(ValueError):
             worst_case_coefficients(SourceClass(SourceKind.FUNCTION), 5)
+
+
+class TestCoefficientArrays:
+    """The Hadamard product and both oracles read the caller's array a_1..a_N
+    without writing to it."""
+
+    @staticmethod
+    def _read_only(coeffs, dtype):
+        f = np.array(coeffs, dtype=dtype)
+        f.flags.writeable = False
+        return f
+
+    @pytest.mark.parametrize("spec", [STAR1, CONV1, UCV, SP])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_read_only_input_stays_bit_identical(self, spec, dtype):
+        f = self._read_only([1.0, 0.1, -0.03, 0.004], dtype)
+        g = self._read_only([1.0, 0.5, 0.25, 0.125, 0.0625], dtype)
+        before = f.tobytes(), g.tobytes()
+        product = hadamard_convolve(f, g)
+        coefficient_condition_check(f, spec)
+        disc_sample_check(f, spec, SMALL_GRID)
+        assert (f.tobytes(), g.tobytes()) == before
+        assert np.array_equal(product, [1.0, 0.05, -0.0075, 0.0005])
+
+    @pytest.mark.parametrize("check", [
+        lambda f: hadamard_convolve(f, np.ones(3)),
+        lambda f: hadamard_convolve(np.ones(3), f),
+        lambda f: coefficient_condition_check(f, STAR1),
+        lambda f: disc_sample_check(f, STAR1, SMALL_GRID),
+    ], ids=["hadamard-left", "hadamard-right", "coeff-sum", "disc-sample"])
+    def test_empty_array_is_a_value_error(self, check):
+        with pytest.raises(ValueError, match="non-empty"):
+            check(np.array([]))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_hadamard_names_the_unnormalized_operand(self, side):
+        ok, bad = np.ones(3), np.array([2.0, 1.0, 1.0])
+        f, g = (bad, ok) if side == "left" else (ok, bad)
+        with pytest.raises(NormalizationError, match=f"{side} series"):
+            hadamard_convolve(f, g)
 
 
 class TestIdentityResidual:
