@@ -2,11 +2,13 @@
 
 Every criterion is a weighted coefficient sum sum_{n>=1} w(n) |A_n| <= theta
 K for a target class of threshold theta (``ClassSpec.threshold``), applied
-to z * (split-ladder series) itself or to its Hadamard product with the
-extremal coefficients of the source class.  The coefficient bounds go
-through |(a)_n| <= (|a|)_n, so with T_n the ladder coefficients at (|a|,
-|b|, c) and W_d = sum_{n>=0} (n+1)^d T_n (``closedforms.block_combination``),
-every criterion reads
+to the Hadamard product of z * (split-ladder series) with the extremal
+coefficients of the source class.  The function itself is the source
+z/(1-z), whose coefficients 1 are the identity of that product, so
+``certify_function_class`` is ``certify_operator_mapping`` at that source.
+The coefficient bounds go through |(a)_n| <= (|a|)_n, so with T_n the
+ladder coefficients at (|a|, |b|, c) and W_d = sum_{n>=0} (n+1)^d T_n
+(``closedforms.block_combination``), every criterion reads
 
     alpha W_{D+s} + beta W_{D+s-1} <= theta K.
 
@@ -26,17 +28,15 @@ and poles (``families.part4_pole``); inside the region, c <= |a| + |b| makes
 W_0 diverge, so the criterion fails: ``not_certified`` with lhs = +inf, no
 block evaluated.  Exceptions to the derivation: the quartic R(beta) ->
 starlike corollary at lam = 1 (W_0 alone, region c > |a| + |b|, tag
-``.lambda1``); no criterion from S into ucv (ValueError); the function
-source belongs to ``certify_function_class`` (ValueError from
-``certify_operator_mapping``).
+``.lambda1``); no criterion from S into ucv (ValueError).
 
 A verdict allows the bound of ``block_combination`` plus |Im lhs|
 (rounding, the blocks are real) plus an absolute GAMMA_EVAL_REL floor.
 
 The oracles check a certificate on a truncation: ``hypergeometric_coefficients``
 gives the coefficient array a_1..a_N of z * (split-ladder series), a 1-D
-numpy array with a_1 = 1, and ``hadamard_convolve`` multiplies two such
-arrays elementwise.
+numpy array with a_1 = 1, and ``hadamard_convolve`` multiplies it with the
+source's ``oracle.worst_case_coefficients`` elementwise.
 """
 from __future__ import annotations
 
@@ -111,28 +111,11 @@ def _certificate(
     return Certificate(lhs, rhs, rhs - lhs, _decide(lhs, rhs, tail), tail, tag)
 
 
-def _criterion(
-    fp: FamilyParams, source: SourceClass, spec: ClassSpec, tag: str,
-    policy: PrecisionPolicy,
-) -> Certificate:
-    """alpha W_d + beta W_{d-1} <= theta K with d = D + s, K = 1 + 1/scale."""
-    am, bm, c = _moduli(fp)
-    theta = spec.threshold
-    power, alpha, beta = spec.weight
-    d = power + source.shift
-    rhs = theta * (1.0 + 1.0 / source.scale)
-    _hypothesis(am, bm, c, fp.order, d if d >= 1 else -1)
-    if d == 0 and weighted_sum_region(am, bm, c, fp.order, 0):  # W_0 diverges
-        return Certificate(math.inf, rhs, -math.inf, Verdict.NOT_CERTIFIED, 0.0, tag)
-    return _certificate(fp, {d: alpha, d - 1: beta}, rhs, tag, policy)
-
-
 def certify_function_class(
     fp: FamilyParams, spec: ClassSpec, policy: PrecisionPolicy = DEFAULT_POLICY
 ) -> Certificate:
     """Certificate that z * (split-ladder series) lies in the target class."""
-    tag = f"{fp.family.name.lower()}.function.{spec.kind.value}"
-    return _criterion(fp, SourceClass(SourceKind.FUNCTION), spec, tag, policy)
+    return certify_operator_mapping(fp, SourceClass(SourceKind.FUNCTION), spec, policy)
 
 
 def certify_operator_mapping(
@@ -141,20 +124,26 @@ def certify_operator_mapping(
     spec: ClassSpec,
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> Certificate:
-    """Certificate that the convolution operator maps the source class into the target."""
-    if source.kind is SourceKind.FUNCTION:
-        raise ValueError("use certify_function_class for the function itself")
+    """Certificate that the convolution operator maps the source class into the
+    target: alpha W_d + beta W_{d-1} <= theta K with d = D + s, K = 1 + 1/scale."""
     if source.kind is SourceKind.FULL_S and spec.kind is ClassKind.UCV:
         raise ValueError("no mapping criterion from the univalent class into ucv")
     tag = f"{fp.family.name.lower()}.{source.kind.value}.{spec.kind.value}"
+    am, bm, c = _moduli(fp)
+    rhs = spec.threshold * (1.0 + 1.0 / source.scale)
     if (
         source.kind is SourceKind.RBETA and spec.kind is ClassKind.STARLIKE
         and fp.family is Family.SPLIT4 and spec.lam == 1.0
     ):
         # The quartic corollary: lam = 1 drops W_-1 and relaxes the region.
-        _hypothesis(*_moduli(fp), fp.order, 0)
-        return _certificate(fp, {0: 1.0}, 1.0 + 1.0 / source.scale, tag + ".lambda1", policy)
-    return _criterion(fp, source, spec, tag, policy)
+        _hypothesis(am, bm, c, fp.order, 0)
+        return _certificate(fp, {0: 1.0}, rhs, tag + ".lambda1", policy)
+    power, alpha, beta = spec.weight
+    d = power + source.shift
+    _hypothesis(am, bm, c, fp.order, d if d >= 1 else -1)
+    if d == 0 and weighted_sum_region(am, bm, c, fp.order, 0):  # W_0 diverges
+        return Certificate(math.inf, rhs, -math.inf, Verdict.NOT_CERTIFIED, 0.0, tag)
+    return _certificate(fp, {d: alpha, d - 1: beta}, rhs, tag, policy)
 
 
 def hypergeometric_coefficients(fp: FamilyParams, N: int) -> np.ndarray:

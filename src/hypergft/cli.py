@@ -9,7 +9,7 @@ Exit codes
   certify 0 certified / 4 hypothesis violated / 5 not certified / 6 inconclusive / 1 bad input
           (--allow-hypothesis-error writes the violation as a report in --format, still exit 4)
   verify  0 all residuals within tolerance / 5 residual failure / 1 bad input
-  sweep   0 rows computed (per-row failures recorded) / 1 empty grid or bad input
+  sweep   0 rows computed (per-row failures recorded) / 1 bad input or over 1,000,000 points
   any     2 constraint violation, gamma pole, zero or overflowing gamma ratio
           / 3 no convergence / 1 any other package error, or stdout closed early
 """
@@ -28,7 +28,6 @@ from typing import Any, Sequence
 from . import closedforms
 from .certifier import (
     Certificate,
-    certify_function_class,
     certify_operator_mapping,
     hadamard_convolve,
     hypergeometric_coefficients,
@@ -85,22 +84,30 @@ def _parse_list(text: str) -> tuple[complex, ...]:
     return tuple(_parse_complex(p) for p in text.split(","))
 
 
-def _parse_range(text: str) -> list[float]:
-    """lo:hi:step inclusive grid, or a single value."""
+MAX_GRID_POINTS = 1_000_000
+
+
+def _parse_range(text: str) -> tuple[float, float, int]:
+    """lo:hi:step inclusive grid as (lo, step, count), or a single value as (value, 0, 1)."""
     parts = text.split(":")
     if len(parts) == 1:
-        return [finite_float(parts[0])]
+        return finite_float(parts[0]), 0.0, 1
     if len(parts) != 3:
         raise ValueError(f"range must be lo:hi:step, got {text!r}")
     lo, hi, step = (finite_float(p) for p in parts)
     if step <= 0 or hi < lo:
         raise ValueError(f"bad range {text!r}")
-    out = []
-    x = lo
-    while x <= hi + 1e-12 * max(1.0, abs(hi)):
-        out.append(round(x, 12))
-        x += step
-    return out
+    span = (hi - lo + 1e-12 * max(1.0, abs(hi))) / step
+    if not span < MAX_GRID_POINTS:  # also an infinite span
+        raise ValueError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
+    return lo, step, math.floor(span) + 1
+
+
+def _range_points(lo: float, step: float, count: int) -> list[float]:
+    """The points of a parsed range, lo + i step rounded to 12 places; a single value as given."""
+    if not step:
+        return [lo]
+    return [round(lo + i * step, 12) for i in range(count)]
 
 
 def _jsonify(value: Any) -> Any:
@@ -280,16 +287,6 @@ def _target_args(args: argparse.Namespace) -> tuple[Family, ClassKind, SourceKin
     return family, kind, source_kind
 
 
-def _certify(
-    fp: FamilyParams, spec: ClassSpec, source_kind: SourceKind, beta: float | None,
-    policy: PrecisionPolicy,
-) -> Certificate:
-    """The function's own certificate, or the operator's from the source class."""
-    if source_kind is SourceKind.FUNCTION:
-        return certify_function_class(fp, spec, policy)
-    return certify_operator_mapping(fp, SourceClass(source_kind, beta), spec, policy)
-
-
 def cmd_certify(args: argparse.Namespace, out) -> int:
     family, kind, source_kind = _target_args(args)
     fp = FamilyParams(*_abc_args(args), family)
@@ -307,8 +304,9 @@ def cmd_certify(args: argparse.Namespace, out) -> int:
         "source": source_kind.value,
         "beta": args.beta,
     }
+    source = SourceClass(source_kind, args.beta)
     try:
-        cert = _certify(fp, spec, source_kind, args.beta, args.policy)
+        cert = certify_operator_mapping(fp, source, spec, args.policy)
     except HypothesisError as exc:
         msg = str(exc)
         if args.allow_hypothesis_error:
@@ -321,13 +319,10 @@ def cmd_certify(args: argparse.Namespace, out) -> int:
 
     disc_report = None
     if args.with_oracle:
-        if source_kind is SourceKind.FUNCTION:
-            target = hypergeometric_coefficients(fp, args.oracle_order)
-        else:
-            target = hadamard_convolve(
-                hypergeometric_coefficients(fp, args.oracle_order),
-                worst_case_coefficients(SourceClass(source_kind, args.beta), args.oracle_order),
-            )
+        target = hadamard_convolve(
+            hypergeometric_coefficients(fp, args.oracle_order),
+            worst_case_coefficients(source, args.oracle_order),
+        )
         cert = cert.with_oracle(coefficient_condition_check(target, spec))
         disc_report = disc_sample_check(target, spec)
 
@@ -400,17 +395,14 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:
     family, kind, source_kind = _target_args(args)
-    a_grid = _parse_range(args.a)
-    b_grid = _parse_range(args.b)
-    c_grid = _parse_range(args.c)
-    lam_grid = _parse_range(args.lam) if args.lam is not None else [_default_lambda(kind, None)]
-    beta_grid = _parse_range(args.beta) if args.beta is not None else [None]
-    if source_kind is SourceKind.RBETA and beta_grid == [None]:
-        beta_grid = [0.0]
-    points = list(itertools.product(a_grid, b_grid, c_grid, lam_grid, beta_grid))
-    if not points:
-        print("empty grid", file=sys.stderr)
-        return 1
+    axes = [_parse_range(text) for text in (args.a, args.b, args.c)]
+    default_beta = 0.0 if source_kind is SourceKind.RBETA else None
+    for text, default in ((args.lam, _default_lambda(kind, None)), (args.beta, default_beta)):
+        axes.append(_parse_range(text) if text is not None else (default, 0.0, 1))
+    size = math.prod(count for _, _, count in axes)
+    if size > MAX_GRID_POINTS:
+        raise ValueError(f"the grid has {size} points, more than {MAX_GRID_POINTS}")
+    points = itertools.product(*(_range_points(*axis) for axis in axes))
     header = "family,source,class,a,b,c,lambda,beta,verdict,lhs,rhs,margin,error"
     lines = [header]
     with closedforms.shared_blocks():  # rows along a lambda or beta grid share every G_m
@@ -427,7 +419,9 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
             ]
             try:
                 fp = FamilyParams(a, b, c, family)
-                cert = _certify(fp, ClassSpec(kind, lam), source_kind, beta, args.policy)
+                spec = ClassSpec(kind, lam)
+                source = SourceClass(source_kind, beta)
+                cert = certify_operator_mapping(fp, source, spec, args.policy)
                 base += [cert.verdict.value, _g17(cert.lhs), _g17(cert.rhs), _g17(cert.margin), ""]
             except HypergftError as exc:
                 base += ["error", "", "", "", type(exc).__name__]

@@ -419,7 +419,10 @@ def euler_integral(
       pfq     - reduce to an inner (p-1)F(q-1) at z*t
     Integration always pairs the first upper with the first lower parameter;
     endpoint power singularities are removed by the substitution t = u^(1/s).
+    quad_tol must be finite and positive.
     """
+    if not 0 < quad_tol < math.inf:
+        raise ValueError(f"quad_tol must be finite and positive, got {quad_tol}")
     lv = level.strip().lower()
     if lv not in _EULER_LEVELS:
         raise ValueError(f"unknown level {level!r}; expected one of {_EULER_LEVELS}")

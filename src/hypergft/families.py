@@ -1,6 +1,7 @@
 """Split-ladder parameter families for the quartic and quintic series."""
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 
@@ -59,8 +60,8 @@ def part4_pole(a: complex, b: complex, k: int) -> str | None:
 class FamilyParams:
     """The triple (a, b, c) feeding a split-ladder hypergeometric function.
 
-    a and b may be complex but must be nonzero; c is real positive so the
-    lower ladder stays clear of gamma poles.
+    a and b may be complex but must be finite and nonzero; c is real,
+    finite and positive so the lower ladder stays clear of gamma poles.
     """
 
     a: complex
@@ -69,6 +70,9 @@ class FamilyParams:
     family: Family = Family.SPLIT3
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "c"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if abs(complex(self.a)) <= POLE_TOL:
             raise ValueError("a must be nonzero")
         if abs(complex(self.b)) <= POLE_TOL:

@@ -54,8 +54,10 @@ class PrecisionPolicy:
     max_terms: int = 100_000
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
+        if not 0 <= self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be finite and at least 0, got {self.abs_tol}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
 

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import closedforms
-from .classes import ClassSpec, SourceClass, SourceKind
+from .classes import ClassSpec, SourceClass
 from .errors import (
     DivisionNearZeroError,
     InsufficientOrderError,
@@ -215,11 +215,11 @@ def disc_sample_check(
 
 def worst_case_coefficients(source: SourceClass, N: int) -> np.ndarray:
     """Coefficient array a_1..a_N of the extremal modulus sequence
-    scale * n**shift of the source class: 2(1-beta)/n for R(beta), n for S."""
-    if N < 2:
-        raise ValueError("need N >= 2")
-    if source.kind is SourceKind.FUNCTION:
-        raise ValueError("worst-case coefficients exist for rbeta and s sources only")
+    scale * n**shift of the source class: 2(1-beta)/n for R(beta), n for S,
+    and all ones for the function source, z/(1-z), the identity of the
+    Hadamard product."""
+    if N < 1:
+        raise ValueError("need N >= 1")
     ns = np.arange(2, N + 1, dtype=float)
     return np.concatenate(([1.0], source.scale * ns ** source.shift))
 

@@ -22,6 +22,7 @@ real (imaginary parts exactly 0) is summed in float64, any other in complex128.
 """
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -58,6 +59,9 @@ class PFQParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "upper", tuple(complex(u) for u in self.upper))
         object.__setattr__(self, "lower", tuple(complex(l) for l in self.lower))
+        for name in ("upper", "lower"):
+            if not all(map(cmath.isfinite, getattr(self, name))):
+                raise ValueError(f"{name} parameters must be finite, got {getattr(self, name)}")
         for l in self.lower:
             if is_nonpositive_integer(l):
                 raise PoleError(f"lower parameter {l} is a nonpositive integer")

@@ -20,7 +20,6 @@ import pytest
 from hypergft import closedforms as cf
 from hypergft.certifier import (
     Verdict,
-    certify_function_class,
     certify_operator_mapping,
     hadamard_convolve,
     hypergeometric_coefficients,
@@ -240,21 +239,14 @@ def build_crit6() -> dict:
                 c = max(c_hyp, c_conv) + rng.uniform(0.3, 20.0)
             fp = FamilyParams(a, b, c, fam)
             spec = ClassSpec(kind, lam)
-            if src == "function":
-                cert = certify_function_class(fp, spec, POLICY)
-            else:
-                source = (
-                    SourceClass(SourceKind.RBETA, beta)
-                    if src == "rbeta"
-                    else SourceClass(SourceKind.FULL_S)
-                )
-                cert = certify_operator_mapping(fp, source, spec, POLICY)
+            source = SourceClass(SourceKind(src), beta)
+            cert = certify_operator_mapping(fp, source, spec, POLICY)
             counts[cert.verdict.value] += 1
             if cert.verdict is Verdict.CERTIFIED:
                 certified_here += 1
-                target = hypergeometric_coefficients(fp, 500)
-                if src != "function":
-                    target = hadamard_convolve(target, worst_case_coefficients(source, 500))
+                target = hadamard_convolve(
+                    hypergeometric_coefficients(fp, 500), worst_case_coefficients(source, 500)
+                )
                 if not coefficient_condition_check(target, spec).passed:
                     violations += 1
                 if not disc_sample_check(target, spec).passed:

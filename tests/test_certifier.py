@@ -117,6 +117,18 @@ class TestFunctionClassCertificates:
         assert cert.verdict is Verdict.NOT_CERTIFIED
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("a, b, c, field", [
+        (0.5, math.nan, 5.0, "b"),
+        (complex(math.inf, 0.0), 0.5, 5.0, "a"),
+        (0.5, 0.5, math.inf, "c"),
+        (0.5, 0.5, math.nan, "c"),
+    ])
+    def test_family_params_reject_them(self, a, b, c, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            fp3(a, b, c)
+
+
 class TestOperatorMappingCertificates:
     def test_rbeta_starlike_certifies(self):
         cert = certify_operator_mapping(fp3(0.1, 0.1, 25.0), RBETA0, STAR1)
@@ -134,9 +146,14 @@ class TestOperatorMappingCertificates:
         with pytest.raises(ValueError):
             certify_operator_mapping(fp3(0.1, 0.1, 30.0), FULLS, UCV)
 
-    def test_function_source_redirects(self):
-        with pytest.raises(ValueError):
-            certify_operator_mapping(fp3(0.1, 0.1, 30.0), SourceClass(SourceKind.FUNCTION), STAR1)
+    @pytest.mark.parametrize("maker", [fp3, fp4], ids=["split3", "split4"])
+    @pytest.mark.parametrize("spec", [STAR1, CONV1, UCV, SP], ids=lambda s: s.kind.value)
+    def test_function_source_is_the_function_certificate(self, maker, spec):
+        # z/(1-z) is the Hadamard identity: the operator's image is the function.
+        fp = maker(0.3, 0.7, 14.0)
+        cert = certify_operator_mapping(fp, SourceClass(SourceKind.FUNCTION), spec)
+        assert cert == certify_function_class(fp, spec)
+        assert cert.theorem_tag == f"split{fp.order}.function.{spec.kind.value}"
 
     def test_corollary_relaxes_region_for_lambda_one(self):
         # Quartic family at lambda = 1: region only needs c > |a| + |b|.
@@ -208,16 +225,12 @@ class TestCoefficientOracleAgreement:
             fp = FamilyParams(a, b, c, family)
             for source_kind, kind in self.CRITERIA:
                 spec = ClassSpec(kind, lam if kind in (ClassKind.STARLIKE, ClassKind.CONVEX) else None)
-                target = hypergeometric_coefficients(fp, N)
-                scale = 1.0
-                if source_kind is SourceKind.FUNCTION:
-                    cert = certify_function_class(fp, spec)
-                else:
-                    source = SourceClass(source_kind, beta if source_kind is SourceKind.RBETA else None)
-                    cert = certify_operator_mapping(fp, source, spec)
-                    target = hadamard_convolve(target, worst_case_coefficients(source, N))
-                    if source_kind is SourceKind.RBETA:
-                        scale = 2.0 * (1.0 - beta)
+                source = SourceClass(source_kind, beta if source_kind is SourceKind.RBETA else None)
+                cert = certify_operator_mapping(fp, source, spec)
+                target = hadamard_convolve(
+                    hypergeometric_coefficients(fp, N), worst_case_coefficients(source, N)
+                )
+                scale = source.scale
                 report = coefficient_condition_check(target, spec)
                 expected = report.worst_value / scale + spec.threshold
                 # The oracle stops at n = N and extrapolates the rest.  Its

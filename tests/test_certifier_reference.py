@@ -120,10 +120,7 @@ def left_side(family, source, kind, lam, corr):
 
 def certify(fp, source, kind, lam, beta):
     spec = ClassSpec(kind, lam if kind in (STAR, CONV) else None)
-    if source is FUNCTION:
-        return certify_function_class(fp, spec)
-    source = SourceClass(source, beta if source is RBETA else None)
-    return certify_operator_mapping(fp, source, spec)
+    return certify_operator_mapping(fp, SourceClass(source, beta if source is RBETA else None), spec)
 
 
 CRITERIA = [(FUNCTION, kind) for kind in (STAR, CONV, UCV, SP)] + [

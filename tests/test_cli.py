@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,20 @@ def run(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def _child_env():
+    """The environment of a child process that imports this hypergft."""
+    src = str(Path(hypergft.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def _run_capped(argv, seconds=20, memory=1 << 30):
+    """hypergft ARGV in a child process limited to SECONDS and MEMORY bytes."""
+    return subprocess.run(
+        [sys.executable, "-m", "hypergft.cli", *argv], capture_output=True, env=_child_env(),
+        timeout=seconds, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (memory, memory)),
+    )
 
 
 def run_json(*argv):
@@ -108,6 +123,22 @@ class TestEval:
         assert code == 1
         assert text == ""
         assert capsys.readouterr().err == "error: too few coefficients\n"
+
+    @pytest.mark.parametrize("level, upper, lower", [
+        ("2f1", "0.3,0.9", "1.7"), ("pfq", "0.9,0.7,1.3", "2.1,1.8"),
+    ])
+    @pytest.mark.parametrize("quad_tol", ["0", "-1"])
+    def test_unreachable_quad_tol_exits_one(self, level, upper, lower, quad_tol, capsys):
+        code, text = run("eval", "--euler", level, "--upper", upper, "--lower", lower,
+                         "--z", "0.4", "--quad-tol", quad_tol)
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err.startswith("bad input: quad_tol must be finite and positive")
+
+    def test_negative_abs_tol_exits_one(self, capsys):
+        code, _ = run("eval", "--pfq", "2F1", "--upper", "1,1", "--lower", "2", "--z", "0.5",
+                      "--abs-tol", "-1")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("bad precision policy: abs_tol")
 
     def test_euler_level(self):
         code, doc = run_json(
@@ -224,6 +255,16 @@ class TestCertify:
         disc = doc["certificate"]["disc_oracle"]
         assert disc["passed"] is True
         assert disc["check"] == "disc_sample"
+
+    @pytest.mark.parametrize("source", [(), ("--source", "rbeta", "--beta", "0.3"), ("--source", "s")])
+    def test_oracle_order_one(self, source):
+        code, doc = run_json(
+            "certify", "--family", "split3", "--a", "0.1", "--b", "0.1", "--c", "20",
+            "--class", "starlike", *source, "--with-oracle", "--oracle-order", "1",
+        )
+        assert code == 0
+        assert doc["certificate"]["oracle"]["budget"] == 1
+        assert doc["certificate"]["disc_oracle"]["passed"] is True
 
     def test_text_format_prints_plain_floats(self):
         code, text = run(
@@ -377,13 +418,11 @@ class TestSweep:
     def test_closed_stdout_ends_without_traceback(self):
         # 1000 rows outgrow the pipe buffer, so the writes after the reader
         # closes hit the broken pipe.
-        src = str(Path(hypergft.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.Popen(
             [sys.executable, "-m", "hypergft.cli", "sweep", "--family", "split3",
              "--class", "starlike", "--lambda", "0.001:1:0.001", "--a", "0.1", "--b", "0.1",
              "--c", "20"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
         )
         first = proc.stdout.readline()
         proc.stdout.close()
@@ -392,6 +431,28 @@ class TestSweep:
         assert proc.wait(timeout=120) == 1
         assert first.startswith(b"family,source,class,")
         assert b"Traceback" not in err and b"Error" not in err
+
+    @pytest.mark.parametrize("grid", [
+        ("--c", "1e20:2e20:1"),  # step 1 is below the float spacing at 1e20
+        ("--c", "0:1e9:1e-3"),
+        ("--c=-1e308:1e308:1",),  # hi - lo overflows
+        ("--lambda", "0:1:1e-320"),
+        ("--a", "0:1000:1", "--b", "0:999:1"),  # 1001 x 1000 points
+    ])
+    def test_oversized_grid_is_bad_input(self, grid):
+        # In a child process under a time and memory cap: a grid that is
+        # built before it is checked would hang or fill the memory.
+        proc = _run_capped(["sweep", "--family", "split3", "--class", "starlike", *grid])
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"bad input: ") and b"1000000" in proc.stderr
+
+    def test_range_points_are_lo_plus_i_step(self):
+        # A running sum x += step would drift to 103.299999999999.
+        code, text = run("sweep", "--family", "split3", "--class", "sp", "--c", "49.6:106.3:0.3")
+        assert code == 0
+        cs = [row.split(",")[5] for row in text.splitlines()[1:]]
+        assert len(cs) == 190 and cs[-1] == "106.3" and "103.3" in cs
 
     def test_empty_grid_exit_one(self):
         code, _ = run(

@@ -388,3 +388,12 @@ class TestEulerIntegral:
     def test_budget_exhaustion(self):
         with pytest.raises(QuadratureError):
             euler_integral("2f1", PFQParams((0.3, 0.9), (1.7,)), 0.4, 1e-14, budget=120)
+
+    @pytest.mark.parametrize("quad_tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("level, params", [
+        ("2f1", PFQParams((0.3, 0.9), (1.7,))),
+        ("pfq", PFQParams((0.9, 0.7, 1.3), (2.1, 1.8))),
+    ])
+    def test_unreachable_tolerance_rejected_at_entry(self, level, params, quad_tol):
+        with pytest.raises(ValueError, match="quad_tol"):
+            euler_integral(level, params, 0.4, quad_tol, budget=60)

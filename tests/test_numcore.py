@@ -35,6 +35,17 @@ class TestPrecisionPolicy:
         with pytest.raises(ValueError):
             PrecisionPolicy(max_terms=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("rel_tol", math.inf), ("rel_tol", math.nan), ("rel_tol", -1e-12),
+        ("abs_tol", -1.0), ("abs_tol", math.nan), ("abs_tol", math.inf),
+    ])
+    def test_rejects_non_finite_or_negative_tolerances(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PrecisionPolicy(**{field: value})
+
+    def test_zero_abs_tol_is_allowed(self):
+        assert PrecisionPolicy(abs_tol=0.0).abs_tol == 0.0
+
 
 class TestLogGamma:
     def test_at_one(self):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypergft import oracle
 from hypergft.certifier import (
     Verdict,
-    certify_function_class,
     certify_operator_mapping,
     hadamard_convolve,
     hypergeometric_coefficients,
@@ -257,14 +256,13 @@ class TestGridEvaluation:
                         a, b = rng.uniform(0.05, 0.6), rng.uniform(0.1, 1.2)
                         fp = FamilyParams(a, b, a + b + 4.2 + rng.uniform(0.3, 20.0), fam)
                         spec = ClassSpec(kind, lam)
-                        source = {"rbeta": SourceClass(SourceKind.RBETA, rng.uniform(0.0, 0.9)),
-                                  "s": SourceClass(SourceKind.FULL_S)}.get(src)
-                        cert = (certify_function_class(fp, spec) if source is None
-                                else certify_operator_mapping(fp, source, spec))
+                        beta = rng.uniform(0.0, 0.9)
+                        source = SourceClass(SourceKind(src), beta if src == "rbeta" else None)
+                        cert = certify_operator_mapping(fp, source, spec)
                         if cert.verdict is Verdict.CERTIFIED:
-                            target = hypergeometric_coefficients(fp, 500)
-                            if source is not None:
-                                target = hadamard_convolve(target, worst_case_coefficients(source, 500))
+                            target = hadamard_convolve(
+                                hypergeometric_coefficients(fp, 500), worst_case_coefficients(source, 500)
+                            )
                             out.append((target, spec))
                             break
         return out
@@ -298,9 +296,18 @@ class TestWorstCase:
         assert f[4] == 5.0
         assert f[0] == 1.0
 
-    def test_function_source_rejected(self):
+    @pytest.mark.parametrize("N", [1, 2, 500])
+    def test_function_source_is_the_hadamard_identity(self, N):
+        # z/(1-z): every coefficient 1, so convolving with it changes no bit.
+        ones = worst_case_coefficients(SourceClass(SourceKind.FUNCTION), N)
+        assert ones.tolist() == [1.0] * N
+        f = hypergeometric_coefficients(FamilyParams(0.3, 0.7, 9.0, Family.SPLIT4), N)
+        g = hadamard_convolve(f, ones)
+        assert g.dtype == f.dtype and g.tobytes() == f.tobytes()
+
+    def test_order_below_one_rejected(self):
         with pytest.raises(ValueError):
-            worst_case_coefficients(SourceClass(SourceKind.FUNCTION), 5)
+            worst_case_coefficients(SourceClass(SourceKind.FULL_S), 0)
 
 
 class TestCoefficientArrays:

@@ -62,6 +62,17 @@ class TestConvergenceClass:
         assert convergence_class(p, 1.0 + 1e-6) is ConvergenceClass.DIVERGENT
 
 
+class TestPFQParams:
+    @pytest.mark.parametrize("upper, lower, field", [
+        ((1.0, 1.0), (math.nan,), "lower"),
+        ((math.inf, 1.0), (2.0,), "upper"),
+        ((1.0, complex(0.5, math.nan)), (2.0,), "upper"),
+    ])
+    def test_rejects_non_finite_parameters(self, upper, lower, field):
+        with pytest.raises(ValueError, match=field):
+            PFQParams(upper, lower)
+
+
 class TestPFQEval:
     def test_zero_upper_parameter(self):
         res = pfq_eval(PFQParams((1.7, 0.0), (2.2,)), 0.5)
