@@ -53,7 +53,7 @@ from .closedforms import ladder_sum_block  # noqa: F401  (re-exported)
 from .errors import HypothesisError
 from .families import Family, FamilyParams, part4_pole, weighted_sum_region
 from .numcore import DEFAULT_POLICY, GAMMA_EVAL_REL, PrecisionPolicy
-from .oracle import OracleReport, normalized_coefficients
+from .oracle import normalized_coefficients
 from .series import term_ratios
 
 
@@ -71,13 +71,6 @@ class Certificate:
     verdict: Verdict
     lhs_tail_bound: float
     theorem_tag: str
-    oracle_report: OracleReport | None = None
-
-    def with_oracle(self, report: OracleReport) -> "Certificate":
-        return Certificate(
-            self.lhs, self.rhs, self.margin, self.verdict,
-            self.lhs_tail_bound, self.theorem_tag, report,
-        )
 
 
 def _decide(lhs: float, rhs: float, tail: float) -> Verdict:

@@ -148,7 +148,6 @@ def _certificate_payload(cert: Certificate) -> dict[str, Any]:
         "verdict": cert.verdict.value,
         "lhs_tail_bound": float(cert.lhs_tail_bound),
         "theorem_tag": cert.theorem_tag,
-        "oracle": _oracle_payload(cert.oracle_report) if cert.oracle_report else None,
     }
 
 
@@ -317,18 +316,14 @@ def cmd_certify(args: argparse.Namespace, out) -> int:
             print(f"hypothesis violated: {msg}", file=sys.stderr)
         return 4
 
-    disc_report = None
+    body = {**_certificate_payload(cert), "oracle": None}
     if args.with_oracle:
         target = hadamard_convolve(
             hypergeometric_coefficients(fp, args.oracle_order),
             worst_case_coefficients(source, args.oracle_order),
         )
-        cert = cert.with_oracle(coefficient_condition_check(target, spec))
-        disc_report = disc_sample_check(target, spec)
-
-    body = _certificate_payload(cert)
-    if disc_report is not None:
-        body["disc_oracle"] = _oracle_payload(disc_report)
+        body["oracle"] = _oracle_payload(coefficient_condition_check(target, spec))
+        body["disc_oracle"] = _oracle_payload(disc_sample_check(target, spec))
     verdict = cert.verdict.value
     rows = [
         "theorem_tag,lhs,rhs,margin,verdict",
@@ -483,7 +478,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     pe = command("eval", "evaluate a series, closed form, or integral", cmd_eval)
     pe.add_argument("--pfq", help="series name like 2F1 (checked against the lists)")
     pe.add_argument("--closed", help="gauss | shpot | 4f3 | 5f4 | lemma-secS-partP")
-    pe.add_argument("--euler", help="integral level: 2f1 | 3f2quad | 4f3 | pfq")
+    pe.add_argument("--euler", help="integral level: " + " | ".join(closedforms.EULER_LEVELS))
     pe.add_argument("--upper", default="", help="comma-separated upper parameters")
     pe.add_argument("--lower", default="", help="comma-separated lower parameters")
     pe.add_argument("--a", default=None)

@@ -235,16 +235,15 @@ def ladder_sum_block(
     S(a, b, c) at m = 0; shift -1 gives (c-a-b)/(a-1) * S(a-1, b-k, c-k) without the
     affine term, which ``part4_affine`` gives.
     """
+    if shift < -1:
+        raise ValueError(f"shift must be at least -1, got {shift}")
     a, b, c = complex(a), complex(b), complex(c)
     k = order
-    if shift >= 0:
-        pre = pochhammer(a, shift) / pochhammer(c - a - b - shift, shift)
-        inner = split_outer_sum(order, a + shift, b + k * shift, c + k * shift, policy)
-    elif shift == -1:
+    if shift == -1:
         pre = (c - a - b) / (a - 1.0)
-        inner = split_outer_sum(order, a - 1.0, b - k, c - k, policy)
     else:
-        raise ValueError("shift must be -1, 0, 1, 2 or 3")
+        pre = pochhammer(a, shift) / pochhammer(c - a - b - shift, shift)
+    inner = split_outer_sum(order, a + shift, b + k * shift, c + k * shift, policy)
     pre = complex(pre)
     return EvalResult(
         pre * inner.value, abs(pre) * inner.tail_bound, inner.terms_used, inner.converged
@@ -392,7 +391,10 @@ def lemma_closed_form(
     return block_combination(k, a, b, c, {lemma_id.power: 1.0}, policy)
 
 
-_EULER_LEVELS = ("2f1", "3f2quad", "4f3", "pfq")
+# Euler level -> the (p, q) shape it requires; None: ``pfq`` takes any p <= q + 1.
+EULER_LEVELS: dict[str, tuple[int, int] | None] = {
+    "2f1": (2, 1), "3f2quad": (3, 2), "4f3": (4, 3), "pfq": None,
+}
 
 
 def _require_half_ladder(pair: tuple[complex, complex], what: str) -> complex:
@@ -412,11 +414,12 @@ def euler_integral(
 ) -> EvalResult:
     """Integral representation cross-check for the series evaluator.
 
-    level selects the kernel:
-      2f1     - integrate over (upper[0], lower[0]) against (1 - z t)^(-upper[1])
+    level fixes the shape of the input (``EULER_LEVELS``: 2f1, 3f2quad and 4f3
+    one each, pfq any p <= q + 1), and the input picks the kernel:
       3f2quad - the half-ladder 3F2 against (1 - z t^2)^(-a)
-      4f3     - reduce to an inner 3F2 at z*t
-      pfq     - reduce to an inner (p-1)F(q-1) at z*t
+      a 2F1   - over (upper[0], lower[0]) against the closed kernel
+                (1 - z t)^(-upper[1]) (DLMF 15.6.1), at level 2f1 or pfq
+      others  - the inner (p-1)F(q-1) at z*t
     Integration always pairs the first upper with the first lower parameter;
     endpoint power singularities are removed by the substitution t = u^(1/s).
     quad_tol must be finite and positive.
@@ -424,13 +427,15 @@ def euler_integral(
     if not 0 < quad_tol < math.inf:
         raise ValueError(f"quad_tol must be finite and positive, got {quad_tol}")
     lv = level.strip().lower()
-    if lv not in _EULER_LEVELS:
-        raise ValueError(f"unknown level {level!r}; expected one of {_EULER_LEVELS}")
+    if lv not in EULER_LEVELS:
+        raise ValueError(f"unknown level {level!r}; expected one of {tuple(EULER_LEVELS)}")
+    shape = EULER_LEVELS[lv]
+    if shape is not None and (params.p, params.q) != shape:
+        raise ConstraintError(f"{lv} needs {shape[0]} upper and {shape[1]} lower parameters")
     z = complex(z)
+    inner_allow = 0.0
 
     if lv == "3f2quad":
-        if params.p != 3 or params.q != 2:
-            raise ConstraintError("3f2quad needs 3 upper and 2 lower parameters")
         a_pow = params.upper[0]
         bb = _require_half_ladder((params.upper[1], params.upper[2]), "upper ladder")
         cc = _require_half_ladder((params.lower[0], params.lower[1]), "lower ladder")
@@ -438,8 +443,6 @@ def euler_integral(
 
         def kernel(t: float) -> complex:
             return (1.0 - z * t * t) ** (-a_pow)
-
-        inner_allow = 0.0
     else:
         if params.p > params.q + 1:
             raise ConstraintError("integral representation needs p <= q+1")
@@ -447,21 +450,13 @@ def euler_integral(
             raise ConstraintError("need at least two upper parameters")
         p_exp = params.upper[0]
         q_exp = params.lower[0] - params.upper[0]
-        rest_upper = params.upper[1:]
-        rest_lower = params.lower[1:]
-        if lv == "2f1":
-            if params.p != 2 or params.q != 1:
-                raise ConstraintError("2f1 needs 2 upper and 1 lower parameter")
+        if (params.p, params.q) == (2, 1):
             a_pow = params.upper[1]
 
             def kernel(t: float) -> complex:
                 return (1.0 - z * t) ** (-a_pow)
-
-            inner_allow = 0.0
         else:
-            if lv == "4f3" and (params.p, params.q) != (4, 3):
-                raise ConstraintError("4f3 needs 4 upper and 3 lower parameters")
-            inner_params = PFQParams(rest_upper, rest_lower)
+            inner_params = PFQParams(params.upper[1:], params.lower[1:])
             inner_policy = PrecisionPolicy(
                 rel_tol=min(policy.rel_tol, quad_tol * 1e-3),
                 abs_tol=policy.abs_tol,

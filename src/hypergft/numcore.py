@@ -23,10 +23,6 @@ POLE_TOL = 1e-12
 GAMMA_EVAL_REL = 5e-14
 _LOG_GAMMA_ULPS = (4.0 * 2.0**-52, 32.0 * 2.0**-52)  # real, complex argument
 
-# Direct-product cutoff for Pochhammer symbols; beyond this the gamma ratio
-# in log space avoids O(n) rounding accumulation.
-_POCHHAMMER_DIRECT_LIMIT = 64
-
 _LOG_PI = math.log(math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -155,22 +151,22 @@ def _as_output(value: complex, *inputs: complex):
 def pochhammer(a: complex, n: int):
     """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1.
 
-    Direct product below the cutoff, gamma ratio in log space beyond it;
-    interior zeros (a a nonpositive integer within range) short-circuit to 0.
+    One direct product for every n: n roundings keep it within about n ulps
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).  An exact
+    interior zero (a a nonpositive integer with -a < n) returns 0 before the
+    factors ahead of it can overflow; a product beyond the float range raises
+    ConstraintError.
     """
     if n < 0:
         raise ValueError("pochhammer order must be a natural number")
     za = complex(a)
-    if n == 0:
-        return _as_output(1.0 + 0.0j, a)
-    if n > _POCHHAMMER_DIRECT_LIMIT:
-        if not is_nonpositive_integer(za):
-            return _as_output(cmath.exp(log_gamma(za + n) - log_gamma(za)), a)
-        if -nonpositive_integer_value(za) < n:
-            return _as_output(0.0 + 0.0j, a)
+    if za.imag == 0.0 and za.real.is_integer() and -n < za.real <= 0.0:
+        return _as_output(0.0 + 0.0j, a)
     out = 1.0 + 0.0j
     for j in range(n):
         out *= za + j
+        if not cmath.isfinite(out):
+            raise ConstraintError(f"pochhammer ({a})_{n} overflows the float range")
     return _as_output(out, a)
 
 

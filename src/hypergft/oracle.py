@@ -383,7 +383,7 @@ def identity_residual(
     fp: FamilyParams,
     n: int = 16,
     z: complex = 0.3,
-    policy: PrecisionPolicy | None = None,
+    policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> float:
     """Relative residual between the two independently computed sides of an identity.
 
@@ -394,5 +394,4 @@ def identity_residual(
         identity = IDENTITIES[tag.strip().lower()]
     except KeyError:
         raise ValueError(f"unknown identity tag {tag!r}") from None
-    policy = policy or PrecisionPolicy(rel_tol=1e-12, max_terms=400_000)
     return identity.residual(IdentityPoint(fp.a, fp.b, fp.c, fp.order, n, z), policy)

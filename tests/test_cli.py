@@ -347,6 +347,13 @@ class TestVerify:
         expected = identity_residual(tag, FamilyParams(a, b, c, Family.SPLIT3), policy=DEFAULT_POLICY)
         assert doc["verification"]["residuals"] == [expected]
 
+    def test_single_point_uses_the_package_default_policy(self):
+        # A draw of the gauss sampler (seed 7) whose residual depends on the policy.
+        a, b, c = 1.3023316079704164, 2.489213767782512, 5.28675322035151
+        code, doc = run_json("verify", "--identity", "gauss", "--a", repr(a), "--b", repr(b), "--c", repr(c))
+        assert code == 0
+        assert doc["verification"]["residuals"] == [identity_residual("gauss", FamilyParams(a, b, c))]
+
     def test_deterministic_reports(self):
         _, first = run("verify", "--identity", "5f4-at-1", "--draws", "5", "--seed", "11")
         _, second = run("verify", "--identity", "5f4-at-1", "--draws", "5", "--seed", "11")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hypergft.closedforms import (
+    EULER_LEVELS,
     LemmaId,
     Section,
     _inner_2f1_batch,
@@ -13,6 +14,7 @@ from hypergft.closedforms import (
     five_f4_at_1,
     four_f3_at_1,
     gauss_2f1_at_1,
+    ladder_sum_block,
     lemma_closed_form,
     shpot_srivastava_3f2,
     split_outer_sum,
@@ -303,6 +305,10 @@ class TestSplitOuterSum:
             1e-9 * abs(series.value) + abs(pref) * s.tail_bound + series.tail_bound
         )
 
+    def test_block_shift_below_minus_one_rejected(self):
+        with pytest.raises(ValueError, match="shift must be at least -1"):
+            ladder_sum_block(3, 0.4, 1.1, 5.0, -2)
+
     def test_inner_matches_scalar_two_f1(self):
         # The batched half-argument kernel agrees with the scalar evaluator.
         a, b, c = 0.35, 1.4, 6.0
@@ -378,6 +384,17 @@ class TestEulerIntegral:
         res = euler_integral("pfq", params, 0.5, 1e-9)
         series = pfq_eval(params, 0.5, BIG)
         assert_close(res.value, series.value, rel=1e-7, extra=res.tail_bound)
+
+    def test_pfq_level_on_a_2f1_is_the_closed_kernel(self):
+        params = PFQParams((0.3, 0.9), (1.7,))
+        generic, closed = (euler_integral(lv, params, 0.4) for lv in ("pfq", "2f1"))
+        assert (generic.value, generic.tail_bound, generic.terms_used) == (
+            closed.value, closed.tail_bound, closed.terms_used)
+
+    @pytest.mark.parametrize("level", [lv for lv, shape in EULER_LEVELS.items() if shape])
+    def test_level_rejects_another_shape(self, level):
+        with pytest.raises(ConstraintError, match=f"{level} needs"):
+            euler_integral(level, PFQParams((0.9, 0.7, 1.3, 0.5), (2.1, 1.8)), 0.4)
 
     def test_region_errors(self):
         with pytest.raises(ConstraintError):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -186,14 +187,32 @@ class TestPochhammer:
         got = pochhammer(-200.0, 3)
         assert got == pytest.approx((-200.0) * (-199.0) * (-198.0), rel=1e-14)
 
-    def test_direct_vs_gamma_paths_agree(self):
+    def test_long_products_match_mpmath(self):
+        # n roundings of a complex product: within 4 n ulps of the 40-digit value,
+        # or ConstraintError where that value leaves the float range.
+        mpmath = pytest.importorskip("mpmath")
         rng = random.Random(3)
-        for _ in range(50):
-            a = complex(rng.uniform(0.1, 10), rng.uniform(-5, 5))
-            direct = 1.0 + 0.0j
-            for j in range(80):
-                direct *= a + j
-            assert rel_err(pochhammer(a, 80), direct) < 1e-11
+        with mpmath.workdps(40):
+            for _ in range(300):
+                a = complex(rng.uniform(0.1, 10), rng.uniform(-5, 5))
+                n = rng.randint(65, 170)
+                exact = mpmath.rf(mpmath.mpc(a.real, a.imag), n)
+                if abs(exact) > sys.float_info.max:
+                    with pytest.raises(ConstraintError):
+                        pochhammer(a, n)
+                    continue
+                err = abs(mpmath.mpc(pochhammer(a, n)) - exact) / abs(exact)
+                assert err <= 4 * n * 2.0**-53, (a, n)
+
+    def test_overflow_is_a_constraint_error(self):
+        with pytest.raises(ConstraintError, match="overflows the float range"):
+            pochhammer(0.5, 300)
+        with pytest.raises(ConstraintError):
+            pochhammer(100.0, 200)
+
+    def test_interior_zero_ahead_of_overflow(self):
+        # 300! alone leaves the float range; the zero factor at j = 300 wins.
+        assert pochhammer(-300.0, 400) == 0.0
 
     @given(
         st.complex_numbers(min_magnitude=0.01, max_magnitude=10, allow_nan=False, allow_infinity=False),

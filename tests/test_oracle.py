@@ -16,7 +16,7 @@ from hypergft.classes import ClassKind, ClassSpec, SourceClass, SourceKind
 from hypergft.errors import InsufficientOrderError, NormalizationError
 from hypergft.closedforms import LEMMAS
 from hypergft.families import Family, FamilyParams
-from hypergft.numcore import PrecisionPolicy
+from hypergft.numcore import DEFAULT_POLICY
 from hypergft.oracle import (
     DEFAULT_GRID,
     IDENTITIES,
@@ -391,8 +391,7 @@ class TestIdentityRegistry:
 
     def test_residual_is_identity_residual_at_the_same_point(self):
         fp = FamilyParams(0.4, 1.5, 7.0, Family.SPLIT3)
-        policy = PrecisionPolicy(rel_tol=1e-12, max_terms=400_000)
-        residual = IDENTITIES["lemma-sec2-part2"].residual(IdentityPoint(0.4, 1.5, 7.0, 3), policy)
+        residual = IDENTITIES["lemma-sec2-part2"].residual(IdentityPoint(0.4, 1.5, 7.0, 3), DEFAULT_POLICY)
         assert residual == identity_residual("lemma-sec2-part2", fp)
 
     def test_malformed_lemma_tag_is_unknown(self):
