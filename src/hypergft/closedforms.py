@@ -233,16 +233,22 @@ def ladder_sum_block(
 
     shift m >= 0 gives (a)_m/(c-a-b-m)_m * S(a+m, b+km, c+km), which is
     S(a, b, c) at m = 0; shift -1 gives (c-a-b)/(a-1) * S(a-1, b-k, c-k) without the
-    affine term, which ``part4_affine`` gives.
+    affine term, which ``part4_affine`` gives.  PoleError where that
+    prefactor divides by zero: (c-a-b-m)_m = 0, or a = 1 at shift -1.
     """
     if shift < -1:
         raise ValueError(f"shift must be at least -1, got {shift}")
     a, b, c = complex(a), complex(b), complex(c)
     k = order
     if shift == -1:
+        if a == 1.0:
+            raise PoleError("the prefactor (c-a-b)/(a-1) of G_-1 has a pole at a = 1")
         pre = (c - a - b) / (a - 1.0)
     else:
-        pre = pochhammer(a, shift) / pochhammer(c - a - b - shift, shift)
+        den = pochhammer(c - a - b - shift, shift)
+        if den == 0:
+            raise PoleError(f"(c-a-b-m)_m vanishes at m = {shift}, c - a - b = {c - a - b}")
+        pre = pochhammer(a, shift) / den
     inner = split_outer_sum(order, a + shift, b + k * shift, c + k * shift, policy)
     pre = complex(pre)
     return EvalResult(

@@ -6,9 +6,11 @@ Two kinds of evidence, deliberately unsophisticated:
   truncated coefficient array a_1..a_N plus a geometric tail estimate;
 * disc sampling - the defining inequalities themselves, evaluated on a
   radial-angular grid, where each circle of the grid is summed by one
-  folded inverse FFT.  Sampling a truncation is a falsifier near the
-  boundary, not a prover, so reports carry a truncation disclaimer when the
-  dropped coefficients could still matter.
+  folded inverse FFT.  Real coefficients have the same defect at z and
+  conj(z), so only the angles in [0, pi] are evaluated for them; reports
+  count the full grid either way.  Sampling a truncation is a falsifier
+  near the boundary, not a prover, so reports carry a truncation disclaimer
+  when the dropped coefficients could still matter.
 
 ``IDENTITIES`` registers the checked identities behind ``hypergft verify``
 and ``identity_residual``.
@@ -18,9 +20,10 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import numbers
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -50,6 +53,16 @@ class GridSpec:
     n_angles: int = 256
     r_max: float = 0.999
     disclaimer_tol: float = 1e-8
+
+    def __post_init__(self) -> None:
+        for name in ("n_radii", "n_angles"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise ValueError(f"{name} must be a whole number of at least 1, got {n!r}")
+        if not 0 < self.r_max < 1:
+            raise ValueError(f"r_max must lie in (0, 1), got {self.r_max}")
+        if not 0 <= self.disclaimer_tol < math.inf:
+            raise ValueError(f"disclaimer_tol must be finite and at least 0, got {self.disclaimer_tol}")
 
     def radii(self) -> np.ndarray:
         i = np.arange(1, self.n_radii + 1)
@@ -135,26 +148,42 @@ def coefficient_condition_check(f: np.ndarray, spec: ClassSpec) -> OracleReport:
     )
 
 
+@lru_cache(maxsize=8)
+def _grid_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The radii as a column and r^j for j < n_angles, built once per grid
+    and read-only."""
+    r = grid.radii()[:, None]
+    arrays = r, r ** np.arange(grid.n_angles)
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
 def _on_grid(polys: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """sum_k polys[p, k] z^k for each row p at every grid point, shape
-    (rows, n_radii, n_angles), z = r e^(i theta) as in radii() and angles().
+    """sum_k polys[p, k] z^k for each row p at the grid points, z = r e^(i theta)
+    as in radii() and angles(): shape (rows, n_radii, n_angles), or only the
+    n_angles // 2 + 1 angles in [0, pi] when polys is real.
 
     On the M = n_angles equispaced angles z^k depends on k mod M only, so per
     radius r the coefficients scaled by r^k are folded mod M and one inverse
     FFT sums them at every angle (Bornemann, Found. Comput. Math. 2011).  The
     fold is r^j sum_q c_(j+qM) (r^M)^q: a product with the (n_radii x blocks)
-    matrix of (r^M)^q, so no (n_radii x N) array is formed.
+    matrix of (r^M)^q, so no (n_radii x N) array is formed.  A real fold has
+    conjugate values at angles k and M - k, and its half transform returns
+    the first half only.
     """
     m = grid.n_angles
     rows, n = polys.shape
     blocks = -(-n // m)
-    padded = np.zeros((rows, blocks * m), dtype=complex)  # zero past N
+    padded = np.zeros((rows, blocks * m), dtype=polys.dtype)  # zero past N
     padded[:, :n] = polys
-    r = grid.radii()[:, None]
+    r, powers = _grid_arrays(grid)
     folded = (r ** (m * np.arange(blocks))) @ padded.reshape(rows, blocks, m)
-    folded *= r ** np.arange(m)
+    folded *= powers
     # Entry k is sum_j folded_j e^(2 pi i jk/M), unscaled: the value at angles()[k].
-    return np.fft.ifft(folded, axis=-1, norm="forward")
+    if np.iscomplexobj(folded):
+        return np.fft.ifft(folded, axis=-1, norm="forward")
+    return np.fft.ihfft(folded, axis=-1, norm="forward")
 
 
 def disc_sample_check(
@@ -168,13 +197,16 @@ def disc_sample_check(
     convex) and |u| - Re(u) for Ronning's parabola (sp, ucv); pass means
     defect <= threshold everywhere.  g(z)/z and g'(z) are summed at the
     grid's equispaced angles by one folded inverse FFT per radius.  Sample
-    points where g(z)/z vanishes are skipped and counted.  For real
-    coefficients the worst point reported is the one with Im z >= 0.
+    points where g(z)/z vanishes are skipped and counted.
+
+    Real coefficients (an array whose imaginary part is all zero) give the
+    same defect at z and conj(z), so only the angles in [0, pi] are
+    evaluated and the worst point reported has Im z >= 0.  The report still
+    counts the full grid: budget is n_radii * n_angles, and a skipped point
+    off the real axis counts for its mirror image too.
     """
     a = normalized_coefficients(f)
-    rr = grid.radii()
-    th = grid.angles()
-    z = rr[:, None] * np.exp(1j * th[None, :])
+    a = a.real.astype(float, copy=False) if not a.imag.any() else a.astype(complex, copy=False)
 
     # Trailing coefficients below 1e-18 of the largest cannot move any defect
     # beyond double rounding; dropping them folds only the effective order.
@@ -190,16 +222,19 @@ def disc_sample_check(
         u = g_prime / g_over_z - 1.0  # = z g'(z)/g(z) - 1
     defect = np.abs(u) - u.real if spec.parabolic else np.abs(u)
 
-    skipped = int((~valid).sum())
-    if skipped == valid.size:
+    # A column k also stands for the angle M - k when that one is not evaluated.
+    m = grid.n_angles
+    cols = np.arange(valid.shape[-1])
+    images = np.where(-cols % m >= cols.size, 2, 1)
+    budget = grid.n_radii * m
+    skipped = int((~valid).sum(axis=0) @ images)
+    if skipped == budget:
         raise DivisionNearZeroError("every sample point sits on a zero of the denominator")
     defect = np.where(valid, defect, -np.inf)
-    if not a.imag.any():  # defect(conj z) = defect(z): report the worst point with Im z >= 0
-        k = np.arange(grid.n_angles)
-        defect = np.maximum(defect, defect[:, -k % grid.n_angles])
-    flat = int(np.argmax(defect))
-    worst = float(defect.flat[flat])
-    location = complex(z.flat[flat])
+    i, k = np.unravel_index(np.argmax(defect), defect.shape)
+    worst = float(defect[i, k])
+    r, _ = _grid_arrays(grid)
+    location = complex(r[i, 0] * np.exp(1j * grid.angles()[k]))
 
     warning = bool(grid.r_max * (len(a) + 1) * abs(a[-1]) > grid.disclaimer_tol)
     return OracleReport(
@@ -207,7 +242,7 @@ def disc_sample_check(
         worst <= spec.threshold,
         worst,
         location,
-        int(valid.size),
+        budget,
         skipped=skipped,
         truncation_warning=warning,
     )

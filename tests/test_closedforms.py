@@ -19,7 +19,7 @@ from hypergft.closedforms import (
     shpot_srivastava_3f2,
     split_outer_sum,
 )
-from hypergft.errors import ConstraintError, NoConvergenceError, QuadratureError
+from hypergft.errors import ConstraintError, NoConvergenceError, PoleError, QuadratureError
 from hypergft.families import Family, FamilyParams
 from hypergft.numcore import PrecisionPolicy
 from hypergft.series import PFQParams, pfq_eval, two_f1_neg1, weighted_pochhammer_sum
@@ -308,6 +308,19 @@ class TestSplitOuterSum:
     def test_block_shift_below_minus_one_rejected(self):
         with pytest.raises(ValueError, match="shift must be at least -1"):
             ladder_sum_block(3, 0.4, 1.1, 5.0, -2)
+
+    @pytest.mark.parametrize("order, a, b, c, shift", [
+        (3, 0.5, 0.5, 2.0, 2),  # (c-a-b-2)_2 = (-1)(0)
+        (3, 0.5, 0.5, 3.0, 2),  # (0)(1)
+        (4, 0.5, 0.5, 2.0, 1),  # (0)
+    ])
+    def test_vanishing_pochhammer_denominator_is_a_pole(self, order, a, b, c, shift):
+        with pytest.raises(PoleError, match=r"\(c-a-b-m\)_m vanishes at m = " + str(shift)):
+            ladder_sum_block(order, a, b, c, shift)
+
+    def test_shift_minus_one_at_a_one_is_a_pole(self):
+        with pytest.raises(PoleError, match="a = 1"):
+            ladder_sum_block(3, 1.0, 0.5, 5.0, -1)
 
     def test_inner_matches_scalar_two_f1(self):
         # The batched half-argument kernel agrees with the scalar evaluator.

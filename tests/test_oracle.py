@@ -13,7 +13,7 @@ from hypergft.certifier import (
     hypergeometric_coefficients,
 )
 from hypergft.classes import ClassKind, ClassSpec, SourceClass, SourceKind
-from hypergft.errors import InsufficientOrderError, NormalizationError
+from hypergft.errors import DivisionNearZeroError, InsufficientOrderError, NormalizationError
 from hypergft.closedforms import LEMMAS
 from hypergft.families import Family, FamilyParams
 from hypergft.numcore import DEFAULT_POLICY
@@ -66,6 +66,27 @@ class TestClassSpec:
             SourceClass(SourceKind.RBETA, -0.1)
         with pytest.raises(ValueError):
             SourceClass(SourceKind.FULL_S, 0.3)
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("fields", [
+        {"n_radii": 0}, {"n_angles": 0}, {"n_angles": -4}, {"n_radii": 2.5}, {"n_angles": True},
+        {"r_max": 0.0}, {"r_max": 1.0}, {"r_max": 1.5}, {"r_max": float("nan")},
+        {"disclaimer_tol": -1e-8}, {"disclaimer_tol": float("inf")}, {"disclaimer_tol": float("nan")},
+    ], ids=lambda f: ",".join(f"{k}={v}" for k, v in f.items()))
+    def test_rejects_a_malformed_grid(self, fields):
+        with pytest.raises(ValueError):
+            GridSpec(**fields)
+
+    def test_smallest_grid_samples_one_point(self):
+        rep = disc_sample_check(series(1.0, 0.1), STAR1, GridSpec(n_radii=1, n_angles=1))
+        assert (rep.budget, rep.skipped) == (1, 0)
+        assert rep.worst_location == 0.999
+
+    def test_grid_arrays_are_built_once_and_read_only(self):
+        arrays = oracle._grid_arrays(GridSpec())
+        assert arrays is oracle._grid_arrays(DEFAULT_GRID)
+        assert not any(x.flags.writeable for x in arrays)
 
 
 class TestCoefficientCheck:
@@ -205,6 +226,36 @@ def _horner_on_grid(polys, grid):
     return np.stack([_horner(p, z) for p in polys])
 
 
+def _full_grid_horner_report(f, spec, grid=DEFAULT_GRID):
+    """The disc report by Horner at all n_angles angles of every radius.
+
+    Real coefficients make the defect symmetric under z -> conj(z): each
+    angle then takes the larger defect of itself and its mirror image, so
+    the first worst point in row-major order has Im z >= 0.
+    """
+    a = np.asarray(f)
+    mags = np.abs(a)
+    n_eff = int(np.nonzero(mags > 1e-18 * max(1.0, mags.max()))[0][-1]) + 1
+    ns = np.arange(1, n_eff + 1, dtype=float)
+    g = a[:n_eff] * ns if spec.lifted else a[:n_eff]
+    g_over_z, g_prime = _horner_on_grid(np.stack((g, g * ns)).astype(complex), grid)
+    valid = np.abs(g_over_z) > DEFAULT_POLICY.abs_tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = g_prime / g_over_z - 1.0
+    defect = np.where(valid, np.abs(u) - u.real if spec.parabolic else np.abs(u), -np.inf)
+    if not a.imag.any():
+        k = np.arange(grid.n_angles)
+        defect = np.maximum(defect, defect[:, -k % grid.n_angles])
+    flat = int(np.argmax(defect))
+    z = grid.radii()[:, None] * np.exp(1j * grid.angles()[None, :])
+    worst = float(defect.flat[flat])
+    return oracle.OracleReport(
+        oracle.CheckKind.DISC_SAMPLE, worst <= spec.threshold, worst, complex(z.flat[flat]),
+        valid.size, skipped=int((~valid).sum()),
+        truncation_warning=bool(grid.r_max * (len(a) + 1) * abs(a[-1]) > grid.disclaimer_tol),
+    )
+
+
 def _seeded_coefficients(seed, N):
     """a_1 = 1, then moduli n^s rho^n (s in [-2, 1], rho in [0.97, 1]) with
     random phases, or real signs on even seeds."""
@@ -240,6 +291,45 @@ class TestGridEvaluation:
                     scale = _horner(np.abs(p), r)  # sum |c_k| r^k per radius
                     assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
+    @pytest.mark.parametrize("M", [48, 47, 256])
+    @pytest.mark.parametrize("N", [1, 47, 48, 49, 500])
+    def test_real_polys_match_horner_on_the_half_grid(self, N, M):
+        grid = GridSpec(n_radii=24, n_angles=M)
+        r = grid.radii()[:, None]
+        ns = np.arange(1, N + 1, dtype=float)
+        a = _seeded_coefficients(2 * N, N).real
+        polys = np.stack((a, a * ns))
+        fast = oracle._on_grid(polys, grid)
+        assert fast.shape == (2, 24, M // 2 + 1)  # the angles in [0, pi]
+        ref = _horner_on_grid(polys, grid)[..., : M // 2 + 1]
+        for p, got, want in zip(polys, fast, ref):
+            assert np.all(np.abs(got - want) <= 1e-13 * _horner(np.abs(p), r))
+
+    @pytest.mark.parametrize("M", [48, 47])
+    def test_skipped_points_count_on_the_full_grid(self, M, monkeypatch):
+        # Zeros of g(z)/z on the real axis (columns 0 and M/2) stand for one
+        # grid point, an off-axis zero for itself and its mirror image.
+        grid = GridSpec(n_radii=24, n_angles=M)
+        on_grid = oracle._on_grid
+
+        def zeros_at(cols):
+            def patched(polys, grid):
+                out = on_grid(polys, grid)
+                assert out.shape[-1] == M // 2 + 1
+                out[0, 3, cols] = 0.0
+                return out
+            return patched
+
+        f = series(1.0, -0.3, -0.2, 0.1)
+        axis = [0, M // 2] if M % 2 == 0 else [0]
+        for cols, skipped in ((axis, len(axis)), ([5], 2), (axis + [5, 9], len(axis) + 4)):
+            monkeypatch.setattr(oracle, "_on_grid", zeros_at(cols))
+            rep = disc_sample_check(f, STAR1, grid)
+            assert (rep.budget, rep.skipped) == (24 * M, skipped)
+        monkeypatch.setattr(oracle, "_on_grid", lambda polys, grid: 0.0 * on_grid(polys, grid))
+        with pytest.raises(DivisionNearZeroError):
+            disc_sample_check(f, STAR1, grid)
+
     @staticmethod
     def _certified_targets():
         """One seeded certified target of order 500 per ladder, source and
@@ -267,21 +357,29 @@ class TestGridEvaluation:
                             break
         return out
 
-    def test_reports_match_a_horner_evaluated_report(self, monkeypatch):
+    @staticmethod
+    def _assert_same_report(got, want):
+        assert (got.passed, got.skipped, got.budget) == (want.passed, want.skipped, want.budget)
+        assert got.truncation_warning == want.truncation_warning
+        assert abs(got.worst_value - want.worst_value) <= 1e-12 * max(1.0, abs(want.worst_value))
+        assert got.worst_location == want.worst_location
+
+    def test_reports_match_a_horner_evaluated_report(self):
         targets = self._certified_targets()
         assert len(targets) == 22  # every combination found one
-        fast = [disc_sample_check(f, spec) for f, spec in targets]
-        monkeypatch.setattr(oracle, "_on_grid", _horner_on_grid)
-        for (f, spec), got in zip(targets, fast):
-            want = disc_sample_check(f, spec)
-            assert (got.passed, got.skipped, got.budget) == (want.passed, want.skipped, want.budget)
-            assert got.truncation_warning == want.truncation_warning
-            assert abs(got.worst_value - want.worst_value) <= 1e-12 * max(1.0, abs(want.worst_value))
-            # Real coefficients make the defect symmetric under conjugation:
-            # the worst point is reported in the upper half-plane.
-            assert not np.any(np.asarray(f).imag)
-            assert got.worst_location == want.worst_location
+        for f, spec in targets:
+            # Real coefficients: the half grid against the full one.
+            assert not np.any(f.imag)
+            got = disc_sample_check(f, spec)
+            self._assert_same_report(got, _full_grid_horner_report(f, spec))
             assert got.worst_location.imag >= 0.0
+
+    @pytest.mark.parametrize("spec", [STAR1, CONV1, UCV, SP])
+    def test_complex_reports_match_a_horner_evaluated_report(self, spec):
+        fp = FamilyParams(0.1 + 0.05j, 0.1 - 0.2j, 20.0, Family.SPLIT3)
+        f = hypergeometric_coefficients(fp, 200)
+        assert np.any(f.imag)
+        self._assert_same_report(disc_sample_check(f, spec), _full_grid_horner_report(f, spec))
 
 
 class TestWorstCase:
