@@ -12,11 +12,16 @@ Exit codes
   sweep   0 rows computed (per-row failures recorded) / 1 bad input or over 1,000,000 points
   any     2 constraint violation, gamma pole, zero or overflowing gamma ratio
           / 3 no convergence / 1 any other package error, or stdout closed early
+
+Bad input (exit 1) includes an invalid number, reported with the name of its
+flag, and an eval flag that the chosen mode does not read.
 """
 from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
+import enum
 import itertools
 import json
 import math
@@ -26,12 +31,7 @@ import sys
 from typing import Any, Sequence
 
 from . import closedforms
-from .certifier import (
-    Certificate,
-    certify_operator_mapping,
-    hadamard_convolve,
-    hypergeometric_coefficients,
-)
+from .certifier import certify_operator_mapping, hadamard_convolve, hypergeometric_coefficients
 from .classes import ClassKind, ClassSpec, SourceClass, SourceKind
 from .errors import (
     ConstraintError,
@@ -48,7 +48,6 @@ from .numcore import DEFAULT_POLICY, PrecisionPolicy
 from .oracle import (
     IDENTITIES,
     IdentityPoint,
-    OracleReport,
     coefficient_condition_check,
     disc_sample_check,
     worst_case_coefficients,
@@ -60,22 +59,25 @@ SCHEMA = "hypergft/1"
 DEFAULT_TOLERANCES = {tag: identity.tolerance for tag, identity in IDENTITIES.items()}
 
 
-def _parse_complex(text: str) -> complex:
+def _finite(parse, text: str):
+    """text parsed by float or complex; ArgumentTypeError, which argparse
+    reports with the flag's name, unless it is a finite number."""
     try:
-        value = complex(text.replace(" ", ""))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse {text!r} as a number") from exc
+        value = parse(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r} as a number") from None
     if not cmath.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
 
 
 def finite_float(text: str) -> float:
     """The type of every float flag and of each number of a range."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
-    return value
+    return _finite(float, text)
+
+
+def _parse_complex(text: str) -> complex:
+    return _finite(complex, text.replace(" ", ""))
 
 
 def _parse_list(text: str) -> tuple[complex, ...]:
@@ -93,13 +95,13 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     if len(parts) == 1:
         return finite_float(parts[0]), 0.0, 1
     if len(parts) != 3:
-        raise ValueError(f"range must be lo:hi:step, got {text!r}")
+        raise argparse.ArgumentTypeError(f"range must be lo:hi:step, got {text!r}")
     lo, hi, step = (finite_float(p) for p in parts)
     if step <= 0 or hi < lo:
-        raise ValueError(f"bad range {text!r}")
+        raise argparse.ArgumentTypeError(f"bad range {text!r}")
     span = (hi - lo + 1e-12 * max(1.0, abs(hi))) / step
     if not span < MAX_GRID_POINTS:  # also an infinite span
-        raise ValueError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
+        raise argparse.ArgumentTypeError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
     return lo, step, math.floor(span) + 1
 
 
@@ -111,70 +113,20 @@ def _range_points(lo: float, step: float, count: int) -> list[float]:
 
 
 def _jsonify(value: Any) -> Any:
+    """The json.dumps default of every report: a dataclass field by field, an
+    enum by its value, a complex number as {"re", "im"}, a numpy scalar as a
+    Python one (a numpy float is a float, which json writes itself)."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
     if isinstance(value, complex):
-        return {"re": float(value.real), "im": float(value.imag)}
-    if isinstance(value, float):
-        return float(value)
-    return value
-
-
-def _result_payload(res: EvalResult) -> dict[str, Any]:
-    return {
-        "value": _jsonify(complex(res.value)),
-        "tail_bound": float(res.tail_bound),
-        "terms": int(res.terms_used),
-        "converged": bool(res.converged),
-    }
-
-
-def _oracle_payload(rep: OracleReport) -> dict[str, Any]:
-    loc = rep.worst_location
-    return {
-        "check": rep.check.value,
-        "passed": bool(rep.passed),
-        "worst_value": float(rep.worst_value),
-        "worst_location": _jsonify(complex(loc)) if isinstance(loc, complex) else int(loc),
-        "budget": int(rep.budget),
-        "skipped": int(rep.skipped),
-        "truncation_warning": bool(rep.truncation_warning),
-    }
-
-
-def _certificate_payload(cert: Certificate) -> dict[str, Any]:
-    return {
-        "lhs": float(cert.lhs),
-        "rhs": float(cert.rhs),
-        "margin": float(cert.margin),
-        "verdict": cert.verdict.value,
-        "lhs_tail_bound": float(cert.lhs_tail_bound),
-        "theorem_tag": cert.theorem_tag,
-    }
-
-
-def _report(args: argparse.Namespace, body_key: str, body: Any, params: dict[str, Any]) -> str:
-    doc = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "params": {k: _jsonify(v) for k, v in params.items()},
-        body_key: body,
-        "precision": {
-            "rel_tol": args.policy.rel_tol,
-            "abs_tol": args.policy.abs_tol,
-            "max_terms": args.policy.max_terms,
-        },
-        "seed": args.seed,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
+        return {"re": value.real, "im": value.imag}
+    return value.item()
 
 
 def _g17(x: float) -> str:
     return "%.17g" % float(x)
-
-
-def _emit(text: str, out) -> None:
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
 
 
 def _render(
@@ -183,10 +135,16 @@ def _render(
 ) -> None:
     """Write one report in --format: the JSON document, the CSV rows (header first) or the text."""
     if args.format == "json":
-        text = _report(args, body_key, body, params)
+        doc = {"schema": SCHEMA, "command": args.command, "params": params, body_key: body,
+               "precision": args.policy, "seed": args.seed}
+        text = json.dumps(doc, default=_jsonify, sort_keys=True, indent=2)
     elif args.format == "csv":
         text = "\n".join(rows)
-    _emit(text, out)
+    out.write(text)
+    # The newline is a write of its own because it is what surfaces a closed
+    # pipe: a reader leaving mid-text cuts the write above short, and the text
+    # layer counts a short write as done; this one then raises BrokenPipeError.
+    out.write("\n")
 
 
 # ---------------------------------------------------------------- eval
@@ -197,15 +155,13 @@ def _series_args(args: argparse.Namespace) -> tuple[PFQParams, complex, dict[str
 
     A --pfq name must match the list lengths.
     """
-    upper = _parse_list(args.upper)
-    lower = _parse_list(args.lower)
+    upper, lower = args.upper or (), args.lower or ()
     if args.pfq and args.pfq.strip().lower() != f"{len(upper)}f{len(lower)}":
         raise ValueError(
             f"--pfq {args.pfq} does not match {len(upper)} upper / {len(lower)} lower parameters"
         )
-    z = _parse_complex(args.z)
-    params = {"upper": [_jsonify(u) for u in upper], "lower": [_jsonify(l) for l in lower], "z": z}
-    return PFQParams(upper, lower), z, params
+    z = args.z if args.z is not None else 0j
+    return PFQParams(upper, lower), z, {"upper": upper, "lower": lower, "z": z}
 
 
 def _eval_series(args: argparse.Namespace) -> tuple[EvalResult, dict[str, Any]]:
@@ -213,18 +169,13 @@ def _eval_series(args: argparse.Namespace) -> tuple[EvalResult, dict[str, Any]]:
     return pfq_eval(pfq, z, args.policy), params
 
 
-def _abc_args(args: argparse.Namespace) -> tuple[complex, complex, float]:
-    """--a, --b and --c, every one required."""
-    if args.a is None or args.b is None or args.c is None:
-        raise ValueError("--a, --b and --c are required here")
-    return _parse_complex(args.a), _parse_complex(args.b), args.c
-
-
 def _eval_closed(args: argparse.Namespace) -> tuple[EvalResult, dict[str, Any]]:
     tag = args.closed.strip().lower()
     if tag not in ("gauss", "shpot", "shpot-srivastava", "4f3", "5f4", *closedforms.LEMMAS):
         raise ValueError(f"unknown closed form {args.closed!r}")
-    a, b, c = _abc_args(args)
+    a, b, c = args.a, args.b, args.c
+    if a is None or b is None or c is None:
+        raise ValueError("--a, --b and --c are required here")
     params = {"closed": tag, "a": a, "b": b, "c": c}
     if tag == "gauss":
         res = closedforms.gauss_2f1_at_1(a, b, c)
@@ -245,15 +196,28 @@ def _eval_closed(args: argparse.Namespace) -> tuple[EvalResult, dict[str, Any]]:
 
 def _eval_euler(args: argparse.Namespace) -> tuple[EvalResult, dict[str, Any]]:
     pfq, z, params = _series_args(args)
-    res = closedforms.euler_integral(args.euler, pfq, z, args.quad_tol, args.policy)
-    return res, {**params, "euler": args.euler, "quad_tol": args.quad_tol}
+    quad_tol = args.quad_tol if args.quad_tol is not None else 1e-10
+    res = closedforms.euler_integral(args.euler, pfq, z, quad_tol, args.policy)
+    return res, {**params, "euler": args.euler, "quad_tol": quad_tol}
+
+
+# Each mode of eval and the flags it reads; a flag of another mode is bad input.
+_EVAL_MODES = {
+    "pfq": (_eval_series, ("upper", "lower", "z")),
+    "closed": (_eval_closed, ("a", "b", "c")),
+    "euler": (_eval_euler, ("upper", "lower", "z", "quad_tol")),
+}
 
 
 def cmd_eval(args: argparse.Namespace, out) -> int:
-    chosen = [x for x in (args.pfq, args.closed, args.euler) if x]
+    chosen = [mode for mode in _EVAL_MODES if getattr(args, mode)]
     if len(chosen) != 1:
         raise ValueError("pick exactly one of --pfq, --closed, --euler")
-    evaluate = _eval_series if args.pfq else _eval_closed if args.closed else _eval_euler
+    evaluate, reads = _EVAL_MODES[chosen[0]]
+    for _, flags in _EVAL_MODES.values():
+        for flag in flags:
+            if flag not in reads and getattr(args, flag) is not None:
+                raise ValueError(f"--{flag.replace('_', '-')} is not read by --{chosen[0]}")
     res, params = evaluate(args)
     v = complex(res.value)
     row = (_g17(v.real), _g17(v.imag), _g17(res.tail_bound), str(res.terms_used), str(res.converged).lower())
@@ -262,7 +226,9 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
         f"value = {v.real!r}{'+' if v.imag >= 0 else '-'}{abs(v.imag)!r}j\n"
         f"tail_bound = {res.tail_bound!r}\nterms = {res.terms_used}\nconverged = {res.converged}"
     )
-    _render(args, "result", _result_payload(res), params, rows, text, out)
+    body = {**dataclasses.asdict(res), "value": v}
+    body["terms"] = body.pop("terms_used")
+    _render(args, "result", body, params, rows, text, out)
     return 0
 
 
@@ -288,7 +254,7 @@ def _target_args(args: argparse.Namespace) -> tuple[Family, ClassKind, SourceKin
 
 def cmd_certify(args: argparse.Namespace, out) -> int:
     family, kind, source_kind = _target_args(args)
-    fp = FamilyParams(*_abc_args(args), family)
+    fp = FamilyParams(args.a, args.b, args.c, family)
     lam = _default_lambda(kind, args.lam)
     spec = ClassSpec(kind, lam)
     if source_kind is SourceKind.RBETA and args.beta is None:
@@ -316,14 +282,14 @@ def cmd_certify(args: argparse.Namespace, out) -> int:
             print(f"hypothesis violated: {msg}", file=sys.stderr)
         return 4
 
-    body = {**_certificate_payload(cert), "oracle": None}
+    body = {**dataclasses.asdict(cert), "oracle": None}
     if args.with_oracle:
         target = hadamard_convolve(
             hypergeometric_coefficients(fp, args.oracle_order),
             worst_case_coefficients(source, args.oracle_order),
         )
-        body["oracle"] = _oracle_payload(coefficient_condition_check(target, spec))
-        body["disc_oracle"] = _oracle_payload(disc_sample_check(target, spec))
+        body["oracle"] = coefficient_condition_check(target, spec)
+        body["disc_oracle"] = disc_sample_check(target, spec)
     verdict = cert.verdict.value
     rows = [
         "theorem_tag,lhs,rhs,margin,verdict",
@@ -345,10 +311,9 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     identity = IDENTITIES[tag]
     tolerance = args.tolerance if args.tolerance is not None else identity.tolerance
     if args.a is not None:
-        a = _parse_complex(args.a)
-        b = _parse_complex(args.b) if args.b is not None else 1.0
+        b = args.b if args.b is not None else 1.0
         c = args.c if args.c is not None else 4.0
-        points = [IdentityPoint(a, b, c, identity.family.order)]
+        points = [IdentityPoint(args.a, b, c, identity.family.order)]
     elif args.b is not None or args.c is not None:
         raise ValueError("--b and --c need --a (they give a single point)")
     else:
@@ -390,10 +355,10 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:
     family, kind, source_kind = _target_args(args)
-    axes = [_parse_range(text) for text in (args.a, args.b, args.c)]
+    axes = [args.a, args.b, args.c]
     default_beta = 0.0 if source_kind is SourceKind.RBETA else None
-    for text, default in ((args.lam, _default_lambda(kind, None)), (args.beta, default_beta)):
-        axes.append(_parse_range(text) if text is not None else (default, 0.0, 1))
+    for axis, default in ((args.lam, _default_lambda(kind, None)), (args.beta, default_beta)):
+        axes.append(axis or (default, 0.0, 1))
     size = math.prod(count for _, _, count in axes)
     if size > MAX_GRID_POINTS:
         raise ValueError(f"the grid has {size} points, more than {MAX_GRID_POINTS}")
@@ -475,30 +440,33 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
         p.add_argument("--format", choices=("json", "csv", "text"), default=None)
         p.add_argument("--seed", type=int, default=0)
 
+    def target(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--family", required=True, help="split3 | split4")
+        p.add_argument("--class", dest="klass", required=True,
+                       choices=tuple(k.value for k in ClassKind))
+        p.add_argument("--source", choices=tuple(s.value for s in SourceKind),
+                       default="function")
+
     pe = command("eval", "evaluate a series, closed form, or integral", cmd_eval)
     pe.add_argument("--pfq", help="series name like 2F1 (checked against the lists)")
     pe.add_argument("--closed", help="gauss | shpot | 4f3 | 5f4 | lemma-secS-partP")
     pe.add_argument("--euler", help="integral level: " + " | ".join(closedforms.EULER_LEVELS))
-    pe.add_argument("--upper", default="", help="comma-separated upper parameters")
-    pe.add_argument("--lower", default="", help="comma-separated lower parameters")
-    pe.add_argument("--a", default=None)
-    pe.add_argument("--b", default=None)
-    pe.add_argument("--c", type=finite_float, default=None)
-    pe.add_argument("--z", default="0")
-    pe.add_argument("--quad-tol", type=finite_float, default=1e-10)
+    pe.add_argument("--upper", type=_parse_list, help="comma-separated upper parameters")
+    pe.add_argument("--lower", type=_parse_list, help="comma-separated lower parameters")
+    pe.add_argument("--a", type=_parse_complex)
+    pe.add_argument("--b", type=_parse_complex)
+    pe.add_argument("--c", type=finite_float)
+    pe.add_argument("--z", type=_parse_complex, help="default 0")
+    pe.add_argument("--quad-tol", type=finite_float, help="default 1e-10")
     common(pe)
 
     pc = command("certify", "emit a membership certificate", cmd_certify)
-    pc.add_argument("--family", required=True, help="split3 | split4")
-    pc.add_argument("--a", required=True)
-    pc.add_argument("--b", required=True)
+    target(pc)
+    pc.add_argument("--a", type=_parse_complex, required=True)
+    pc.add_argument("--b", type=_parse_complex, required=True)
     pc.add_argument("--c", type=finite_float, required=True)
-    pc.add_argument("--class", dest="klass", required=True,
-                    choices=tuple(k.value for k in ClassKind))
-    pc.add_argument("--lambda", dest="lam", type=finite_float, default=None)
-    pc.add_argument("--source", choices=tuple(s.value for s in SourceKind),
-                    default="function")
-    pc.add_argument("--beta", type=finite_float, default=None)
+    pc.add_argument("--lambda", dest="lam", type=finite_float)
+    pc.add_argument("--beta", type=finite_float)
     pc.add_argument("--with-oracle", action="store_true",
                     help="attach coefficient-sum and disc-sampling reports")
     pc.add_argument("--oracle-order", type=int, default=500)
@@ -509,23 +477,19 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     pv = command("verify", "run seeded residual draws for an identity", cmd_verify)
     pv.add_argument("--identity", required=True, choices=tuple(IDENTITIES))
     pv.add_argument("--draws", type=int, default=100)
-    pv.add_argument("--tolerance", type=finite_float, default=None)
-    pv.add_argument("--a", default=None)
-    pv.add_argument("--b", default=None)
-    pv.add_argument("--c", type=finite_float, default=None)
+    pv.add_argument("--tolerance", type=finite_float)
+    pv.add_argument("--a", type=_parse_complex)
+    pv.add_argument("--b", type=_parse_complex)
+    pv.add_argument("--c", type=finite_float)
     common(pv)
 
     ps = command("sweep", "certify over a parameter grid, CSV per row", cmd_sweep)
-    ps.add_argument("--family", required=True)
-    ps.add_argument("--class", dest="klass", required=True,
-                    choices=tuple(k.value for k in ClassKind))
-    ps.add_argument("--source", choices=tuple(s.value for s in SourceKind),
-                    default="function")
-    ps.add_argument("--a", default="0.5")
-    ps.add_argument("--b", default="0.5")
-    ps.add_argument("--c", default="10")
-    ps.add_argument("--lambda", dest="lam", default=None)
-    ps.add_argument("--beta", default=None)
+    target(ps)
+    ps.add_argument("--a", type=_parse_range, default="0.5")
+    ps.add_argument("--b", type=_parse_range, default="0.5")
+    ps.add_argument("--c", type=_parse_range, default="10")
+    ps.add_argument("--lambda", dest="lam", type=_parse_range)
+    ps.add_argument("--beta", type=_parse_range)
     common(ps)
 
     parser = argparse.ArgumentParser(

@@ -117,7 +117,7 @@ class LemmaId:
 LEMMAS = {f"lemma-{s.value}-part{p}": LemmaId(s, p) for s in Section for p in (1, 2, 3, 4)}
 
 
-def family_prefactor(order: int, a: complex, b: complex, c: complex) -> tuple[complex, float]:
+def family_prefactor(a: complex, b: complex, c: complex) -> tuple[complex, float]:
     """Gamma(c) Gamma(c-a-b) / (Gamma(b) Gamma(c-b)) and its relative error bound."""
     return gamma_ratio_with_error([c, c - a - b], [b, c - b])
 
@@ -286,7 +286,7 @@ def block_combination(
             combo[shift] = combo.get(shift, 0.0) + weight * coeff
     inv = weights.get(-1, 0.0)
     affine = -inv * part4_affine(order, a, b, c) if inv != 0.0 else 0.0
-    pref, pref_rel = family_prefactor(order, a, b, c)
+    pref, pref_rel = family_prefactor(a, b, c)
     memo = _SHARED_BLOCKS.get()
     if memo is None:  # outside shared_blocks nothing outlives this call
         memo = {}

@@ -173,22 +173,13 @@ def pochhammer(a: complex, n: int):
 def pochhammer_split_residual(a: complex, k: int, n: int) -> float:
     """Relative defect of the order-k splitting of (a)_{kn}.
 
-    Both sides are built from independent direct products:
-    the left as the kn-term rising factorial, the right as
-    k^{kn} * prod_{j<k} ((a+j)/k)_n.
+    Both sides are ``pochhammer`` products: the left (a)_{kn}, the right
+    k^{kn} * prod_{j<k} ((a+j)/k)_n.  A side beyond the float range raises
+    ConstraintError.
     """
     if k < 1:
         raise ValueError("split order k must be >= 1")
-    if n < 0:
-        raise ValueError("n must be a natural number")
     za = complex(a)
-    lhs = 1.0 + 0.0j
-    for j in range(k * n):
-        lhs *= za + j
-    rhs = complex(k) ** (k * n)
-    for j in range(k):
-        base = (za + j) / k
-        for i in range(n):
-            rhs *= base + i
+    lhs = pochhammer(za, k * n)
+    rhs = math.prod((pochhammer((za + j) / k, n) for j in range(k)), start=complex(k) ** (k * n))
     return abs(lhs - rhs) / max(abs(lhs), DEFAULT_POLICY.abs_tol)
-

@@ -362,11 +362,13 @@ def _lemma(lemma, p, policy):
     return _reldiff(lhs.value, rhs.value)
 
 
-# Series each Euler-integral level represents at a point.
-_EULER_PARAMS = {
-    "2f1": lambda p: PFQParams((p.b, p.a), (p.c,)),
-    "3f2quad": lambda p: PFQParams((p.a, p.b / 2, (p.b + 1) / 2), (p.c / 2, (p.c + 1) / 2)),
-    "4f3": _ladder_params,
+# Each Euler-integral level: the series it represents at a point, and the m
+# of its kernel, which pairs a with c / m.  The 2f1 and 3f2quad kernels pair
+# b with c, so their m = 1 adds nothing to c > a + b.
+_EULER = {
+    "2f1": (lambda p: PFQParams((p.b, p.a), (p.c,)), 1.0),
+    "3f2quad": (lambda p: PFQParams((p.a, p.b / 2, (p.b + 1) / 2), (p.c / 2, (p.c + 1) / 2)), 1.0),
+    "4f3": (_ladder_params, 3.0),
 }
 
 
@@ -378,7 +380,7 @@ def _sample_euler(m, rng):
 
 
 def _euler(level, p, policy):
-    params = _EULER_PARAMS[level](p)
+    params = _EULER[level][0](p)
     quad = closedforms.euler_integral(level, params, p.z, 1e-10, policy)
     series = pfq_eval(params, p.z, policy)
     return _reldiff(series.value, quad.value)
@@ -404,12 +406,9 @@ IDENTITIES.update(
     (tag, Identity(1e-6, lemma.section.family, partial(_sample_lemma, lemma), partial(_lemma, lemma)))
     for tag, lemma in closedforms.LEMMAS.items()
 )
-# m of a kernel that pairs a with c / m; the 2f1 and 3f2quad kernels pair b
-# with c, so their m = 1 adds nothing to c > a + b.
-_EULER_PAIRING = {"2f1": 1.0, "3f2quad": 1.0, "4f3": 3.0}
 IDENTITIES.update(
     (f"euler-{level}", Identity(1e-7, Family.SPLIT3, partial(_sample_euler, m), partial(_euler, level)))
-    for level, m in _EULER_PAIRING.items()
+    for level, (_, m) in _EULER.items()
 )
 
 

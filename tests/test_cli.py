@@ -171,6 +171,43 @@ class TestEval:
         assert header.startswith("value_re")
         assert abs(float(row.split(",")[0]) - 16.0 / 9.0) < 1e-12
 
+    PFQ = ("--pfq", "2F1", "--upper", "1,1", "--lower", "2", "--z", "0.5")
+    CLOSED = ("--closed", "4f3", "--a", "0.3", "--b", "0.5", "--c", "6")
+    EULER = ("--euler", "2f1", "--upper", "1,1", "--lower", "2", "--z", "0.5")
+
+    @pytest.mark.parametrize("mode, foreign", [
+        (PFQ, ("--a", "0.3")),
+        (PFQ, ("--c", "6")),
+        (PFQ, ("--quad-tol", "1e-3")),
+        (CLOSED, ("--z", "0.5")),
+        (CLOSED, ("--upper", "1")),
+        (CLOSED, ("--lower", "")),
+        (CLOSED, ("--quad-tol", "1e-3")),
+        (EULER, ("--b", "0.5")),
+    ])
+    def test_flag_of_another_mode_is_bad_input(self, mode, foreign, capsys):
+        assert run("eval", *mode)[0] == 0
+        code, text = run("eval", *mode, *foreign)
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == f"bad input: {foreign[0]} is not read by {mode[0]}\n"
+
+    @pytest.mark.parametrize("line, flag", [("z = 0.5", "--z"), ("quad_tol = 1e-3", "--quad-tol")])
+    def test_flag_of_another_mode_from_config_is_bad_input(self, tmp_path, capsys, line, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, text = run("--config", str(cfg), "eval", *self.CLOSED)
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == f"bad input: {flag} is not read by --closed\n"
+
+    def test_unset_flags_report_their_defaults(self):
+        code, doc = run_json("eval", "--euler", "2f1", "--upper", "1,1", "--lower", "2")
+        assert code == 0
+        assert doc["params"]["z"] == {"re": 0.0, "im": 0.0}
+        assert doc["params"]["quad_tol"] == 1e-10
+        code, doc = run_json("eval", "--pfq", "0F0")
+        assert code == 0
+        assert (doc["params"]["upper"], doc["params"]["lower"]) == ([], [])
+
 
 class TestCertify:
     def test_overflowing_prefactor_exits_two_with_one_line(self, capsys):
@@ -300,6 +337,15 @@ class TestVerify:
         assert code == 0
         assert doc["verification"]["max_residual"] < 1e-10
 
+    def test_overflowing_point_exits_two_with_one_line(self, capsys):
+        # (1e7)_48 is beyond the float range: a constraint violation, not a
+        # residual failure with a NaN residual.
+        code, text = run("verify", "--identity", "pochhammer-split", "--a", "1e7", "--b", "1", "--c", "4")
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("constraint violated: ") and err.count("\n") == 1
+        assert "NaN" not in err
+
     def test_single_point_gauss_zero_a(self):
         code, doc = run_json("verify", "--identity", "gauss", "--a", "0", "--b", "1", "--c", "3")
         assert code == 0
@@ -423,8 +469,9 @@ class TestSweep:
         ]
 
     def test_closed_stdout_ends_without_traceback(self):
-        # 1000 rows outgrow the pipe buffer, so the writes after the reader
-        # closes hit the broken pipe.
+        # The reader closes after the first line. The write of the report is
+        # cut short without an error; the newline written after it meets the
+        # broken pipe.
         proc = subprocess.Popen(
             [sys.executable, "-m", "hypergft.cli", "sweep", "--family", "split3",
              "--class", "starlike", "--lambda", "0.001:1:0.001", "--a", "0.1", "--b", "0.1",
@@ -725,6 +772,18 @@ class TestNonFiniteInput:
         err = capsys.readouterr().err
         assert err.startswith("bad input: ") and err.count("\n") == 1
         assert "finite" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("eval", "--closed", "gauss", "--a", "nan", "--b", "0.5", "--c", "3"), "--a"),
+        (("eval", "--pfq", "2F1", "--upper", "1,1", "--lower", "inf", "--z", "0.5"), "--lower"),
+        (("eval", "--pfq", "1F0", "--upper", "1", "--z", "1e400"), "--z"),
+        (("verify", "--identity", "gauss", "--a", "0.5", "--b", "x"), "--b"),
+        (("sweep", "--family", "split3", "--class", "sp", "--c", "4:x:1"), "--c"),
+        (("sweep", "--family", "split3", "--class", "starlike", "--lambda", "0.2:1:nan"), "--lambda"),
+    ])
+    def test_message_names_the_flag(self, argv, flag, capsys):
+        assert run(*argv) == (1, "")
+        assert capsys.readouterr().err.startswith(f"bad input: argument {flag}: ")
 
     def test_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

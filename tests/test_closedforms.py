@@ -183,7 +183,7 @@ class TestOuterEngineExits:
         res = split_outer_sum(order, -2.0, 0.7, 3.5)
         series = pfq_eval(PFQParams(fp.upper_params(), fp.lower_params()), 1.0)
         assert res.converged and res.tail_bound == 0.0 and res.terms_used == 3
-        pref, _ = family_prefactor(order, -2.0, 0.7, 3.5)
+        pref, _ = family_prefactor(-2.0, 0.7, 3.5)
         assert_close(pref * res.value, series.value, rel=1e-12)
 
 
@@ -298,7 +298,7 @@ class TestSplitOuterSum:
     def test_prefactor_times_sum_is_series(self):
         a, b, c = 0.4, 1.1, 5.0
         s = split_outer_sum(3, a, b, c, BIG)
-        pref, _ = family_prefactor(3, a, b, c)
+        pref, _ = family_prefactor(a, b, c)
         fp = fp3(a, b, c)
         series = pfq_eval(PFQParams(fp.upper_params(), fp.lower_params()), 1.0, BIG)
         assert abs(pref * s.value - series.value) <= (

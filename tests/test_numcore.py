@@ -236,6 +236,11 @@ class TestSplitResidual:
     def test_complex_case(self):
         assert pochhammer_split_residual(0.3 + 0.7j, 4, 6) < 1e-11
 
+    def test_overflow_raises(self):
+        # (1e7)_48 and the right side both exceed the float range.
+        with pytest.raises(ConstraintError):
+            pochhammer_split_residual(1e7, 3, 16)
+
     def test_seeded_sweep(self):
         rng = random.Random(1234)
         worst = 0.0
