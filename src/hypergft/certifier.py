@@ -140,12 +140,22 @@ def certify_operator_mapping(
 
 
 def hypergeometric_coefficients(fp: FamilyParams, N: int) -> np.ndarray:
-    """Coefficient array A_1..A_N of z * (split-ladder series) by stable recurrence."""
+    """Coefficient array A_1..A_N of z * (split-ladder series) by stable recurrence:
+    float64 when every parameter is real (imaginary part exactly 0), else complex128."""
     if N < 1:
         raise ValueError("need N >= 1")
     # A_{n+1}/A_n is the series term ratio at z = 1 and index n - 1.
-    ratios = term_ratios(fp.upper_params(), fp.lower_params(), 1.0, np.arange(N - 1))
-    return np.concatenate(([1.0 + 0.0j], np.cumprod(ratios)))
+    upper, lower, ns = fp.upper_params(), fp.lower_params(), np.arange(N - 1)
+    if any(v.imag for v in upper + lower):
+        return np.concatenate(([1.0 + 0.0j], np.cumprod(term_ratios(upper, lower, 1.0, ns))))
+    # Each division is a product with the reciprocal, as complex128 divides by a value
+    # with zero imaginary part: the coefficients are bit for bit those of the complex path.
+    ratios = np.ones(N - 1)
+    for u in upper:
+        ratios = ratios * (u.real + ns)
+    for v in [l.real for l in lower] + [1.0]:
+        ratios = ratios * (1.0 / (v + ns))
+    return np.concatenate(([1.0], np.cumprod(ratios)))
 
 
 def hadamard_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:

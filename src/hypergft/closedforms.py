@@ -36,11 +36,15 @@ z = 1 (W_0), the lemmas (W_1, W_2, W_3, W_-1) and every certificate (two
 adjacent powers); its gamma allowance scales with the blocks a cancelling
 combination subtracts, not with the (possibly much smaller) result.
 
-The outer expansion S and, one batch per outer chunk, its inner 2F1(-1)
-values are summed by the package's one engine, ``series.chunked_sum``; the
-inner tails are added to the outer bound, closed by a proven outer ratio.
-For real a, b, c (every certificate's point (|a|, |b|, c) among them) the
-outer weights and the inner rows are float64, otherwise complex128.
+The package's one engine, ``series.chunked_sum``, sums the outer expansions
+S of every block a combination needs as one batch, one row per block
+(``_outer_sums``), and the inner 2F1(-1) values of each outer chunk, of all
+rows, as one more (``_inner_2f1_batch``).  In both a row stops once its own
+tail is certified, so a block is bit-identical alone or batched;
+``split_outer_sum`` and ``ladder_sum_block`` are one-row calls.  The inner
+tails are added to the outer bound, closed by a proven outer ratio.  For
+real a, b, c (every certificate's point (|a|, |b|, c) among them) the outer
+weights and the inner rows are float64, otherwise complex128.
 
 Inside ``with shared_blocks():`` each block G_m is evaluated once and its
 result reused by every later combination at the same (order, a, b, c, m,
@@ -54,7 +58,7 @@ import contextlib
 import contextvars
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -69,7 +73,6 @@ from .numcore import (
     gamma_ratio,
     gamma_ratio_with_error,
     is_nonpositive_integer,
-    nonpositive_integer_value,
     pochhammer,
 )
 from .quadrature import DEFAULT_BUDGET, adaptive_quad
@@ -122,39 +125,132 @@ def family_prefactor(a: complex, b: complex, c: complex) -> tuple[complex, float
     return gamma_ratio_with_error([c, c - a - b], [b, c - b])
 
 
-def _inner_2f1_batch(
-    A: np.ndarray, m: complex, C: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized 2F1(A_j, B_j; C_j; -1) with C_j - B_j = m via the half-argument
-    transform 2^(-A_j) 2F1(A_j, m; C_j; 1/2), summed as one ``chunked_sum`` batch;
-    returns (values, absolute tail bounds), float64 rows for real A, m and C.
+def _row_ramp(first: int) -> tuple[int, ...]:
+    """Chunk lengths of a batch whose rows stop one by one: first twice, then
+    doubling up to 4096, so a row that just misses its stop runs a short chunk."""
+    return (first,) + tuple(min(first << i, 4096) for i in range(8))
+
+
+_INNER_RAMP = _row_ramp(64)
+
+
+def _inner_2f1_batch(A: np.ndarray, m: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized 2F1(A_j, B_j; C_j; -1) with C_j - B_j = m_j, one row per j,
+    via the half-argument transform 2^(-A_j) 2F1(A_j, m_j; C_j; 1/2), summed as one
+    ``chunked_sum`` batch whose rows stop one by one; returns (values, absolute
+    tail bounds), float64 rows for real A, m and C.
 
     Row j's tail from index n is at most |t_n| / (1 - R_j(n)), where R_j is the
-    envelope of ``series._geometric_ratio_envelope`` taken row-wise; no tail is
-    certified while some R_j(n) >= 1.  An exhausted budget returns the last
-    certified tails, which the caller adds to its bound.
+    envelope of ``series._geometric_ratio_envelope`` taken row-wise; no tail of
+    row j is certified while R_j(n) >= 1.  A row stops once its tail meets
+    ``_INNER_POLICY``, and later chunks (``_INNER_RAMP``) sum only the rows still
+    live.  An exhausted budget returns the last certified tails, which the caller
+    adds to its bound.
     """
-    A, C = A[:, None], C[:, None]
-    alpha_lo, alpha_hi = np.minimum(np.abs(A), abs(m)), np.maximum(np.abs(A), abs(m))
+    alpha_lo, alpha_hi = np.minimum(np.abs(A), np.abs(m)), np.maximum(np.abs(A), np.abs(m))
     beta_lo, beta_hi = np.minimum(C.real, 1.0), np.maximum(C.real, 1.0)
-    t = np.ones_like(A)  # first term of the next chunk, per row
+    t = np.ones(A.shape, np.result_type(A, m, C))  # first term of the next chunk, per row
 
-    def chunk_terms(ns: np.ndarray) -> tuple[np.ndarray, float]:
-        nonlocal t
-        ratios = (A + ns) * (m + ns) / ((C + ns) * (ns + 1.0)) * 0.5
-        terms = t * np.cumprod(np.concatenate((np.ones_like(t), ratios[:, :-1]), axis=1), axis=1)
-        t = terms[:, -1:] * ratios[:, -1:]
-        return terms, 0.0
+    def chunk_terms(ns: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, float]:
+        # run[:, i] = t * ratio_0 ... ratio_(i-1): the chunk's terms, then the next chunk's first
+        run = np.empty((len(live), len(ns) + 1), t.dtype)
+        run[:, 0] = t[live]
+        ratios = A[live, None] + ns
+        ratios *= m[live, None] + ns
+        ratios /= C[live, None] + ns
+        np.multiply(ratios, 0.5 / (ns + 1.0), out=run[:, 1:])
+        np.multiply.accumulate(run, axis=1, out=run)
+        t[live] = run[:, -1]
+        return run[:, :-1], 0.0
 
-    def certify_tail(n: int, terms: np.ndarray, total: np.ndarray):
-        env = 0.5 * np.maximum((n + alpha_lo) / (n + beta_lo), 1.0) * np.maximum(
-            (n + alpha_hi) / (n + beta_hi), 1.0)
-        env = np.where(beta_lo + n <= 0.0, np.inf, env)
-        return (total, (np.abs(t) / (1.0 - env))[:, 0]) if np.all(env < 1.0) else None
+    def certify_tail(n: int, terms: np.ndarray, totals: np.ndarray, live: np.ndarray):
+        env = 0.5 * np.maximum((n + alpha_lo[live]) / (n + beta_lo[live]), 1.0) * np.maximum(
+            (n + alpha_hi[live]) / (n + beta_hi[live]), 1.0)
+        ok = (env < 1.0) & (beta_lo[live] + n > 0.0)
+        tails = np.full(len(live), np.inf)
+        tails[ok] = np.abs(t[live[ok]]) / (1.0 - env[ok])
+        return totals, tails
 
-    res = chunked_sum(chunk_terms, certify_tail, _INNER_POLICY)
-    scale = half_power(A[:, 0])
+    res = chunked_sum(chunk_terms, certify_tail, _INNER_POLICY, rows=len(A), ramp=_INNER_RAMP)
+    scale = half_power(A)
     return res.value * scale, res.tail_bound * np.abs(scale)
+
+
+def _outer_sums(
+    order: int, a: list[complex], b: list[complex], c: list[complex], policy: PrecisionPolicy
+) -> list[tuple[EvalResult, float]]:
+    """``split_outer_sum`` of each row (a_r, b_r, c_r) in one ``chunked_sum`` batch,
+    each with the relative error bound of its seed Gamma(b_r)/Gamma(c_r - a_r).
+
+    A row stops on its own: its value does not depend on the other rows.  Every
+    row's inner 2F1(-1) values of a chunk are one ``_inner_2f1_batch``.  The first
+    chunk, ceil(log2(1/rel_tol)) + 8 terms (48 at rel_tol 1e-12), is where terms
+    decaying like 2^(-j) from the first reach rel_tol with a few to spare.
+    """
+    if order not in (3, 4):
+        raise ValueError("split order must be 3 or 4")
+    a, b, c = ([complex(v) for v in vs] for vs in (a, b, c))
+    seeds = []
+    for ar, br, cr in zip(a, b, c):
+        if is_nonpositive_integer(br):
+            raise PoleError(f"outer seed Gamma({br}) is at a pole")
+        if is_nonpositive_integer(cr - ar):
+            raise PoleError(f"outer seed 1/Gamma({cr - ar}) is at a pole")
+        seeds.append(gamma_ratio_with_error([br], [cr - ar]))
+    real = not any(v.imag for v in a + b + c)  # float64 weights and inner rows
+    a, b, c = (np.array([v.real for v in vs] if real else vs) for vs in (a, b, c))
+    ca, m_fix = c - a, c - a - b
+    # Term j carries Gamma(b+kj)/Gamma(c-a+kj) 2F1(e a + (3-k) j, b+kj; c-a+kj; -1).
+    k, e = (2, 1) if order == 3 else (1, 3)
+    sign = -1.0 if order == 3 else 2.0
+    w_run = np.ones(len(a), a.dtype)
+    # The sum ends exactly where a is an exact nonpositive integer: its weights past -a are 0.
+    terminal = np.where((a.imag == 0.0) & (a.real <= 0.0) & (a.real == np.round(a.real)),
+                        -a.real, np.inf)
+
+    def chunk_terms(js: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        al, bl, cal = a[live, None], b[live, None], ca[live, None]
+        wr = (al + js) / (js + 1.0) * sign
+        for i in range(k):
+            wr = wr * (bl + k * js + i) / (cal + k * js + i)
+        heads = np.ones((len(live), 1))
+        w = w_run[live, None] * np.concatenate((heads, np.cumprod(wr[:, :-1], axis=1)), axis=1)
+        w_run[live] = w[:, -1] * wr[:, -1]
+        A, C = e * al + (3 - k) * js, cal + k * js
+        m = np.repeat(m_fix[live], len(js)).reshape(w.shape)
+        rows = w != 0.0  # zero weights (past a terminal index) need no inner row
+        M, inner_tails = np.zeros(w.shape, w.dtype), np.zeros(w.shape)
+        M[rows], inner_tails[rows] = _inner_2f1_batch(A[rows], m[rows], C[rows])
+        return w * M, (np.abs(w) * inner_tails).sum(axis=-1)
+
+    def outer_tail(n: int, terms: np.ndarray, totals: np.ndarray, live: np.ndarray):
+        J = n - 1
+        rho = 0.5 * np.maximum(1.0, (np.abs(a[live]) + J) / (J + 1.0))
+        ok = (m_fix[live].real > 0.0) & (b[live].real + J > 0.0) & (rho <= 0.95)
+        major = np.abs(terms[:, -1])
+        if not real and ok.any():  # over |seed| like the terms; order 4's u^J holds 2^J
+            ar, br, car, mr = (v[live[ok]] for v in (a, b, ca, m_fix))
+            M, tail = _inner_2f1_batch(e * ar.real + (3 - k) * J, mr.real, car.real + k * J)
+            major[ok] = [
+                abs(gamma_ratio([abs(ai) + J, bi.real + k * J, mi.real, ci],
+                                [abs(ai), J + 1.0, ci.real + k * J, mi, bi]))
+                * math.ldexp(float(Mi.real + ti), J * (order - 3))
+                for ai, bi, ci, mi, Mi, ti in zip(ar, br, car, mr, M, tail)
+            ]
+        bounds = np.full(len(live), np.inf)
+        bounds[ok] = major[ok] * rho[ok] / (1.0 - rho[ok])
+        return totals, bounds
+
+    # The sum stops on its unseeded bound; |seed| <= 1 only tightens it.
+    floors = [policy.abs_tol / max(abs(seed), 1.0) for seed, _ in seeds]
+    first = max(1, math.ceil(math.log2(1.0 / policy.rel_tol)) + 8)
+    res = chunked_sum(chunk_terms, outer_tail, policy, terminal, rows=len(a),
+                      ramp=_row_ramp(first), abs_tol=np.array(floors))
+    return [
+        (EvalResult(seed * complex(v), abs(seed) * float(t), int(n), bool(ok)), rel)
+        for (seed, rel), v, t, n, ok in zip(
+            seeds, res.value, res.tail_bound, res.terms_used, res.converged)
+    ]
 
 
 def split_outer_sum(
@@ -164,7 +260,8 @@ def split_outer_sum(
     c: complex,
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> EvalResult:
-    """The outer expansion S(a, b, c) for the given split order (3 or 4).
+    """The outer expansion S(a, b, c) for the given split order (3 or 4): a
+    one-row ``_outer_sums``.
 
     The order selects the term ratio and the inner 2F1 parameters; in both
     the term ratio tends to 1/2 in modulus.  The seed Gamma(b)/Gamma(c-a) multiplies
@@ -173,52 +270,40 @@ def split_outer_sum(
     (1-t)^(m-1) (1+t)^(-e a) dt/Gamma(m), m = c-a-b, once Re m > 0 and Re b + j > 0,
     so past the last index J the tail is at most M rho/(1-rho), rho = 1/2 max(1,
     (|a|+J)/(J+1)), with M = |term J| for real parameters, else (|a|)_J/J! times the
-    |u|^J moment of the real measure (exponents Re b - 1, Re m - 1, -e Re a).
+    |u|^J moment of the real measure (exponents Re b - 1, Re m - 1, -e Re a).  The
+    sum ends early only where a is an exact nonpositive integer.
     """
-    if order not in (3, 4):
-        raise ValueError("split order must be 3 or 4")
+    return _outer_sums(order, [a], [b], [c], policy)[0][0]
+
+
+def _ladder_blocks(
+    order: int, a: complex, b: complex, c: complex, shifts: tuple[int, ...],
+    policy: PrecisionPolicy,
+) -> list[tuple[EvalResult, float]]:
+    """The blocks G_m of ``ladder_sum_block`` for every m in shifts, their outer
+    sums one ``_outer_sums`` batch; each with the relative error bound of its seed."""
     a, b, c = complex(a), complex(b), complex(c)
-    if is_nonpositive_integer(b):
-        raise PoleError(f"outer seed Gamma({b}) is at a pole")
-    if is_nonpositive_integer(c - a):
-        raise PoleError(f"outer seed 1/Gamma({c - a}) is at a pole")
-    if not (a.imag or b.imag or c.imag):  # float64 weights and inner rows
-        a, b, c = a.real, b.real, c.real
-    m_fix = c - a - b
-    # Term j carries Gamma(b+kj)/Gamma(c-a+kj) 2F1(e a + (3-k) j, b+kj; c-a+kj; -1).
-    k, e = (2, 1) if order == 3 else (1, 3)
-    w_run = 1.0
-
-    def chunk_terms(js: np.ndarray) -> tuple[np.ndarray, float]:
-        nonlocal w_run
-        wr = (a + js) / (js + 1.0) * (-1.0 if order == 3 else 2.0)
-        for i in range(k):
-            wr = wr * (b + k * js + i) / (c - a + k * js + i)
-        w = w_run * np.concatenate(([1.0], np.cumprod(wr[:-1])))
-        w_run = w[-1] * wr[-1]
-        M, inner_tails = _inner_2f1_batch(e * a + (3 - k) * js, m_fix, c - a + k * js)
-        return w * M, float((np.abs(w) * inner_tails).sum())
-
-    def outer_tail(n: int, terms: np.ndarray, total: complex):
-        J = n - 1
-        rho = 0.5 * max(1.0, (abs(a) + J) / (J + 1.0))
-        if m_fix.real <= 0.0 or b.real + J <= 0.0 or rho > 0.95:
-            return None
-        major = float(abs(terms[-1]))
-        if a.imag or b.imag or c.imag:  # over |seed| like the terms; order 4's u^J holds 2^J
-            w = gamma_ratio([abs(a) + J, b.real + k * J, m_fix.real, c - a],
-                            [abs(a), J + 1.0, (c - a).real + k * J, m_fix, b])
-            M, tail = _inner_2f1_batch(np.array([e * a.real + (3 - k) * J]), m_fix.real,
-                                       np.array([(c - a).real + k * J]))
-            major = abs(w) * math.ldexp(float(M[0].real + tail[0]), J * (order - 3))
-        return complex(total), major * rho / (1.0 - rho)
-
-    seed = gamma_ratio([b], [c - a])
-    if abs(seed) > 1.0:  # the sum stops on its unseeded bound; |seed| <= 1 only tightens it
-        policy = replace(policy, abs_tol=policy.abs_tol / abs(seed))
-    terminal = -nonpositive_integer_value(a) if is_nonpositive_integer(a) else None
-    res = chunked_sum(chunk_terms, outer_tail, policy, terminal)
-    return EvalResult(seed * res.value, abs(seed) * res.tail_bound, res.terms_used, res.converged)
+    k = order
+    pres = []
+    for shift in shifts:
+        if shift < -1:
+            raise ValueError(f"shift must be at least -1, got {shift}")
+        if shift == -1:
+            if a == 1.0:
+                raise PoleError("the prefactor (c-a-b)/(a-1) of G_-1 has a pole at a = 1")
+            pre = (c - a - b) / (a - 1.0)
+        else:
+            den = pochhammer(c - a - b - shift, shift)
+            if den == 0:
+                raise PoleError(f"(c-a-b-m)_m vanishes at m = {shift}, c - a - b = {c - a - b}")
+            pre = pochhammer(a, shift) / den
+        pres.append(complex(pre))
+    sums = _outer_sums(order, [a + m for m in shifts], [b + k * m for m in shifts],
+                       [c + k * m for m in shifts], policy)
+    return [
+        (EvalResult(pre * s.value, abs(pre) * s.tail_bound, s.terms_used, s.converged), rel)
+        for pre, (s, rel) in zip(pres, sums)
+    ]
 
 
 def ladder_sum_block(
@@ -229,31 +314,15 @@ def ladder_sum_block(
     shift: int,
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> EvalResult:
-    """Shifted building block G_shift of the weighted ladder sums.
+    """Shifted building block G_shift of the weighted ladder sums: a one-row
+    ``_ladder_blocks``.
 
     shift m >= 0 gives (a)_m/(c-a-b-m)_m * S(a+m, b+km, c+km), which is
     S(a, b, c) at m = 0; shift -1 gives (c-a-b)/(a-1) * S(a-1, b-k, c-k) without the
     affine term, which ``part4_affine`` gives.  PoleError where that
     prefactor divides by zero: (c-a-b-m)_m = 0, or a = 1 at shift -1.
     """
-    if shift < -1:
-        raise ValueError(f"shift must be at least -1, got {shift}")
-    a, b, c = complex(a), complex(b), complex(c)
-    k = order
-    if shift == -1:
-        if a == 1.0:
-            raise PoleError("the prefactor (c-a-b)/(a-1) of G_-1 has a pole at a = 1")
-        pre = (c - a - b) / (a - 1.0)
-    else:
-        den = pochhammer(c - a - b - shift, shift)
-        if den == 0:
-            raise PoleError(f"(c-a-b-m)_m vanishes at m = {shift}, c - a - b = {c - a - b}")
-        pre = pochhammer(a, shift) / den
-    inner = split_outer_sum(order, a + shift, b + k * shift, c + k * shift, policy)
-    pre = complex(pre)
-    return EvalResult(
-        pre * inner.value, abs(pre) * inner.tail_bound, inner.terms_used, inner.converged
-    )
+    return _ladder_blocks(order, a, b, c, (shift,), policy)[0][0]
 
 
 @contextlib.contextmanager
@@ -290,18 +359,18 @@ def block_combination(
     memo = _SHARED_BLOCKS.get()
     if memo is None:  # outside shared_blocks nothing outlives this call
         memo = {}
+    shifts = [m for m, coeff in combo.items() if coeff != 0.0]
+    missing = tuple(m for m in shifts if (order, a, b, c, m, policy) not in memo)
+    if missing:  # one batch; a raised error leaves no entry
+        for m, blk in zip(missing, _ladder_blocks(order, a, b, c, missing, policy)):
+            memo[order, a, b, c, m, policy] = blk
     value = 0.0 + 0.0j
     tail = 0.0
     terms = 0
     converged = True
-    for m, coeff in combo.items():
-        if coeff == 0.0:
-            continue
-        key = (order, a, b, c, m, policy)
-        if key not in memo:  # a raised error leaves no entry
-            blk = ladder_sum_block(order, a, b, c, m, policy)  # with seed Gamma(b')/Gamma(c'-a'):
-            memo[key] = blk, gamma_ratio_with_error([b + order * m], [c - a + (order - 1) * m])[1]
-        blk, seed_rel = memo[key]
+    for m in shifts:
+        coeff = combo[m]
+        blk, seed_rel = memo[order, a, b, c, m, policy]
         value += coeff * blk.value
         tail += abs(coeff) * (blk.tail_bound + (pref_rel + seed_rel) * abs(blk.value))
         terms += blk.terms_used

@@ -1,10 +1,11 @@
 """Direct series evaluation on the package's one chunked summation engine.
 
 ``chunked_sum`` owns the chunk ramp, the running sum (of one series, or of a
-batch of rows along the last axis), the terminating stop, the budget and the
-``rel_tol * |total| + abs_tol`` test; each caller passes a chunk-term function
-and a tail certifier.  Plain pFq series and the weighted ladder sums (terms
-from the one-step ratio recurrence) use one of two:
+batch of rows along the last axis, each row stopping on its own), the
+terminating stop, the budget and the ``rel_tol * |total| + abs_tol`` test;
+each caller passes a chunk-term function and a tail certifier.  Plain pFq
+series and the weighted ladder sums (terms from the one-step ratio
+recurrence) use one of two:
 
 * geometric - for |z| < 1 (or p <= q) the future term ratios are bounded by
   a monotone rational envelope R(n) built from parameter moduli, giving
@@ -13,8 +14,9 @@ from the one-step ratio recurrence) use one of two:
   ratios read from the parameters bounds the tail from index N by
   |t_N| (N+s+sigma_lo-1)/(sigma_lo-1), and brackets it for positive terms.
 
-``closedforms.split_outer_sum`` (proven outer ratio) and the inner 2F1(-1)
-batch it sums each chunk with (row-wise geometric envelope) are the others.
+The outer ladder expansions (``closedforms.split_outer_sum``, batched one row
+per block; proven outer ratio) and the inner 2F1(-1) batch that sums each of
+their chunks (row-wise geometric envelope) are the others.
 
 The engine and the term arithmetic are dtype-generic: each caller reads the
 dtype from its values at entry, so a series whose parameters and z are all
@@ -145,27 +147,49 @@ def _geometric_ratio_envelope(
 
 
 def chunked_sum(
-    chunk_terms: Callable[[np.ndarray], tuple[np.ndarray, float]],
-    certify_tail: Callable[[int, np.ndarray, complex], tuple[complex, float] | None],
+    chunk_terms: Callable[..., tuple[np.ndarray, float]],
+    certify_tail: Callable[..., tuple[complex, float] | None],
     policy: PrecisionPolicy,
-    terminal: int | None = None,
+    terminal: int | np.ndarray | None = None,
+    *,
+    rows: int | None = None,
+    ramp: tuple[int, ...] = _CHUNK_RAMP,
+    abs_tol: float | np.ndarray | None = None,
 ) -> EvalResult:
-    """Sum series chunk by chunk until every certified tail meets the policy.
+    """Sum a series, or a batch of rows, chunk by chunk until its certified tail
+    meets the policy.
 
-    chunk_terms(ns) gives the terms at indices ns along the last axis (a row per
-    series) and the inner-series error they carry; certify_tail(n, terms, total),
-    after n terms, gives (value, truncation bound) or None.  The accumulated inner
-    error is added to every bound.  terminal, when given, is the index of the last
-    nonzero term: the sum stops there exactly.  An exhausted budget returns the
-    last certified pair with converged=False; no certificate at all raises.
+    chunk_terms(ns) gives the terms at indices ns and the inner-series error they
+    carry; certify_tail(n, terms, total), after n terms, gives (value, truncation
+    bound) or None.  The accumulated inner error is added to every bound.
+    terminal, when given, is the index of the last nonzero term: the sum stops
+    there exactly.  An exhausted budget returns the last certified pair with
+    converged=False; no certificate at all raises.
+
+    ramp gives the chunk lengths, its last one repeating, and abs_tol, when given,
+    replaces policy.abs_tol in the stop test.
+
+    With rows given, the terms are a batch, one row per series along the last
+    axis, and each row stops on its own: chunk_terms(ns, live) and
+    certify_tail(n, terms, totals, live) see only the rows still live (an index
+    array) and return per-row errors and per-row bounds (inf where no tail is
+    certified yet).  A row whose bound meets rel_tol * |total| + abs_tol keeps
+    its value and bound, and later chunks skip it.  terminal (inf: none) and
+    abs_tol are then per-row arrays; a row stops after the chunk that passes its
+    terminal index, whose later terms chunk_terms gives as zeros.  value,
+    tail_bound, terms_used and converged of the result are per-row arrays, and a
+    row's value does not depend on the other rows of its batch.
     """
+    if rows is not None:
+        return _chunked_rows(chunk_terms, certify_tail, policy, terminal, rows, ramp, abs_tol)
+    floor = policy.abs_tol if abs_tol is None else abs_tol
     total = 0.0  # takes the dtype of the terms
     inner_err = 0.0
     n = 0
     chunk_idx = 0
     pending: tuple[complex, float] | None = None
     while n < policy.max_terms:
-        chunk = _CHUNK_RAMP[min(chunk_idx, len(_CHUNK_RAMP) - 1)]
+        chunk = ramp[min(chunk_idx, len(ramp) - 1)]
         chunk_idx += 1
         chunk = min(chunk, policy.max_terms - n)
         if terminal is not None:
@@ -175,7 +199,7 @@ def chunked_sum(
         total = total + terms.sum(axis=-1)
         inner_err += err
         n += chunk
-        scale = policy.rel_tol * abs(total) + policy.abs_tol
+        scale = policy.rel_tol * abs(total) + floor
         if terminal is not None:
             if n > terminal:
                 return EvalResult(complex(total), inner_err, n, bool(inner_err <= scale))
@@ -188,6 +212,55 @@ def chunked_sum(
     if pending is not None:
         return EvalResult(*pending, n, False)
     raise NoConvergenceError(f"tail not certified within {policy.max_terms} terms")
+
+
+def _chunked_rows(chunk_terms, certify_tail, policy, terminal, rows, ramp, abs_tol) -> EvalResult:
+    """The batch mode of ``chunked_sum``: the scalar loop, kept per row on the rows
+    still live, which are dropped from every per-row array once they stop."""
+    live = np.arange(rows)
+    floor = np.full(rows, policy.abs_tol) if abs_tol is None else abs_tol
+    ends = terminal  # None, or per row (inf: none)
+    total, inner = 0.0, np.zeros(rows)
+    pending = None  # per live row: the last certified (value, bound), bound inf if none
+    value = None  # per row, filled as rows stop, like these:
+    bound, used, converged = np.empty(rows), np.empty(rows, dtype=int), np.zeros(rows, dtype=bool)
+    n = 0
+    chunk_idx = 0
+    while live.size and n < policy.max_terms:
+        chunk = min(ramp[min(chunk_idx, len(ramp) - 1)], policy.max_terms - n)
+        chunk_idx += 1
+        terms, err = chunk_terms(np.arange(n, n + chunk), live)
+        total = total + terms.sum(axis=-1)
+        inner = inner + err
+        n += chunk
+        if value is None:  # the dtype of the terms
+            value = np.empty(rows, terms.dtype)
+            pending = np.zeros(rows, terms.dtype), np.full(rows, np.inf)
+        cert = certify_tail(n, terms, total, live)
+        if cert is not None:
+            got = np.isfinite(cert[1]) if ends is None else np.isfinite(cert[1]) & (ends == np.inf)
+            pending = np.where(got, cert[0], pending[0]), np.where(got, cert[1] + inner, pending[1])
+        counted = n
+        if ends is not None:  # the terms past a terminal index are zeros, and not counted
+            ended = n > ends
+            pending = np.where(ended, total, pending[0]), np.where(ended, inner, pending[1])
+            counted = np.where(ended, ends + 1, n)
+        met = pending[1] <= policy.rel_tol * np.abs(total) + floor
+        stop = met if ends is None else met | ended
+        if stop.any():
+            done = live[stop]
+            value[done], bound[done] = pending[0][stop], pending[1][stop]
+            converged[done] = met[stop]
+            used[done] = counted if ends is None else counted[stop]
+            keep = ~stop
+            live, total, inner, floor = live[keep], total[keep], inner[keep], floor[keep]
+            pending = pending[0][keep], pending[1][keep]
+            ends = None if ends is None else ends[keep]
+    if live.size:  # the budget ran out: the last certified pairs, converged=False
+        if not np.all(np.isfinite(pending[1])):
+            raise NoConvergenceError(f"tail not certified within {policy.max_terms} terms")
+        value[live], bound[live], used[live] = pending[0], pending[1], n
+    return EvalResult(value, bound, used, converged)
 
 
 def term_ratios(

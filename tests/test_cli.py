@@ -524,15 +524,17 @@ class TestSweep:
 
 
 def _count_blocks(monkeypatch):
-    """Record the arguments of every ladder_sum_block call and the memo it ran under."""
+    """Record the arguments (order, a, b, c, m, policy) of every block evaluated,
+    and the memo its batch ran under."""
     calls = []
-    block = closedforms.ladder_sum_block
+    blocks = closedforms._ladder_blocks
 
-    def counted(*args):
-        calls.append((args, closedforms._SHARED_BLOCKS.get()))
-        return block(*args)
+    def counted(order, a, b, c, shifts, policy):
+        memo = closedforms._SHARED_BLOCKS.get()
+        calls.extend(((order, a, b, c, m, policy), memo) for m in shifts)
+        return blocks(order, a, b, c, shifts, policy)
 
-    monkeypatch.setattr(closedforms, "ladder_sum_block", counted)
+    monkeypatch.setattr(closedforms, "_ladder_blocks", counted)
     return calls
 
 
@@ -614,7 +616,7 @@ class TestSharedBlocks:
             calls.append(args)
             raise NoConvergenceError("no tail certificate")
 
-        monkeypatch.setattr(closedforms, "ladder_sum_block", fail)
+        monkeypatch.setattr(closedforms, "_ladder_blocks", fail)
         code, text = run("sweep", "--family", "split3", "--class", "starlike",
                          "--lambda", "0.2:1:0.2", "--a", "0.3", "--b", "0.4", "--c", "8")
         rows = text.splitlines()[1:]

@@ -4,11 +4,13 @@ import random
 import numpy as np
 import pytest
 
+from hypergft import closedforms
 from hypergft.closedforms import (
     EULER_LEVELS,
     LemmaId,
     Section,
     _inner_2f1_batch,
+    _ladder_blocks,
     euler_integral,
     family_prefactor,
     five_f4_at_1,
@@ -21,7 +23,7 @@ from hypergft.closedforms import (
 )
 from hypergft.errors import ConstraintError, NoConvergenceError, PoleError, QuadratureError
 from hypergft.families import Family, FamilyParams
-from hypergft.numcore import PrecisionPolicy
+from hypergft.numcore import DEFAULT_POLICY, PrecisionPolicy, gamma_ratio_with_error
 from hypergft.series import PFQParams, pfq_eval, two_f1_neg1, weighted_pochhammer_sum
 
 BIG = PrecisionPolicy(rel_tol=1e-12, max_terms=400_000)
@@ -186,6 +188,84 @@ class TestOuterEngineExits:
         pref, _ = family_prefactor(-2.0, 0.7, 3.5)
         assert_close(pref * res.value, series.value, rel=1e-12)
 
+    def test_near_integer_a_is_summed_in_full(self):
+        # a within POLE_TOL of 0 is not 0: only an exact nonpositive integer ends
+        # the sum early.  Cut after its first term, this sum missed by 1.85e-13.
+        mpmath = pytest.importorskip("mpmath")
+        a, b, c = 9e-13, 0.5, 3.0
+        res = split_outer_sum(4, a, b, c)
+        with mpmath.workdps(30):
+            A, B, C = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+            ladder = mpmath.hyper([A] + [(B + j) / 4 for j in range(4)],
+                                  [(C + j) / 4 for j in range(4)], 1)
+            ref = float(ladder * mpmath.gamma(B) * mpmath.gamma(C - B)
+                        / (mpmath.gamma(C) * mpmath.gamma(C - A - B)))
+        assert res.converged and res.terms_used > 1
+        assert abs(res.value - ref) <= res.tail_bound + 1e-14 * abs(ref)
+
+    def test_near_integer_a_in_a_block(self):
+        # G_-1 at a = 1 + 1e-13 sums S(a - 1, ...) with a - 1 = 1e-13 in full.
+        mpmath = pytest.importorskip("mpmath")
+        a, b, c = 1 + 1e-13, 4.5, 9.0
+        res = ladder_sum_block(3, a, b, c, -1)
+        with mpmath.workdps(30):
+            A, B, C = mpmath.mpf(a) - 1, mpmath.mpf(b) - 3, mpmath.mpf(c) - 3
+            ladder = mpmath.hyper([A] + [(B + j) / 3 for j in range(3)],
+                                  [(C + j) / 3 for j in range(3)], 1)
+            s = ladder * mpmath.gamma(B) * mpmath.gamma(C - B) / (
+                mpmath.gamma(C) * mpmath.gamma(C - A - B))
+            ref = float((C + 3 - A - 1 - B - 3) / A * s)
+        assert res.converged and res.terms_used > 1
+        assert abs(res.value - ref) <= res.tail_bound + 1e-14 * abs(ref)
+
+
+class TestBatchedBlocks:
+    """block_combination evaluates every missing block of a combination in one batch."""
+
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("a, b, c", [
+        (0.3, 0.6, 4.0), (1.4, 2.2, 40.0), (0.3 + 0.2j, 1.1 - 0.4j, 12.0),
+    ], ids=["real", "real-large-c", "complex"])
+    def test_a_block_is_the_same_alone_or_batched(self, order, a, b, c):
+        shifts = (3, 2, 1, 0, -1)
+        batched = _ladder_blocks(order, a, b, c, shifts, DEFAULT_POLICY)
+        for m, (block, seed_rel) in zip(shifts, batched):
+            assert ladder_sum_block(order, a, b, c, m) == block, m
+            for others in ((m,), (m, 0) if m else (m, 1), (-1, m) if m != -1 else (3, m)):
+                again = _ladder_blocks(order, a, b, c, others, DEFAULT_POLICY)
+                assert again[others.index(m)] == (block, seed_rel)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_seed_error_is_the_seed_of_the_block(self, order):
+        # G_m sums S(a', b', c') = (a + m, b + k m, c + k m), whose seed is Gamma(b')/Gamma(c' - a')
+        a, b, c = 0.3, 0.6, 9.0
+        shifts = (2, 1, 0, -1)
+        for m, (_, seed_rel) in zip(shifts, _ladder_blocks(order, a, b, c, shifts, DEFAULT_POLICY)):
+            seed = gamma_ratio_with_error([b + order * m], [(c + order * m) - (a + m)])
+            assert seed_rel == seed[1]
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_retired_inner_rows_meet_the_inner_policy(self, order, monkeypatch):
+        inner = []
+        engine = closedforms.chunked_sum
+
+        def spy(*args, **kwargs):
+            res = engine(*args, **kwargs)
+            if args[2] is closedforms._INNER_POLICY:
+                inner.append(res)
+            return res
+
+        monkeypatch.setattr(closedforms, "chunked_sum", spy)
+        closedforms.block_combination(order, 0.3, 0.6, 40.0, {2: 1.0, 1: -0.4})
+        assert len(inner) == 1
+        res = inner[0]
+        assert res.converged.all()
+        policy = closedforms._INNER_POLICY
+        assert policy.rel_tol == 1e-17
+        assert np.all(res.tail_bound <= policy.rel_tol * np.abs(res.value) + policy.abs_tol)
+        # the rows stop one by one: not every row ran the longest
+        assert res.terms_used.min() < res.terms_used.max()
+
 
 class TestComplexOuterPath:
     """The closed forms at complex a and b, whose outer tails are majorised
@@ -328,7 +408,8 @@ class TestSplitOuterSum:
         for j in range(5):
             scalar = two_f1_neg1(a, b + 2 * j, c - a + 2 * j, BIG)
             vals, tails = _inner_2f1_batch(
-                np.array([a], dtype=complex), c - a - b, np.array([c - a + 2 * j], dtype=complex)
+                np.array([a], dtype=complex), np.array([c - a - b]),
+                np.array([c - a + 2 * j], dtype=complex),
             )
             assert abs(vals[0] - scalar.value) <= 1e-12 * abs(scalar.value) + tails[0] + scalar.tail_bound
 
@@ -349,15 +430,19 @@ class TestSplitOuterSum:
         # ratios near 0.995 at 1/2: 4096 terms leave tails of 1e-13 relative
         budget = ([0.5, 1.0, 2.0, 0.3 + 0.4j], 1e6, [1e6 / 1.99] * 4)
         batches.append(budget)
-        for A, m, C in batches:
+        # one batch of every row but the budget's, a different m per row as in several blocks
+        mixed = [np.concatenate([np.broadcast_to(batch[i], np.shape(batch[0]))
+                                 for batch in batches[:-1]]) for i in range(3)]
+        for A, m, C in batches + [mixed]:
             A, C = np.asarray(A, dtype=complex), np.asarray(C, dtype=complex)
+            m = np.broadcast_to(np.asarray(m, dtype=complex), A.shape)
             vals, tails = _inner_2f1_batch(A, m, C)
             with mpmath.workdps(30):
-                for Aj, Cj, v, tail in zip(A, C, vals, tails):
-                    ref = complex(mpmath.hyp2f1(complex(Aj), complex(Cj - m), complex(Cj), -1,
+                for Aj, mj, Cj, v, tail in zip(A, m, C, vals, tails):
+                    ref = complex(mpmath.hyp2f1(complex(Aj), complex(Cj - mj), complex(Cj), -1,
                                                 maxterms=10**6))
-                    assert abs(v - ref) <= tail + 1e-14 * abs(ref), (Aj, m, Cj)
-            if m == budget[1]:  # the budget ran out: no row met the 1e-17 stop
+                    assert abs(v - ref) <= tail + 1e-14 * abs(ref), (Aj, mj, Cj)
+            if m[0] == budget[1]:  # the budget ran out: no row met the 1e-17 stop
                 assert np.all(tails > 1e-17 * np.abs(vals))
 
 

@@ -6,10 +6,15 @@ within both tail bounds plus a few ulps of summation rounding.
 """
 import random
 
+import numpy as np
 import pytest
 
 from hypergft import closedforms, series
+from hypergft.certifier import hadamard_convolve, hypergeometric_coefficients
+from hypergft.classes import SourceClass, SourceKind
 from hypergft.closedforms import split_outer_sum
+from hypergft.families import Family, FamilyParams
+from hypergft.oracle import worst_case_coefficients
 from hypergft.series import PFQParams, pfq_eval, two_f1_neg1
 
 U = 2.0**-53
@@ -18,14 +23,14 @@ NUDGE = 1e-300j  # a nonzero imaginary part that moves no value
 
 @pytest.fixture
 def term_blocks(monkeypatch):
-    """(ndim, rows, dtype) of every block of terms a chunk function returns."""
+    """(shape, dtype) of every block of terms a chunk function returns."""
     seen = []
     engine = series.chunked_sum
 
     def spy(chunk_terms, *args, **kwargs):
-        def recorded(ns):
-            terms, err = chunk_terms(ns)
-            seen.append((terms.ndim, len(terms) if terms.ndim == 2 else 1, terms.dtype.name))
+        def recorded(*ns_live):
+            terms, err = chunk_terms(*ns_live)
+            seen.append((terms.shape, terms.dtype.name))
             return terms, err
 
         return engine(recorded, *args, **kwargs)
@@ -43,40 +48,54 @@ class TestTermDtype:
     @pytest.mark.parametrize("order", [3, 4])
     def test_split_outer_sum(self, order, term_blocks):
         split_outer_sum(order, 0.5, 0.7, 160.0)
-        assert {d for _, _, d in term_blocks} == {"float64"}
-        assert max(rows for _, rows, _ in term_blocks) == 64  # the inner batch ran
+        assert {d for _, d in term_blocks} == {"float64"}
+        # one outer row of 48 terms, whose inner batch has 48 rows of 64 terms
+        assert {(1, 48), (48, 64)} <= {shape for shape, _ in term_blocks}
+        assert max(rows for (rows, _), _ in term_blocks) == 48
 
     @pytest.mark.parametrize("order", [3, 4])
     @pytest.mark.parametrize("which", [0, 1, 2])
     def test_split_outer_sum_complex(self, order, which, term_blocks):
         split_outer_sum(order, *_nudged((0.5, 0.7, 6.0), which))
-        assert {d for ndim, _, d in term_blocks if ndim == 1} == {"complex128"}
-        inner = {(rows, d) for ndim, rows, d in term_blocks if ndim == 2}
-        assert (64, "complex128") in inner
+        assert {((1, 48), "complex128"), ((48, 64), "complex128")} <= set(term_blocks)
         # the outer tail's majorant reads only real parts: one real row
-        assert all(rows == 1 for rows, d in inner if d == "float64")
+        assert all(rows == 1 for (rows, _), d in term_blocks if d == "float64")
 
     @pytest.mark.parametrize("z", [0.5, -0.9, 1.0])
     def test_pfq_eval(self, z, term_blocks):
         pfq_eval(PFQParams((0.5, 1.5), (3.5,)), z)
-        assert {d for _, _, d in term_blocks} == {"float64"}
+        assert {d for _, d in term_blocks} == {"float64"}
 
     @pytest.mark.parametrize("which", [0, 1, 2])
     def test_pfq_eval_complex(self, which, term_blocks):
         up, lo, z = _nudged((0.5, 3.5, 0.5), which)
         pfq_eval(PFQParams((up, 1.5), (lo,)), z)
-        assert {d for _, _, d in term_blocks} == {"complex128"}
+        assert {d for _, d in term_blocks} == {"complex128"}
 
     @pytest.mark.parametrize("a", [0.5, -3.0])  # half-argument and terminating routes
     def test_two_f1_neg1(self, a, term_blocks):
         two_f1_neg1(a, 1.5, 4.0)
-        assert {d for _, _, d in term_blocks} == {"float64"}
+        assert {d for _, d in term_blocks} == {"float64"}
 
     @pytest.mark.parametrize("a", [0.5, -3.0])
     @pytest.mark.parametrize("which", [0, 1, 2])
     def test_two_f1_neg1_complex(self, a, which, term_blocks):
         two_f1_neg1(*_nudged((a, 1.5, 4.0), which))
-        assert {d for _, _, d in term_blocks} == {"complex128"}
+        assert {d for _, d in term_blocks} == {"complex128"}
+
+
+class TestCoefficientDtype:
+    """The oracle target of real parameters is float64 from the start."""
+
+    @pytest.mark.parametrize("family", [Family.SPLIT3, Family.SPLIT4])
+    def test_hypergeometric_coefficients(self, family):
+        real = hypergeometric_coefficients(FamilyParams(0.3, 0.5, 6.0, family), 400)
+        cplx = hypergeometric_coefficients(FamilyParams(0.3 + NUDGE, 0.5, 6.0, family), 400)
+        assert (real.dtype.name, cplx.dtype.name) == ("float64", "complex128")
+        # bit for bit the complex path's values, so the oracle reports do not move
+        assert np.array_equal(real, cplx.real)
+        source = SourceClass(SourceKind.RBETA, 0.3)
+        assert hadamard_convolve(real, worst_case_coefficients(source, 400)).dtype.name == "float64"
 
 
 def _assert_same(real, cplx, size=None):
