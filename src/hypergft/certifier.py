@@ -153,7 +153,7 @@ def hypergeometric_coefficients(fp: FamilyParams, N: int) -> np.ndarray:
     ratios = np.ones(N - 1)
     for u in upper:
         ratios = ratios * (u.real + ns)
-    for v in [l.real for l in lower] + [1.0]:
+    for v in [l.real for l in lower] + [1.0]:  # the last is the (n+1) of the factorial
         ratios = ratios * (1.0 / (v + ns))
     return np.concatenate(([1.0], np.cumprod(ratios)))
 
