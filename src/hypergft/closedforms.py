@@ -36,15 +36,19 @@ z = 1 (W_0), the lemmas (W_1, W_2, W_3, W_-1) and every certificate (two
 adjacent powers); its gamma allowance scales with the blocks a cancelling
 combination subtracts, not with the (possibly much smaller) result.
 
-The package's one engine, ``series.chunked_sum``, sums the outer expansions
-S of every block a combination needs as one batch, one row per block
-(``_outer_sums``), and the inner 2F1(-1) values of each outer chunk, of all
-rows, as one more (``_inner_2f1_batch``).  In both a row stops once its own
-tail is certified, so a block is bit-identical alone or batched;
-``split_outer_sum`` and ``ladder_sum_block`` are one-row calls.  The inner
-tails are added to the outer bound, closed by a proven outer ratio.  For
-real a, b, c (every certificate's point (|a|, |b|, c) among them) the outer
-weights and the inner rows are float64, otherwise complex128.
+The batch loop of the series engine, ``series.chunked_rows``, sums the outer
+expansions S of every block a combination needs as one batch, one row per
+block (``_outer_sums``), and the inner 2F1(-1) values of each outer chunk, of
+all rows, as one more (``_inner_2f1_batch``).  In both a row stops once its
+own tail is certified, so a block is bit-identical alone or batched;
+``split_outer_sum`` and ``ladder_sum_block`` are one-row calls.  Both
+batches read their chunk ramp from their policy, since both kinds of terms
+decay like 2^(-j): a first chunk of round(log2(1/rel_tol)) + 8 terms, 48
+outer ones at the default 1e-12 and 64 inner ones at ``_INNER_POLICY``'s
+1e-17.  The inner tails are added to the outer bound, closed by a proven
+outer ratio.  For real a, b, c (every certificate's point (|a|, |b|, c)
+among them) the outer weights and the inner rows are float64, otherwise
+complex128.
 
 Inside ``with shared_blocks():`` each block G_m is evaluated once and its
 result reused by every later combination at the same (order, a, b, c, m,
@@ -76,7 +80,7 @@ from .numcore import (
     pochhammer,
 )
 from .quadrature import DEFAULT_BUDGET, adaptive_quad
-from .series import EvalResult, PFQParams, chunked_sum, half_power, pfq_eval
+from .series import EvalResult, PFQParams, chunked_rows, half_power, pfq_eval, terminal_index
 
 _INNER_POLICY = PrecisionPolicy(rel_tol=1e-17, max_terms=4096)
 
@@ -125,27 +129,18 @@ def family_prefactor(a: complex, b: complex, c: complex) -> tuple[complex, float
     return gamma_ratio_with_error([c, c - a - b], [b, c - b])
 
 
-def _row_ramp(first: int) -> tuple[int, ...]:
-    """Chunk lengths of a batch whose rows stop one by one: first twice, then
-    doubling up to 4096, so a row that just misses its stop runs a short chunk."""
-    return (first,) + tuple(min(first << i, 4096) for i in range(8))
-
-
-_INNER_RAMP = _row_ramp(64)
-
-
 def _inner_2f1_batch(A: np.ndarray, m: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized 2F1(A_j, B_j; C_j; -1) with C_j - B_j = m_j, one row per j,
     via the half-argument transform 2^(-A_j) 2F1(A_j, m_j; C_j; 1/2), summed as one
-    ``chunked_sum`` batch whose rows stop one by one; returns (values, absolute
+    ``chunked_rows`` batch whose rows stop one by one; returns (values, absolute
     tail bounds), float64 rows for real A, m and C.
 
     Row j's tail from index n is at most |t_n| / (1 - R_j(n)), where R_j is the
     envelope of ``series._geometric_ratio_envelope`` taken row-wise; no tail of
     row j is certified while R_j(n) >= 1.  A row stops once its tail meets
-    ``_INNER_POLICY``, and later chunks (``_INNER_RAMP``) sum only the rows still
-    live.  An exhausted budget returns the last certified tails, which the caller
-    adds to its bound.
+    ``_INNER_POLICY``, and later chunks (64, 64, 128, ... terms at its rel_tol)
+    sum only the rows still live.  An exhausted budget returns the last certified
+    tails, which the caller adds to its bound.
     """
     alpha_lo, alpha_hi = np.minimum(np.abs(A), np.abs(m)), np.maximum(np.abs(A), np.abs(m))
     beta_lo, beta_hi = np.minimum(C.real, 1.0), np.maximum(C.real, 1.0)
@@ -171,21 +166,19 @@ def _inner_2f1_batch(A: np.ndarray, m: np.ndarray, C: np.ndarray) -> tuple[np.nd
         tails[ok] = np.abs(t[live[ok]]) / (1.0 - env[ok])
         return totals, tails
 
-    res = chunked_sum(chunk_terms, certify_tail, _INNER_POLICY, rows=len(A), ramp=_INNER_RAMP)
+    value, bound, _, _ = chunked_rows(chunk_terms, certify_tail, _INNER_POLICY, len(A))
     scale = half_power(A)
-    return res.value * scale, res.tail_bound * np.abs(scale)
+    return value * scale, bound * np.abs(scale)
 
 
 def _outer_sums(
     order: int, a: list[complex], b: list[complex], c: list[complex], policy: PrecisionPolicy
 ) -> list[tuple[EvalResult, float]]:
-    """``split_outer_sum`` of each row (a_r, b_r, c_r) in one ``chunked_sum`` batch,
+    """``split_outer_sum`` of each row (a_r, b_r, c_r) in one ``chunked_rows`` batch,
     each with the relative error bound of its seed Gamma(b_r)/Gamma(c_r - a_r).
 
     A row stops on its own: its value does not depend on the other rows.  Every
-    row's inner 2F1(-1) values of a chunk are one ``_inner_2f1_batch``.  The first
-    chunk, ceil(log2(1/rel_tol)) + 8 terms (48 at rel_tol 1e-12), is where terms
-    decaying like 2^(-j) from the first reach rel_tol with a few to spare.
+    row's inner 2F1(-1) values of a chunk are one ``_inner_2f1_batch``.
     """
     if order not in (3, 4):
         raise ValueError("split order must be 3 or 4")
@@ -205,8 +198,7 @@ def _outer_sums(
     sign = -1.0 if order == 3 else 2.0
     w_run = np.ones(len(a), a.dtype)
     # The sum ends exactly where a is an exact nonpositive integer: its weights past -a are 0.
-    terminal = np.where((a.imag == 0.0) & (a.real <= 0.0) & (a.real == np.round(a.real)),
-                        -a.real, np.inf)
+    terminal = np.array([terminal_index(ar) for ar in a])
 
     def chunk_terms(js: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         al, bl, cal = a[live, None], b[live, None], ca[live, None]
@@ -243,13 +235,10 @@ def _outer_sums(
 
     # The sum stops on its unseeded bound; |seed| <= 1 only tightens it.
     floors = [policy.abs_tol / max(abs(seed), 1.0) for seed, _ in seeds]
-    first = max(1, math.ceil(math.log2(1.0 / policy.rel_tol)) + 8)
-    res = chunked_sum(chunk_terms, outer_tail, policy, terminal, rows=len(a),
-                      ramp=_row_ramp(first), abs_tol=np.array(floors))
+    sums = chunked_rows(chunk_terms, outer_tail, policy, len(a), terminal, np.array(floors))
     return [
         (EvalResult(seed * complex(v), abs(seed) * float(t), int(n), bool(ok)), rel)
-        for (seed, rel), v, t, n, ok in zip(
-            seeds, res.value, res.tail_bound, res.terms_used, res.converged)
+        for (seed, rel), v, t, n, ok in zip(seeds, *sums)
     ]
 
 

@@ -70,11 +70,6 @@ def is_nonpositive_integer(z: complex, tol: float = POLE_TOL) -> bool:
     return r <= 0 and abs(z.real - r) <= tol
 
 
-def nonpositive_integer_value(z: complex) -> int:
-    """The integer -m that z approximates; caller must check membership first."""
-    return int(round(complex(z).real))
-
-
 def _lanczos_log_gamma(z: complex) -> complex:
     # Valid for Re(z) >= 0.5.
     zm1 = z - 1.0

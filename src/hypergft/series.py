@@ -1,11 +1,14 @@
-"""Direct series evaluation on the package's one chunked summation engine.
+"""Direct series evaluation on the package's two chunked summation loops.
 
-``chunked_sum`` owns the chunk ramp, the running sum (of one series, or of a
-batch of rows along the last axis, each row stopping on its own), the
-terminating stop, the budget and the ``rel_tol * |total| + abs_tol`` test;
-each caller passes a chunk-term function and a tail certifier.  Plain pFq
-series and the weighted ladder sums (terms from the one-step ratio
-recurrence) use one of two:
+``chunked_sum`` sums one series and ``chunked_rows`` a batch of rows along the
+last axis, each row stopping on its own; the caller picks the one it needs.
+Each loop owns its chunk ramp, the running sum, the exact stop at a
+terminating index, the budget and the ``rel_tol * |total| + abs_tol`` test;
+each caller passes a chunk-term function and a tail certifier.  A sum ends
+early only at an exact nonpositive integer upper parameter
+(``terminal_index``).  Plain pFq series and the weighted ladder sums (terms
+from the one-step ratio recurrence) go through ``chunked_sum`` with one of two
+certifiers:
 
 * geometric - for |z| < 1 (or p <= q) the future term ratios are bounded by
   a monotone rational envelope R(n) built from parameter moduli, giving
@@ -16,9 +19,14 @@ recurrence) use one of two:
 
 The outer ladder expansions (``closedforms.split_outer_sum``, batched one row
 per block; proven outer ratio) and the inner 2F1(-1) batch that sums each of
-their chunks (row-wise geometric envelope) are the others.
+their chunks (row-wise geometric envelope) go through ``chunked_rows``.  A
+single series runs chunks of 64, 256, 1024, then 4096 terms.  A batch's first
+chunk is round(log2(1/rel_tol)) + 8 terms, where terms decaying like 2^(-j)
+reach rel_tol with a few to spare; it runs twice, so a row that just misses
+its stop runs a short chunk, and chunks then double up to 4096.  The two loops
+stay apart: a single series run as a batch of one row is slower.
 
-The engine and the term arithmetic are dtype-generic: each caller reads the
+The loops and the term arithmetic are dtype-generic: each caller reads the
 dtype from its values at entry, so a series whose parameters and z are all
 real (imaginary parts exactly 0) is summed in float64, any other in complex128.
 """
@@ -34,12 +42,7 @@ import numpy as np
 
 from .errors import ConstraintError, DivergentError, NoConvergenceError, PoleError
 from .families import FamilyParams, weighted_sum_region
-from .numcore import (
-    DEFAULT_POLICY,
-    PrecisionPolicy,
-    is_nonpositive_integer,
-    nonpositive_integer_value,
-)
+from .numcore import DEFAULT_POLICY, PrecisionPolicy, is_nonpositive_integer
 
 _UNIT_CIRCLE_TOL = 1e-14
 _CHUNK_RAMP = (64, 256, 1024, 4096)
@@ -87,14 +90,18 @@ class EvalResult:
     converged: bool
 
 
+def terminal_index(a: complex) -> float:
+    """m where the upper parameter a is exactly -m, the index of the last nonzero
+    term of its sum, else inf.  A parameter within rounding of -m ends nothing:
+    its terms past m are small, not zero."""
+    a = complex(a)
+    return -a.real if a.imag == 0.0 and a.real <= 0.0 and a.real.is_integer() else math.inf
+
+
 def _terminating_order(upper: tuple[complex, ...]) -> int | None:
-    """Smallest m such that some upper parameter is -m, else None."""
-    best: int | None = None
-    for u in upper:
-        if is_nonpositive_integer(u):
-            m = -nonpositive_integer_value(u)
-            best = m if best is None else min(best, m)
-    return best
+    """Smallest m such that some upper parameter is exactly -m, else None."""
+    m = min(map(terminal_index, upper), default=math.inf)
+    return None if m == math.inf else int(m)
 
 
 def convergence_class(params: PFQParams, z: complex) -> ConvergenceClass:
@@ -147,17 +154,12 @@ def _geometric_ratio_envelope(
 
 
 def chunked_sum(
-    chunk_terms: Callable[..., tuple[np.ndarray, float]],
-    certify_tail: Callable[..., tuple[complex, float] | None],
+    chunk_terms: Callable[[np.ndarray], tuple[np.ndarray, float]],
+    certify_tail: Callable[[int, np.ndarray, complex], tuple[complex, float] | None],
     policy: PrecisionPolicy,
-    terminal: int | np.ndarray | None = None,
-    *,
-    rows: int | None = None,
-    ramp: tuple[int, ...] = _CHUNK_RAMP,
-    abs_tol: float | np.ndarray | None = None,
+    terminal: int | None = None,
 ) -> EvalResult:
-    """Sum a series, or a batch of rows, chunk by chunk until its certified tail
-    meets the policy.
+    """Sum one series chunk by chunk until its certified tail meets the policy.
 
     chunk_terms(ns) gives the terms at indices ns and the inner-series error they
     carry; certify_tail(n, terms, total), after n terms, gives (value, truncation
@@ -165,41 +167,24 @@ def chunked_sum(
     terminal, when given, is the index of the last nonzero term: the sum stops
     there exactly.  An exhausted budget returns the last certified pair with
     converged=False; no certificate at all raises.
-
-    ramp gives the chunk lengths, its last one repeating, and abs_tol, when given,
-    replaces policy.abs_tol in the stop test.
-
-    With rows given, the terms are a batch, one row per series along the last
-    axis, and each row stops on its own: chunk_terms(ns, live) and
-    certify_tail(n, terms, totals, live) see only the rows still live (an index
-    array) and return per-row errors and per-row bounds (inf where no tail is
-    certified yet).  A row whose bound meets rel_tol * |total| + abs_tol keeps
-    its value and bound, and later chunks skip it.  terminal (inf: none) and
-    abs_tol are then per-row arrays; a row stops after the chunk that passes its
-    terminal index, whose later terms chunk_terms gives as zeros.  value,
-    tail_bound, terms_used and converged of the result are per-row arrays, and a
-    row's value does not depend on the other rows of its batch.
     """
-    if rows is not None:
-        return _chunked_rows(chunk_terms, certify_tail, policy, terminal, rows, ramp, abs_tol)
-    floor = policy.abs_tol if abs_tol is None else abs_tol
     total = 0.0  # takes the dtype of the terms
     inner_err = 0.0
     n = 0
     chunk_idx = 0
     pending: tuple[complex, float] | None = None
     while n < policy.max_terms:
-        chunk = ramp[min(chunk_idx, len(ramp) - 1)]
+        chunk = _CHUNK_RAMP[min(chunk_idx, len(_CHUNK_RAMP) - 1)]
         chunk_idx += 1
         chunk = min(chunk, policy.max_terms - n)
         if terminal is not None:
             chunk = min(chunk, terminal + 1 - n)
         ns = np.arange(n, n + chunk)
         terms, err = chunk_terms(ns)
-        total = total + terms.sum(axis=-1)
+        total = total + terms.sum()
         inner_err += err
         n += chunk
-        scale = policy.rel_tol * abs(total) + floor
+        scale = policy.rel_tol * abs(total) + policy.abs_tol
         if terminal is not None:
             if n > terminal:
                 return EvalResult(complex(total), inner_err, n, bool(inner_err <= scale))
@@ -207,16 +192,39 @@ def chunked_sum(
         cert = certify_tail(n, terms, total)
         if cert is not None:
             pending = (cert[0], cert[1] + inner_err)
-            if np.logical_and.reduce(pending[1] <= scale, axis=None):  # every row
+            if pending[1] <= scale:
                 return EvalResult(*pending, n, True)
     if pending is not None:
         return EvalResult(*pending, n, False)
     raise NoConvergenceError(f"tail not certified within {policy.max_terms} terms")
 
 
-def _chunked_rows(chunk_terms, certify_tail, policy, terminal, rows, ramp, abs_tol) -> EvalResult:
-    """The batch mode of ``chunked_sum``: the scalar loop, kept per row on the rows
-    still live, which are dropped from every per-row array once they stop."""
+def chunked_rows(
+    chunk_terms: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, float | np.ndarray]],
+    certify_tail: Callable[..., tuple[np.ndarray, np.ndarray] | None],
+    policy: PrecisionPolicy,
+    rows: int,
+    terminal: np.ndarray | None = None,
+    abs_tol: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sum a batch of series, one row each along the last axis, each row stopping
+    on its own; returns per-row (value, bound, terms used, converged) arrays.
+
+    chunk_terms(ns, live) and certify_tail(n, terms, totals, live) are those of
+    ``chunked_sum`` on the rows still live (an index array), with per-row errors
+    and per-row bounds (inf where no tail is certified yet).  A row whose bound
+    meets rel_tol * |total| + abs_tol keeps its value and bound, and later
+    chunks skip it, so a row's value does not depend on the other rows of its
+    batch.  terminal (inf: none) and abs_tol (default policy.abs_tol) are
+    per-row arrays; a row stops after the chunk that passes its terminal
+    index, whose later terms chunk_terms gives as zeros.
+
+    The first chunk, round(log2(1/rel_tol)) + 8 terms, is where terms decaying
+    like 2^(-j) from the first reach rel_tol with a few to spare (48 at 1e-12,
+    64 at 1e-17).  It runs twice, so a row that just misses its stop runs a
+    short chunk, and the chunks then double up to 4096.
+    """
+    first = max(1, round(math.log2(1.0 / policy.rel_tol)) + 8)
     live = np.arange(rows)
     floor = np.full(rows, policy.abs_tol) if abs_tol is None else abs_tol
     ends = terminal  # None, or per row (inf: none)
@@ -227,7 +235,8 @@ def _chunked_rows(chunk_terms, certify_tail, policy, terminal, rows, ramp, abs_t
     n = 0
     chunk_idx = 0
     while live.size and n < policy.max_terms:
-        chunk = min(ramp[min(chunk_idx, len(ramp) - 1)], policy.max_terms - n)
+        # first twice, then doubling up to 4096
+        chunk = min(first << max(chunk_idx - 1, 0), 4096, policy.max_terms - n)
         chunk_idx += 1
         terms, err = chunk_terms(np.arange(n, n + chunk), live)
         total = total + terms.sum(axis=-1)
@@ -260,7 +269,7 @@ def _chunked_rows(chunk_terms, certify_tail, policy, terminal, rows, ramp, abs_t
         if not np.all(np.isfinite(pending[1])):
             raise NoConvergenceError(f"tail not certified within {policy.max_terms} terms")
         value[live], bound[live], used[live] = pending[0], pending[1], n
-    return EvalResult(value, bound, used, converged)
+    return value, bound, used, converged
 
 
 def term_ratios(
@@ -376,7 +385,7 @@ def two_f1_neg1(
 ) -> EvalResult:
     """2F1(a, b; c; -1).
 
-    Terminating cases (a or b a nonpositive integer) are summed exactly at
+    Terminating cases (a or b an exact nonpositive integer) are summed exactly at
     -1.  Otherwise the series is routed through the half-argument transform
     2F1(a,b;c;-1) = 2^(-a) 2F1(a, c-b; c; 1/2), whose positive,
     geometrically decaying terms certify cleanly; the direct alternating sum
@@ -385,7 +394,7 @@ def two_f1_neg1(
     a, b, c = complex(a), complex(b), complex(c)
     if is_nonpositive_integer(c):
         raise PoleError(f"lower parameter c={c} is a nonpositive integer")
-    if is_nonpositive_integer(a) or is_nonpositive_integer(b):
+    if _terminating_order((a, b)) is not None:
         return _series_sum((a, b), (c,), -1.0, policy)
     res = _series_sum((a, c - b), (c,), 0.5, policy)
     scale = complex(half_power(a))

@@ -247,7 +247,7 @@ class TestBatchedBlocks:
     @pytest.mark.parametrize("order", [3, 4])
     def test_retired_inner_rows_meet_the_inner_policy(self, order, monkeypatch):
         inner = []
-        engine = closedforms.chunked_sum
+        engine = closedforms.chunked_rows
 
         def spy(*args, **kwargs):
             res = engine(*args, **kwargs)
@@ -255,16 +255,16 @@ class TestBatchedBlocks:
                 inner.append(res)
             return res
 
-        monkeypatch.setattr(closedforms, "chunked_sum", spy)
+        monkeypatch.setattr(closedforms, "chunked_rows", spy)
         closedforms.block_combination(order, 0.3, 0.6, 40.0, {2: 1.0, 1: -0.4})
         assert len(inner) == 1
-        res = inner[0]
-        assert res.converged.all()
+        value, bound, used, converged = inner[0]
+        assert converged.all()
         policy = closedforms._INNER_POLICY
         assert policy.rel_tol == 1e-17
-        assert np.all(res.tail_bound <= policy.rel_tol * np.abs(res.value) + policy.abs_tol)
+        assert np.all(bound <= policy.rel_tol * np.abs(value) + policy.abs_tol)
         # the rows stop one by one: not every row ran the longest
-        assert res.terms_used.min() < res.terms_used.max()
+        assert used.min() < used.max()
 
 
 class TestComplexOuterPath:

@@ -1,7 +1,8 @@
 """Real parameters are summed in float64, anything else in complex128.
 
-Every caller of ``series.chunked_sum`` reads the dtype from its values at
-entry; the real and the complex path are the same arithmetic, so they agree
+Every caller of the two summation loops, ``series.chunked_sum`` (one series)
+and ``series.chunked_rows`` (a batch of rows), reads the dtype from its values
+at entry; the real and the complex path are the same arithmetic, so they agree
 within both tail bounds plus a few ulps of summation rounding.
 """
 import random
@@ -14,6 +15,7 @@ from hypergft.certifier import hadamard_convolve, hypergeometric_coefficients
 from hypergft.classes import SourceClass, SourceKind
 from hypergft.closedforms import split_outer_sum
 from hypergft.families import Family, FamilyParams
+from hypergft.numcore import PrecisionPolicy
 from hypergft.oracle import worst_case_coefficients
 from hypergft.series import PFQParams, pfq_eval, two_f1_neg1
 
@@ -25,18 +27,20 @@ NUDGE = 1e-300j  # a nonzero imaginary part that moves no value
 def term_blocks(monkeypatch):
     """(shape, dtype) of every block of terms a chunk function returns."""
     seen = []
-    engine = series.chunked_sum
 
-    def spy(chunk_terms, *args, **kwargs):
-        def recorded(*ns_live):
-            terms, err = chunk_terms(*ns_live)
-            seen.append((terms.shape, terms.dtype.name))
-            return terms, err
+    def spying(engine):
+        def spy(chunk_terms, *args, **kwargs):
+            def recorded(*ns_live):
+                terms, err = chunk_terms(*ns_live)
+                seen.append((terms.shape, terms.dtype.name))
+                return terms, err
 
-        return engine(recorded, *args, **kwargs)
+            return engine(recorded, *args, **kwargs)
 
-    monkeypatch.setattr(series, "chunked_sum", spy)
-    monkeypatch.setattr(closedforms, "chunked_sum", spy)
+        return spy
+
+    monkeypatch.setattr(series, "chunked_sum", spying(series.chunked_sum))
+    monkeypatch.setattr(closedforms, "chunked_rows", spying(closedforms.chunked_rows))
     return seen
 
 
@@ -47,11 +51,14 @@ def _nudged(values, i):
 class TestTermDtype:
     @pytest.mark.parametrize("order", [3, 4])
     def test_split_outer_sum(self, order, term_blocks):
-        split_outer_sum(order, 0.5, 0.7, 160.0)
-        assert {d for _, d in term_blocks} == {"float64"}
-        # one outer row of 48 terms, whose inner batch has 48 rows of 64 terms
-        assert {(1, 48), (48, 64)} <= {shape for shape, _ in term_blocks}
-        assert max(rows for (rows, _), _ in term_blocks) == 48
+        # one outer row of round(log2(1/rel_tol)) + 8 terms, whose inner batch has
+        # that many rows of 64 terms, the first chunk at the inner rel_tol 1e-17
+        for policy, first in ((PrecisionPolicy(), 48), (PrecisionPolicy(rel_tol=1e-8), 35)):
+            term_blocks.clear()
+            split_outer_sum(order, 0.5, 0.7, 160.0, policy)
+            assert {d for _, d in term_blocks} == {"float64"}
+            assert {(1, first), (first, 64)} <= {shape for shape, _ in term_blocks}
+            assert max(rows for (rows, _), _ in term_blocks) == first
 
     @pytest.mark.parametrize("order", [3, 4])
     @pytest.mark.parametrize("which", [0, 1, 2])

@@ -217,6 +217,17 @@ class TestTwoF1Neg1:
         assert res.tail_bound == 0.0
         assert rel_err(res.value, direct) < 1e-14
 
+    def test_near_integer_a_is_summed_in_full(self):
+        # a within POLE_TOL of -3 is not -3: the half-argument route sums it in full.
+        # Summed as a polynomial at -1, this missed by 5.8e-10 with a bound of 0.
+        mpmath = pytest.importorskip("mpmath")
+        a, b, c = -3 + 1e-13, 40.0, 1.5
+        res = two_f1_neg1(a, b, c)
+        with mpmath.workdps(30):
+            ref = float(mpmath.hyp2f1(mpmath.mpf(a), b, c, -1))
+        assert res.converged and res.terms_used > 4
+        assert abs(res.value - ref) <= res.tail_bound + 1e-14 * abs(ref)
+
     def test_large_parameters_fast(self):
         # The half-argument route stays quick when b, c are large.
         res = two_f1_neg1(0.4, 2001.0, 2003.5)
@@ -267,6 +278,24 @@ class TestEngineExits:
         res = pfq_eval(PFQParams((-3.0, 2.0), (5.0,)), 0.7)
         assert res.converged and res.tail_bound == 0.0 and res.terms_used == 4
         assert rel_err(res.value, float(exact)) < 1e-15
+
+    def test_near_integer_upper_is_summed_in_full(self):
+        # An upper parameter within POLE_TOL of -3 is not -3: only an exact nonpositive
+        # integer ends the sum.  Cut after its fourth term, this sum missed by 0.44.
+        mpmath = pytest.importorskip("mpmath")
+        a = -3 + 5e-13
+        res = pfq_eval(PFQParams((a,), (1.0,)), 40.0)
+        with mpmath.workdps(30):
+            ref = float(mpmath.hyp1f1(mpmath.mpf(a), 1, 40))
+        assert res.converged and res.terms_used > 4
+        assert abs(res.value - ref) <= res.tail_bound + 1e-14 * abs(ref)
+
+    def test_near_integer_upper_does_not_end_a_divergent_series(self):
+        # 3F0 with an upper parameter near -2 diverges: it is not a polynomial.
+        params = PFQParams((-2 + 1e-13, 1.0, 1.0), ())
+        assert convergence_class(params, 0.5) is ConvergenceClass.DIVERGENT
+        with pytest.raises(DivergentError):
+            pfq_eval(params, 0.5)
 
     def test_plain_python_numbers(self):
         for res in (
