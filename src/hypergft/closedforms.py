@@ -80,7 +80,15 @@ from .numcore import (
     pochhammer,
 )
 from .quadrature import DEFAULT_BUDGET, adaptive_quad
-from .series import EvalResult, PFQParams, chunked_rows, half_power, pfq_eval, terminal_index
+from .series import (
+    EvalResult,
+    PFQParams,
+    chunked_rows,
+    half_power,
+    pfq_eval,
+    term_ratios,
+    terminal_index,
+)
 
 _INNER_POLICY = PrecisionPolicy(rel_tol=1e-17, max_terms=4096)
 
@@ -486,7 +494,13 @@ def euler_integral(
       others  - the inner (p-1)F(q-1) at z*t
     Integration always pairs the first upper with the first lower parameter;
     endpoint power singularities are removed by the substitution t = u^(1/s).
-    quad_tol must be finite and positive.
+    Every kernel is evaluated on a whole quadrature rule's array of nodes.
+    The inner series is summed once, at z: its term n at z*t is t^n times the
+    term at z, so for every node t in [0, 1] the same N terms (the running
+    product of the ratios at z, each times t) leave at most the certified tail
+    at z.  That tail times |pref| B(Re p, Re q), the integral of the weight's
+    modulus, is added to the bound, and an inner sum that did not converge
+    makes the result converged=False.  quad_tol must be finite and positive.
     """
     if not 0 < quad_tol < math.inf:
         raise ValueError(f"quad_tol must be finite and positive, got {quad_tol}")
@@ -497,16 +511,11 @@ def euler_integral(
     if shape is not None and (params.p, params.q) != shape:
         raise ConstraintError(f"{lv} needs {shape[0]} upper and {shape[1]} lower parameters")
     z = complex(z)
-    inner_allow = 0.0
 
     if lv == "3f2quad":
-        a_pow = params.upper[0]
         bb = _require_half_ladder((params.upper[1], params.upper[2]), "upper ladder")
         cc = _require_half_ladder((params.lower[0], params.lower[1]), "lower ladder")
         p_exp, q_exp = bb, cc - bb
-
-        def kernel(t: float) -> complex:
-            return (1.0 - z * t * t) ** (-a_pow)
     else:
         if params.p > params.q + 1:
             raise ConstraintError("integral representation needs p <= q+1")
@@ -514,28 +523,39 @@ def euler_integral(
             raise ConstraintError("need at least two upper parameters")
         p_exp = params.upper[0]
         q_exp = params.lower[0] - params.upper[0]
-        if (params.p, params.q) == (2, 1):
-            a_pow = params.upper[1]
-
-            def kernel(t: float) -> complex:
-                return (1.0 - z * t) ** (-a_pow)
-        else:
-            inner_params = PFQParams(params.upper[1:], params.lower[1:])
-            inner_policy = PrecisionPolicy(
-                rel_tol=min(policy.rel_tol, quad_tol * 1e-3),
-                abs_tol=policy.abs_tol,
-                max_terms=policy.max_terms,
-            )
-
-            def kernel(t: float) -> complex:
-                return pfq_eval(inner_params, z * t, inner_policy).value
-
-            inner_allow = quad_tol * 1e-3
-
     if not (q_exp.real > 0 and p_exp.real > 0):
         raise ConstraintError("requires Re(first lower) > Re(first upper) > 0")
     if params.p == params.q + 1 and abs(z) >= 1.0:
         raise ConstraintError("requires |z| < 1 when p = q + 1")
+
+    inner = EvalResult(1.0, 0.0, 1, True)  # a closed kernel has no inner series
+    if lv == "3f2quad":
+        a_pow = params.upper[0]
+
+        def kernel(t: np.ndarray) -> np.ndarray:
+            return (1.0 - z * t * t) ** (-a_pow)
+    elif (params.p, params.q) == (2, 1):
+        a_pow = params.upper[1]
+
+        def kernel(t: np.ndarray) -> np.ndarray:
+            return (1.0 - z * t) ** (-a_pow)
+    else:
+        upper, lower = params.upper[1:], params.lower[1:]
+        inner_policy = PrecisionPolicy(
+            rel_tol=min(policy.rel_tol, quad_tol * 1e-3),
+            abs_tol=policy.abs_tol,
+            max_terms=policy.max_terms,
+        )
+        inner = pfq_eval(PFQParams(upper, lower), z, inner_policy)
+        ratios = term_ratios(upper, lower, z, np.arange(inner.terms_used - 1))
+
+        def kernel(t: np.ndarray) -> np.ndarray:
+            # run[i, n] = term n at z t_i: 1, then the running product of ratio * t_i
+            run = np.empty((len(t), len(ratios) + 1), complex)
+            run[:, 0] = 1.0
+            np.multiply(t[:, None], ratios, out=run[:, 1:])
+            np.multiply.accumulate(run, axis=1, out=run)
+            return run.sum(axis=1)
 
     pref = gamma_ratio([p_exp + q_exp], [p_exp, q_exp])
     seg_tol = 0.5 * quad_tol / max(abs(pref), 1e-300)
@@ -545,11 +565,11 @@ def euler_integral(
     s0 = min(p_exp.real, 1.0)
     s1 = min(q_exp.real, 1.0)
 
-    def left(u: float) -> complex:
+    def left(u: np.ndarray) -> np.ndarray:
         t = u ** (1.0 / s0)
         return (1.0 / s0) * (t ** (p_exp - s0)) * ((1.0 - t) ** (q_exp - 1.0)) * kernel(t)
 
-    def right(u: float) -> complex:
+    def right(u: np.ndarray) -> np.ndarray:
         sv = u ** (1.0 / s1)
         t = 1.0 - sv
         return (1.0 / s1) * (sv ** (q_exp - s1)) * (t ** (p_exp - 1.0)) * kernel(t)
@@ -560,6 +580,12 @@ def euler_integral(
     err = left_res.error + right_res.error
     evals = left_res.evaluations + right_res.evaluations
 
+    # |int w (K - K_N)| <= tail * int t^(Re p - 1) (1 - t)^(Re q - 1) dt = tail * B(Re p, Re q)
+    kernel_err = 0.0
+    if inner.tail_bound:
+        x, y = p_exp.real, q_exp.real
+        kernel_err = inner.tail_bound * math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
     value = pref * total
-    tail = abs(pref) * err + inner_allow + GAMMA_EVAL_REL * abs(value)
-    return EvalResult(value, tail, evals, tail <= quad_tol + GAMMA_EVAL_REL * abs(value))
+    tail = abs(pref) * (err + kernel_err) + GAMMA_EVAL_REL * abs(value)
+    converged = inner.converged and tail <= quad_tol + GAMMA_EVAL_REL * abs(value)
+    return EvalResult(value, tail, evals, converged)

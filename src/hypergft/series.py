@@ -6,9 +6,10 @@ Each loop owns its chunk ramp, the running sum, the exact stop at a
 terminating index, the budget and the ``rel_tol * |total| + abs_tol`` test;
 each caller passes a chunk-term function and a tail certifier.  A sum ends
 early only at an exact nonpositive integer upper parameter
-(``terminal_index``).  Plain pFq series and the weighted ladder sums (terms
-from the one-step ratio recurrence) go through ``chunked_sum`` with one of two
-certifiers:
+(``terminal_index``); a terminal index past the term budget counts as none,
+so the certified tail closes that sum.  Plain pFq series and the weighted
+ladder sums (terms from the one-step ratio recurrence) go through
+``chunked_sum`` with one of two certifiers:
 
 * geometric - for |z| < 1 (or p <= q) the future term ratios are bounded by
   a monotone rational envelope R(n) built from parameter moduli, giving
@@ -138,11 +139,11 @@ def _geometric_ratio_envelope(
 
     Uses |a+m| <= m+|a| and |b+m| >= m+Re(b); each paired factor
     (m+alpha)/(m+beta) is monotone, so its supremum over m >= n is
-    max(value at n, 1).
+    max(value at n, 1).  With p > q + 1 the ratios grow without bound: inf.
     """
     alphas = sorted(abs(u) for u in upper)
     betas = sorted([l.real for l in lower] + [1.0])
-    if betas[0] + n <= 0:
+    if betas[0] + n <= 0 or len(alphas) > len(betas):
         return float("inf")
     out = az
     npair = len(alphas)
@@ -165,9 +166,12 @@ def chunked_sum(
     carry; certify_tail(n, terms, total), after n terms, gives (value, truncation
     bound) or None.  The accumulated inner error is added to every bound.
     terminal, when given, is the index of the last nonzero term: the sum stops
-    there exactly.  An exhausted budget returns the last certified pair with
-    converged=False; no certificate at all raises.
+    there exactly, with no tail.  A terminal index past the budget counts as
+    none, so the certified tail closes the sum.  An exhausted budget returns the
+    last certified pair with converged=False; no certificate at all raises.
     """
+    if terminal is not None and terminal >= policy.max_terms:
+        terminal = None
     total = 0.0  # takes the dtype of the terms
     inner_err = 0.0
     n = 0
@@ -217,7 +221,8 @@ def chunked_rows(
     chunks skip it, so a row's value does not depend on the other rows of its
     batch.  terminal (inf: none) and abs_tol (default policy.abs_tol) are
     per-row arrays; a row stops after the chunk that passes its terminal
-    index, whose later terms chunk_terms gives as zeros.
+    index, whose later terms chunk_terms gives as zeros.  A terminal index
+    past the budget counts as none: the certified tail closes that row.
 
     The first chunk, round(log2(1/rel_tol)) + 8 terms, is where terms decaying
     like 2^(-j) from the first reach rel_tol with a few to spare (48 at 1e-12,
@@ -227,7 +232,8 @@ def chunked_rows(
     first = max(1, round(math.log2(1.0 / policy.rel_tol)) + 8)
     live = np.arange(rows)
     floor = np.full(rows, policy.abs_tol) if abs_tol is None else abs_tol
-    ends = terminal  # None, or per row (inf: none)
+    # None, or per row (inf: none, and for an index the budget cannot reach)
+    ends = None if terminal is None else np.where(terminal < policy.max_terms, terminal, np.inf)
     total, inner = 0.0, np.zeros(rows)
     pending = None  # per live row: the last certified (value, bound), bound inf if none
     value = None  # per row, filled as rows stop, like these:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -512,3 +513,58 @@ class TestEulerIntegral:
     def test_unreachable_tolerance_rejected_at_entry(self, level, params, quad_tol):
         with pytest.raises(ValueError, match="quad_tol"):
             euler_integral(level, params, 0.4, quad_tol, budget=60)
+
+    @pytest.mark.parametrize("level, params, z, quad_tol, evaluations", [
+        ("2f1", PFQParams((0.3, 0.9), (1.7,)), 0.4, 1e-12, 750),
+        ("4f3", PFQParams(fp3(0.4, 1.0, 4.0).upper_params(), fp3(0.4, 1.0, 4.0).lower_params()),
+         0.6, 1e-10, 270),
+        ("pfq", PFQParams((0.9, 0.7, 1.3), (2.1, 1.8)), -0.5 + 0.3j, 1e-10, 810),
+    ])
+    def test_refinement_sequence_is_pinned(self, level, params, z, quad_tol, evaluations):
+        # Kernel evaluations counted when each node was its own call: the same
+        # segments are bisected, in the same order, now that a rule is one array call.
+        assert euler_integral(level, params, z, quad_tol).terms_used == evaluations
+
+    def test_unconverged_inner_sum_is_reported(self):
+        # Five inner terms leave a certified tail of a few percent: inside the loose
+        # quad_tol, yet the inner sum did not converge, so neither does the integral.
+        mpmath = pytest.importorskip("mpmath")
+        params = PFQParams((0.9, 0.7, 1.3), (2.1, 1.8))
+        res = euler_integral("pfq", params, 0.5, 0.5, PrecisionPolicy(max_terms=5))
+        assert not res.converged and res.tail_bound <= 0.5
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyper([0.9, 0.7, 1.3], [2.1, 1.8], 0.5))
+        assert abs(res.value - ref) <= res.tail_bound
+        assert abs(res.value - ref) > 1e-6  # the inner truncation shows in the value
+
+
+def _euler_draw(rng, level):
+    """Seeded (params, z) for the 4f3 or pfq level: complex parameters, with
+    Re lower[0] > Re upper[0] > 0, and negative or complex z (|z| < 1 where p = q + 1)."""
+    def cx(lo, hi, im=0.4):
+        return complex(rng.uniform(lo, hi), rng.uniform(-im, im))
+
+    p, q = (4, 3) if level == "4f3" else rng.choice([(3, 2), (2, 2), (3, 3)])
+    first = cx(0.2, 1.5)
+    upper = (first,) + tuple(cx(0.1, 2.0) for _ in range(p - 1))
+    lower = (first + cx(0.4, 2.5),) + tuple(cx(0.6, 3.0) for _ in range(q - 1))
+    radius = 0.85 if p == q + 1 else 4.0
+    if rng.random() < 0.5:
+        z = -rng.uniform(0.05, radius)
+    else:
+        z = cmath.rect(rng.uniform(0.05, radius), rng.uniform(-math.pi, math.pi))
+    return PFQParams(upper, lower), z
+
+
+@pytest.mark.parametrize("level", ["4f3", "pfq"])
+def test_euler_bound_covers_mpmath(level):
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(f"euler-mpmath/{level}")
+    for _ in range(30):
+        params, z = _euler_draw(rng, level)
+        res = euler_integral(level, params, z, 1e-10)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyper([mpmath.mpc(u) for u in params.upper],
+                                       [mpmath.mpc(l) for l in params.lower], mpmath.mpc(z)))
+        assert res.converged
+        assert abs(res.value - ref) <= res.tail_bound, (params, z, res, ref)

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from hypergft.series import (
     EvalResult,
     PFQParams,
     _series_sum,
+    chunked_rows,
     convergence_class,
     pfq_eval,
     two_f1_neg1,
@@ -296,6 +298,49 @@ class TestEngineExits:
         assert convergence_class(params, 0.5) is ConvergenceClass.DIVERGENT
         with pytest.raises(DivergentError):
             pfq_eval(params, 0.5)
+
+    def test_terminal_index_past_the_budget_is_closed_by_the_tail(self):
+        # 1F0(-200000;; 1e-7) ends at index 200000, past the 100000-term budget:
+        # the geometric tail certifies it after one chunk.
+        mpmath = pytest.importorskip("mpmath")
+        res = pfq_eval(PFQParams((-200000.0, 1.0), (1.0,)), 1e-7)
+        with mpmath.workdps(30):
+            ref = float(mpmath.hyp2f1(-200000, 1, 1, mpmath.mpf(1e-7)))
+        assert res.converged and res.terms_used == 64 and res.tail_bound > 0.0
+        assert abs(res.value - ref) <= res.tail_bound + 1e-15 * abs(ref)
+
+    def test_terminal_index_at_the_budget_edge(self):
+        # Terms 0..20 fit a 21-term budget: summed exactly.  A 20-term budget
+        # cannot reach index 20, so the tail closes the sum.
+        params = PFQParams((-20.0, 1.0), (1.0,))
+        exact = pfq_eval(params, 0.1, PrecisionPolicy(max_terms=21))
+        assert exact.tail_bound == 0.0 and exact.terms_used == 21 and exact.converged
+        assert rel_err(exact.value, 0.9**20) < 1e-14
+        cut = pfq_eval(params, 0.1, PrecisionPolicy(max_terms=20))
+        assert 0.0 < cut.tail_bound and cut.terms_used == 20 and cut.converged
+        assert abs(cut.value - 0.9**20) <= cut.tail_bound + 1e-15
+
+    def test_terminal_index_past_the_budget_above_q_plus_1_raises(self):
+        # 3F0 terms past index n grow like n: no envelope certifies their tail.
+        with pytest.raises(NoConvergenceError):
+            pfq_eval(PFQParams((-50.0, 1.0, 1.0), ()), 1e-3, PrecisionPolicy(max_terms=20))
+
+    def test_rows_with_a_terminal_index_past_the_budget(self):
+        # Row 0 (terms 0.5^n up to index 3) ends exactly; row 1 ends at index
+        # 10^6, past the budget, so its geometric tail closes it.
+        r, terminal = np.array([0.5, 0.5]), np.array([3.0, 1e6])
+
+        def chunk_terms(ns, live):
+            return r[live, None] ** ns * (ns <= terminal[live, None]), 0.0
+
+        def certify_tail(n, terms, totals, live):
+            return totals, r[live] ** n / (1.0 - r[live])
+
+        value, bound, used, converged = chunked_rows(
+            chunk_terms, certify_tail, PrecisionPolicy(max_terms=1000), 2, terminal)
+        assert value[0] == 1.875 and bound[0] == 0.0 and used[0] == 4
+        assert converged.all() and 0.0 < bound[1] <= 1e-12 * 2.0
+        assert abs(value[1] - 2.0) <= bound[1] + 1e-15
 
     def test_plain_python_numbers(self):
         for res in (
