@@ -80,6 +80,31 @@ def _parse_complex(text: str) -> complex:
     return _finite(complex, text.replace(" ", ""))
 
 
+def _glue_numbers(tokens: list[str]) -> list[str]:
+    """A flag and the number after it as one token, `--z -0.5+0.3j` as `--z=-0.5+0.3j`.
+
+    argparse reads a token that starts with '-' as a flag unless it is a plain
+    negative real, so a negative complex value, list or range would be lost.
+    A token counts as a number when each of its ',' and ':' parts parses as one.
+    """
+    def numeric(token: str) -> bool:
+        try:
+            for part in token.replace(":", ",").split(","):
+                complex(part.replace(" ", ""))
+        except ValueError:
+            return False
+        return True
+
+    out: list[str] = []
+    for token in tokens:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and token.startswith("-") and numeric(token):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _parse_list(text: str) -> tuple[complex, ...]:
     if not text.strip():
         return ()
@@ -519,7 +544,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
             print(f"bad config file: {exc}", file=sys.stderr)
             return 1
         # Config flags go first, so a flag given on the command line wins.
-        args = command.parse_args(flags + top.rest)
+        args = command.parse_args(flags + _glue_numbers(top.rest))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     except argparse.ArgumentError as exc:

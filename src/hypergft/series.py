@@ -16,7 +16,15 @@ ladder sums (terms from the one-step ratio recurrence) go through
   tail <= |t_{n+1}| / (1 - R(n+1));
 * Raabe - on the unit circle with p = q + 1 a real majorant of the term
   ratios read from the parameters bounds the tail from index N by
-  |t_N| (N+s+sigma_lo-1)/(sigma_lo-1), and brackets it for positive terms.
+  |t_N| (N+s+sigma_lo-1)/(sigma_lo-1).  A real series at z = 1 is closed by
+  a second-order telescoped bracket instead (``_telescope``): with the term
+  ratio P(m)/Q(m) and g(m) = (m+alpha)/(sigma-1), the tail is
+  g(N) t_N + sum_{m>=N} e(m) t_m with |e(m)| = O(m^-2) bounded from the
+  coefficients of P and Q, so its width falls like t_N/N, not like N t_N.
+
+A p > q + 1 series, or a p = q + 1 series off the closed disc, whose terms
+the budget cannot end raises NoConvergenceError at entry: no tail of it is
+ever certified.
 
 The outer ladder expansions (``closedforms.split_outer_sum``, batched one row
 per block; proven outer ratio) and the inner 2F1(-1) batch that sums each of
@@ -291,6 +299,68 @@ def term_ratios(
     return ratios / (ns + 1)
 
 
+def _raabe_shape(A: list[float], B: list[float]) -> tuple[float, float, list] | None:
+    """sigma = sum(B - A), s = sum(B^2 - A^2)/(2 sigma), and the pieces (x1, x2) of
+    each pair on which (s-x)/(m+x) keeps its sign: from A_i to s clipped to the pair,
+    and on to B_i.  None unless sigma > 1."""
+    sigma = sum(B) - sum(A)
+    if sigma <= 1.0:
+        return None
+    s = sum(b * b - a * a for a, b in zip(A, B)) / (2.0 * sigma)
+    clipped = [sorted((a, s, b))[1] for a, b in zip(A, B)]
+    return sigma, s, [cut for a, c, b in zip(A, clipped, B) for cut in ((a, c), (c, b))]
+
+
+def _telescope(A: list[float], B: list[float]) -> tuple[float, float, list[float]] | None:
+    """The second-order tail bracket of a real series at z = 1 whose term ratio
+    is r(m) = P(m)/Q(m), P = prod(m + A_i), Q = prod(m + B_i), built once per sum.
+
+    With sigma = sum(B) - sum(A) and g(m) = (m + alpha)/(sigma - 1), every term
+    telescopes: t_m = g(m) t_m - g(m+1) t_{m+1} + e(m) t_m, where
+    e(m) = 1 - g(m) + g(m+1) r(m) = n(m) / ((sigma - 1) Q(m)) and
+    n(m) = (sigma - 1) Q + (m + alpha)(P - Q) + P.  As g(M) t_M -> 0 for
+    sigma > 1, the tail from N is T_N = g(N) t_N + sum_{m >= N} e(m) t_m.  The m^D
+    coefficient of n(m) is 0, and alpha = ((sigma-1) q_1 + p_1 + p_2 - q_2)/sigma,
+    p_k and q_k the m^(D-k) coefficients of P and Q, cancels the m^(D-1) one,
+    so e(m) = O(m^-2).  The identity holds for whatever alpha and sigma - 1 are
+    used, so the bound does not rest on that cancellation: it takes every
+    coefficient n_j, j = 0..D, each raised by (2D + 8) u times its magnitude sum
+    (the coefficients of the same build on absolute values) for the rounding
+    of the build.  Returns (alpha, sigma - 1, those |n_j| bounds), or None
+    unless sigma > 1.
+    """
+    sigma = sum(B) - sum(A)
+    if sigma <= 1.0:
+        return None
+    D = len(A)
+    P, Q = _expand(A), _expand(B)
+    # the magnitude sums: the same build on |A_i| and |B_i|
+    Pm = P if A[0] >= 0.0 else _expand([abs(a) for a in A])
+    Qm = Q if B[0] >= 0.0 else _expand([abs(b) for b in B])
+    sm1 = sigma - 1.0
+    p2_q2 = P[D - 2] - Q[D - 2] if D >= 2 else 0.0
+    alpha = (sm1 * Q[D - 1] + P[D - 1] + p2_q2) / sigma
+    # P - Q from index 1, so that diff[k] is the m^k coefficient of m (P - Q); its
+    # m^(D+1) coefficient P[D] - Q[D] is 0 and is left out
+    diff = [0.0] + [x - y for x, y in zip(P, Q)]
+    dmag = [0.0] + [x + y for x, y in zip(Pm, Qm)]
+    u = (2 * D + 8) * 2.0**-53
+    gamma = u / (1.0 - u)
+    return alpha, sm1, [  # |n_k| for k = 0..D
+        abs(sm1 * Q[k] + alpha * diff[k + 1] + diff[k] + P[k])
+        + gamma * (sm1 * Qm[k] + abs(alpha) * dmag[k + 1] + dmag[k] + Pm[k])
+        for k in range(D + 1)
+    ]
+
+
+def _expand(roots: list[float]) -> list[float]:
+    """Ascending coefficients of prod(m + r) over the roots; the last is exactly 1."""
+    c = [1.0]
+    for r in roots:
+        c = [r * x + y for x, y in zip(c + [0.0], [0.0] + c)]
+    return c
+
+
 def _series_sum(
     upper: tuple[complex, ...],
     lower: tuple[complex, ...],
@@ -304,9 +374,28 @@ def _series_sum(
     if real:  # float64 terms
         upper, lower, z = tuple(u.real for u in upper), tuple(l.real for l in lower), z.real
     az = abs(z)
-    raabe = abs(az - 1.0) <= _UNIT_CIRCLE_TOL and len(upper) == len(lower) + 1
-    z = z / az if raabe and az > 1.0 else z  # past the circle the series diverges: summed at z/|z|
-    positive = real and z == 1.0
+    terminal = _terminating_order(upper)
+    p, q = len(upper), len(lower)
+    if (p > q + 1 or (p == q + 1 and az > 1.0 + _UNIT_CIRCLE_TOL)) and (
+        terminal is None or terminal >= policy.max_terms
+    ):  # term ratios that tend to infinity, or to |z| > 1: no tail is ever certified
+        raise NoConvergenceError(
+            f"tail not certified within {policy.max_terms} terms: the terms grow past the budget"
+        )
+    raabe = abs(az - 1.0) <= _UNIT_CIRCLE_TOL and p == q + 1
+    if raabe:
+        z = z / az if az > 1.0 else z  # past the circle the series diverges: summed at z/|z|
+        floor = min(v.real for v in upper + lower)
+        d = weight_power
+        # the ratio (m+A_i)/(m+B_i) pairs of the weight (m+2)^d/(m+1)^d and of n!
+        extra_a, extra_b = [2.0] * d + [1.0] * -d, [1.0] + [1.0] * d + [2.0] * -d
+        B = sorted([l.real for l in lower] + extra_b)
+        if real:  # the majorant is the ratio itself, the same at every n
+            A = sorted(list(upper) + extra_a)
+            real_shape = _raabe_shape(A, B)
+            telescope = _telescope(A, B) if z == 1.0 else None
+        else:
+            telescope = None
     t = 1.0  # first term of the next chunk
 
     def chunk_terms(ns: np.ndarray) -> tuple[np.ndarray, float]:
@@ -329,39 +418,43 @@ def _series_sum(
         # parameters) pairs sorted upper with sorted lower parameters and the 1 of n!,
         # plus d pairs (2, 1) (one (1, 2) for d = -1); |u+m| <= m + Re u + (Im u)^2/
         # (2(n + Re u)).  With sigma = sum(B - A), s = sum(B^2 - A^2)/(2 sigma), (m+s)
-        # log(1/r(m)) = sigma + sum int_A^B (s-x)/(m+x) dx, whose positive and negative
-        # parts shrink as m grows: it lies in [sigma_lo, sigma_hi] for all m >= n.
-        if n + min(v.real for v in upper + lower) <= 0.0:
+        # log(1/r(m)) = sigma + sum int_A^B (s-x)/(m+x) dx, whose negative parts shrink
+        # as m grows: it is at least sigma_lo for all m >= n.
+        if n + floor <= 0.0:
             return None
-        d = weight_power
-        A = [u.real + u.imag**2 / (2.0 * (n + u.real)) for u in upper]
-        A = sorted(A + [2.0] * d + [1.0] * -d)
-        B = sorted([l.real for l in lower] + [1.0] + [1.0] * d + [2.0] * -d)
-        sigma = sum(B) - sum(A)
-        if sigma <= 1.0:
+        if not real:
+            A = sorted([u.real + u.imag**2 / (2.0 * (n + u.real)) for u in upper] + extra_a)
+        shape = real_shape if real else _raabe_shape(A, B)
+        if shape is None or n + shape[1] <= 0.0:
             return None
-        s = sum(b * b - a * a for a, b in zip(A, B)) / (2.0 * sigma)
-        pieces = [  # (s-x)/(m+x) keeps its sign from a to the clipped s, and on to b
-            (n + s) * math.log1p((x2 - x1) / (n + x1)) - (x2 - x1)
-            for a, b in zip(A, B)
-            for x1, x2 in ((a, sorted((a, s, b))[1]), (sorted((a, s, b))[1], b))
-        ]
-        sigma_lo = sigma + sum(min(p, 0.0) for p in pieces)
-        sigma_hi = sigma + sum(max(p, 0.0) for p in pieces)
-        if n + s <= 0.0 or sigma_lo <= 1.0:
+        sigma, s, cuts = shape
+        sigma_lo = sigma + sum(
+            min((n + s) * math.log1p((x2 - x1) / (n + x1)) - (x2 - x1), 0.0) for x1, x2 in cuts
+        )
+        if sigma_lo <= 1.0:
             return None
-        # Sum r(m) <= (m+s)/(m+s+sigma_lo) by 2F1(x, 1; y; 1) = (y-1)/(y-x-1); exact
-        # positive ratios r(m) >= 1 - sigma_hi/(m+s) bound the tail below too.
+        # Sum r(m) <= (m+s)/(m+s+sigma_lo) by 2F1(x, 1; y; 1) = (y-1)/(y-x-1) bounds
+        # sum_{m>=n} |t_m|: the first-order tail, all that complex terms or z != 1 get.
         upper_tail = float(abs(t)) * (n + s + sigma_lo - 1.0) / (sigma_lo - 1.0)
-        if not (positive and t.real > 0.0 and n + s > sigma_hi):
+        if telescope is None:
             return complex(total), upper_tail
-        lower_tail = float(t.real) * (n + s - 1.0) / (sigma_hi - 1.0)
-        mid = complex(total) + 0.5 * (upper_tail + lower_tail)
+        # Real terms at z = 1 (see _telescope): T_n = g(n) t_n + sum e(m) t_m, with
+        # |e(m)| <= sum_j |n_j| sup_{m>=n} m^j/Q(m) / (sigma-1) and that sup at most
+        # prod_{i<j} max(n+B_i, n) / prod_i (n+B_i) over B ascending, as m/(m+B_i) is
+        # at most max(1, n/(n+B_i)) and 1/(m+B_i) falls; n + B_i > 0 was checked above.
+        alpha, sm1, nbound = telescope
+        sup = 1.0 / math.prod(n + b for b in B)
+        eps = nbound[0] * sup
+        for j, b in enumerate(B, 1):
+            sup *= max(n + b, n)
+            eps += nbound[j] * sup
+        mid = complex(total + (n + alpha) / sm1 * t)
         # 1e-14 covers summation rounding over ~1e6 terms
-        return mid, 0.5 * (upper_tail - lower_tail) + 1e-14 * abs(mid)
+        width = eps / sm1 * upper_tail + 1e-14 * abs(mid)
+        return (mid, width) if width < upper_tail else (complex(total), upper_tail)
 
     certify = raabe_tail if raabe else geometric_tail
-    return chunked_sum(chunk_terms, certify, policy, _terminating_order(upper))
+    return chunked_sum(chunk_terms, certify, policy, terminal)
 
 
 def pfq_eval(params: PFQParams, z: complex, policy: PrecisionPolicy = DEFAULT_POLICY) -> EvalResult:

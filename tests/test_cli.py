@@ -199,6 +199,31 @@ class TestEval:
         assert (code, text) == (1, "")
         assert capsys.readouterr().err == f"bad input: {flag} is not read by --closed\n"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--z", "-0.5+0.3j"),
+        ("--z", "-0.5-0.3j"),
+        ("--z", "-1e-1+0.3j"),
+        ("--z", "-0.5"),
+        ("--upper", "-0.1,0.7,1.3"),
+    ])
+    def test_negative_number_after_its_flag_is_its_value(self, flag, value):
+        # argparse alone reads '-0.5+0.3j' as an option and exits 1 with
+        # 'expected one argument'; the spaced form must equal --flag=value
+        args = {"--upper": "0.9,0.7,1.3", "--lower": "2.1,1.8", "--z": "0.4"}
+        del args[flag]
+        argv = ["eval", "--pfq", "3F2", *(tok for pair in args.items() for tok in pair)]
+        spaced = run_json(*argv, flag, value)
+        joined = run_json(*argv, f"{flag}={value}")
+        assert spaced[0] == 0 and spaced == joined
+        params = spaced[1]["params"]
+        got = params["z"] if flag == "--z" else params["upper"][0]
+        assert complex(got["re"], got["im"]) == complex(value.split(",")[0])
+
+    def test_flag_after_a_flag_is_still_a_missing_value(self, capsys):
+        code, _ = run("eval", "--pfq", "2F1", "--upper", "1,1", "--lower", "2", "--z", "--format", "json")
+        assert code == 1
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_unset_flags_report_their_defaults(self):
         code, doc = run_json("eval", "--euler", "2f1", "--upper", "1,1", "--lower", "2")
         assert code == 0

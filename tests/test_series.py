@@ -325,6 +325,13 @@ class TestEngineExits:
         with pytest.raises(NoConvergenceError):
             pfq_eval(PFQParams((-50.0, 1.0, 1.0), ()), 1e-3, PrecisionPolicy(max_terms=20))
 
+    @pytest.mark.filterwarnings("error")
+    def test_terminal_index_past_the_budget_above_q_plus_1_raises_at_entry(self):
+        # Summed to the budget, these 3F0 terms overflow with RuntimeWarnings
+        # before the missing tail certificate raises.
+        with pytest.raises(NoConvergenceError, match="grow past the budget"):
+            pfq_eval(PFQParams((-200000.0, 1.0, 1.0), ()), 1e-7)
+
     def test_rows_with_a_terminal_index_past_the_budget(self):
         # Row 0 (terms 0.5^n up to index 3) ends exactly; row 1 ends at index
         # 10^6, past the budget, so its geometric tail closes it.
@@ -354,7 +361,7 @@ class TestEngineExits:
 
 
 class TestRaabeEngineExits:
-    """Budget exits of the Raabe rule on |z| = 1, cut at every few terms."""
+    """Budget exits of the Raabe rule on |z| = 1, cut at every budget."""
 
     @pytest.mark.parametrize("d", [-1, 0, 1, 2, 3])
     @pytest.mark.parametrize("a, b, c, z", [
@@ -369,7 +376,7 @@ class TestRaabeEngineExits:
     def test_every_budget_exit_is_within_its_bound(self, a, b, c, z, d, weighted_reference):
         ref = weighted_reference((a, b), (c,), z, d)
         exits = 0
-        for max_terms in range(2, 2000, 3):
+        for max_terms in range(2, 2000):
             try:
                 res = _series_sum((a, b), (c,), z, PrecisionPolicy(max_terms=max_terms), d)
             except NoConvergenceError:  # no certificate before n passes the parameters
@@ -379,6 +386,126 @@ class TestRaabeEngineExits:
             exits += 1
             assert abs(res.value - ref) <= res.tail_bound, (max_terms, res, ref)
         assert exits >= 30
+
+
+def _gauss(mpmath, a, b, c):
+    """2F1(a, b; c; 1) by Gauss's theorem."""
+    return mpmath.gamma(c) * mpmath.gamma(c - a - b) / (mpmath.gamma(c - a) * mpmath.gamma(c - b))
+
+
+def _gauss_weighted(mpmath, a, b, c, d):
+    """sum_n (n+1)^d (a)_n (b)_n / ((c)_n n!) by Gauss's theorem, as in ``weighted_reference``."""
+    if d == -1:
+        return (c - 1) / ((a - 1) * (b - 1)) * (_gauss(mpmath, a - 1, b - 1, c - 1) - 1)
+    falling = {0: (1,), 1: (1, 1), 2: (1, 3, 1), 3: (1, 7, 6, 1)}[d]
+    return mpmath.fsum(
+        e * mpmath.rf(a, j) * mpmath.rf(b, j) / mpmath.rf(c, j) * _gauss(mpmath, a + j, b + j, c + j)
+        for j, e in enumerate(falling)
+    )
+
+
+def _shpot(mpmath, a, b, c):
+    """3F2(a, b, c; b+1, c+1; 1) = bc/(c-b) Gamma(1-a) (Gamma(b)/Gamma(1+b-a) - Gamma(c)/Gamma(1+c-a)),
+    from (a)_n/n! times the partial fractions of bc/((b+n)(c+n))."""
+    g = mpmath.gamma
+    return b * c / (c - b) * g(1 - a) * (g(b) / g(1 + b - a) - g(c) / g(1 + c - a))
+
+
+def _real_draws(rng, count, d=0):
+    """(a, b, c) with c - a - b - max(d, 0) in (0.75, 5), a possibly negative, c > 0.2."""
+    out = []
+    while len(out) < count:
+        a, b = rng.uniform(-2.5, 3.0), rng.uniform(0.05, 3.0)
+        c = a + b + max(d, 0) + rng.uniform(0.75, 5.0)
+        if c > 0.2:
+            out.append((a, b, c))
+    return out
+
+
+class TestTelescopedTail:
+    """Real series at z = 1 close on the second-order telescoped bracket:
+    value +- bound must cover a 30-digit reference."""
+
+    @staticmethod
+    def covers(res, ref):
+        assert res.converged, res
+        assert abs(res.value.imag) == 0.0
+        assert abs(res.value.real - ref) <= res.tail_bound, (res, float(ref))
+
+    def test_gauss(self):
+        mpmath = pytest.importorskip("mpmath")
+        draws = _real_draws(random.Random(24), 30)
+        assert any(a < 0 for a, _, _ in draws)
+        with mpmath.workdps(30):
+            for a, b, c in draws:
+                res = pfq_eval(PFQParams((a, b), (c,)), 1.0)
+                self.covers(res, _gauss(mpmath, *map(mpmath.mpf, (a, b, c))))
+
+    @pytest.mark.parametrize("d", [-1, 0, 1, 2, 3])
+    def test_weighted_gauss(self, d):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for a, b, c in _real_draws(random.Random(100 + d), 8, d=d):
+                res = _series_sum((a, b), (c,), 1.0, PrecisionPolicy(), d)
+                self.covers(res, _gauss_weighted(mpmath, *map(mpmath.mpf, (a, b, c)), d))
+
+    def test_shpot(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(7)
+        # b and c on a 2^-40 grid, so b + 1.0 and c + 1.0 are exact
+        grid = lambda x: round(x * 2.0**40) / 2.0**40
+        with mpmath.workdps(30):
+            for _ in range(20):
+                a, b = rng.uniform(-1.5, 0.95), grid(rng.uniform(0.1, 4.0))
+                c = grid(max(b + rng.choice((-1, 1)) * rng.uniform(0.05, 2.0), 0.07))
+                res = pfq_eval(PFQParams((a, b, c), (b + 1.0, c + 1.0)), 1.0)
+                self.covers(res, _shpot(mpmath, *map(mpmath.mpf, (a, b, c))))
+
+    @pytest.mark.parametrize("family, draws", [(Family.SPLIT3, 4), (Family.SPLIT4, 3)])
+    def test_ladder(self, family, draws):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(3 + draws)
+        k = 3 if family is Family.SPLIT3 else 4
+        with mpmath.workdps(30):
+            for _ in range(draws):
+                a = rng.uniform(0.05, 1.5 if k == 3 else 0.45)
+                b = rng.uniform(0.1, 4.0 if k == 3 else 3.0)
+                fp = FamilyParams(a, b, a + b + rng.uniform(0.75 if k == 3 else 1.25, 5.0), family)
+                up, lo = fp.upper_params(), fp.lower_params()
+                res = pfq_eval(PFQParams(up, lo), 1.0)
+                ref = mpmath.hyper([u.real for u in up], [l.real for l in lo], 1)
+                self.covers(res, ref)
+
+    @pytest.mark.parametrize("weight", ["inv", "linear"])
+    def test_weighted_ladder(self, weight, weighted_reference):
+        # inv in the part-4 region c > max(a + k - 1, a + b - 1), linear in c > a + b + 1
+        fp = fp3(1.7, 4.1, 6.9) if weight == "inv" else fp3(0.3, 1.2, 4.4)
+        res = weighted_pochhammer_sum(fp, weight)
+        d = {"inv": -1, "linear": 1}[weight]
+        ref = weighted_reference(fp.upper_params(), fp.lower_params(), 1.0, d)
+        assert res.converged
+        assert abs(res.value - ref) <= res.tail_bound, (res, ref)
+
+    @pytest.mark.parametrize("upper, lower", [
+        # ladder-4f3-at-1 at (a, b, c) = (1.021953, 1.434531, 3.757656)
+        ((1.021953, 0.478177, 0.8115103333333333, 1.1448436666666668),
+         (1.252552, 1.5858853333333332, 1.9192186666666665)),
+        ((1.953672, 0.386484), (3.588073,)),  # gauss-at-1
+        ((0.471641, 3.526719, 3.937031), (4.526719, 4.937031)),  # shpot-at-1
+    ], ids=["ladder-4f3", "gauss", "shpot"])
+    def test_sums_that_ran_out_of_budget_now_close(self, upper, lower):
+        # Each stopped at 100,000 terms with converged=False under the
+        # first-order bracket, short of rel_tol = 1e-12.
+        mpmath = pytest.importorskip("mpmath")
+        res = pfq_eval(PFQParams(upper, lower), 1.0)
+        assert res.converged and res.terms_used < 10_000
+        with mpmath.workdps(40):
+            if len(upper) == 3:  # b + 1.0 and c + 1.0 are exact here
+                assert lower == (upper[1] + 1.0, upper[2] + 1.0)
+                ref = _shpot(mpmath, *map(mpmath.mpf, upper))
+            else:
+                ref = mpmath.hyper(upper, lower, 1)
+        assert abs(res.value.real - ref) <= res.tail_bound
 
 
 def fp3(a, b, c):
