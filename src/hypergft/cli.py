@@ -8,7 +8,8 @@ Exit codes
   eval    0 ok / 1 bad input / 2 constraint violation / 3 convergence failure
   certify 0 certified / 4 hypothesis violated / 5 not certified / 6 inconclusive / 1 bad input
           (--allow-hypothesis-error writes the violation as a report in --format, still exit 4)
-  verify  0 all residuals within tolerance / 5 residual failure / 1 bad input
+  verify  0 all residuals within tolerance / 5 residual failure / 3 a side did not converge
+          / 1 bad input
   sweep   0 rows computed (per-row failures recorded) / 1 bad input or over 1,000,000 points
   any     2 constraint violation, gamma pole, zero or overflowing gamma ratio
           / 3 no convergence / 1 any other package error, or stdout closed early

@@ -33,11 +33,12 @@ from .classes import ClassSpec, SourceClass
 from .errors import (
     DivisionNearZeroError,
     InsufficientOrderError,
+    NoConvergenceError,
     NormalizationError,
 )
 from .families import Family, FamilyParams
 from .numcore import DEFAULT_POLICY, PrecisionPolicy, pochhammer_split_residual
-from .series import PFQParams, pfq_eval, weighted_pochhammer_sum
+from .series import EvalResult, PFQParams, pfq_eval, weighted_pochhammer_sum
 
 
 class CheckKind(enum.Enum):
@@ -287,8 +288,12 @@ class Identity:
     residual: Callable[[IdentityPoint, PrecisionPolicy], float]
 
 
-def _reldiff(x, y):
-    return abs(x - y) / max(abs(x), abs(y), 1e-300)
+def _reldiff(x: EvalResult, y: EvalResult) -> float:
+    """Relative difference of two computed sides; a side that did not converge
+    has no value to compare, so it raises NoConvergenceError."""
+    if not (x.converged and y.converged):
+        raise NoConvergenceError("a side of the identity did not converge")
+    return abs(x.value - y.value) / max(abs(x.value), abs(y.value), 1e-300)
 
 
 def _ladder(p: IdentityPoint) -> FamilyParams:
@@ -317,9 +322,9 @@ def _sample_pochhammer_split(rng):
 
 
 def _gauss(p, policy):
-    closed = closedforms.gauss_2f1_at_1(p.a, p.b, p.c).value
+    closed = closedforms.gauss_2f1_at_1(p.a, p.b, p.c)
     series = pfq_eval(PFQParams((p.a, p.b), (p.c,)), 1.0, policy)
-    return _reldiff(series.value, closed)
+    return _reldiff(series, closed)
 
 
 def _sample_shpot_srivastava(rng):
@@ -331,16 +336,16 @@ def _sample_shpot_srivastava(rng):
 
 def _shpot_srivastava(p, policy):
     a, b, c = complex(p.a).real, complex(p.b).real, float(p.c)
-    closed = closedforms.shpot_srivastava_3f2(a, b, c).value
+    closed = closedforms.shpot_srivastava_3f2(a, b, c)
     series = pfq_eval(PFQParams((a, b, c), (b + 1.0, c + 1.0)), 1.0, policy)
-    return _reldiff(series.value, closed)
+    return _reldiff(series, closed)
 
 
 def _split_at_1(closed_form, p, policy):
     fp = _ladder(p)
     closed = closed_form(fp, policy)
     series = pfq_eval(PFQParams(fp.upper_params(), fp.lower_params()), 1.0, policy)
-    return _reldiff(series.value, closed.value)
+    return _reldiff(series, closed)
 
 
 def _sample_lemma(lemma, rng):
@@ -359,7 +364,7 @@ def _lemma(lemma, p, policy):
     fp = _ladder(p)
     lhs = weighted_pochhammer_sum(fp, lemma.weight, policy)
     rhs = closedforms.lemma_closed_form(lemma, fp, policy)
-    return _reldiff(lhs.value, rhs.value)
+    return _reldiff(lhs, rhs)
 
 
 # Each Euler-integral level: the series it represents at a point, and the m
@@ -383,7 +388,7 @@ def _euler(level, p, policy):
     params = _EULER[level][0](p)
     quad = closedforms.euler_integral(level, params, p.z, 1e-10, policy)
     series = pfq_eval(params, p.z, policy)
-    return _reldiff(series.value, quad.value)
+    return _reldiff(series, quad)
 
 
 IDENTITIES: dict[str, Identity] = {
@@ -422,7 +427,8 @@ def identity_residual(
     """Relative residual between the two independently computed sides of an identity.
 
     Tags are the keys of ``IDENTITIES``.  The point is fp's parameters with
-    fp's ladder order (the split order k of pochhammer-split).
+    fp's ladder order (the split order k of pochhammer-split).  A side that
+    did not converge raises NoConvergenceError.
     """
     try:
         identity = IDENTITIES[tag.strip().lower()]

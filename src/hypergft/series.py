@@ -22,18 +22,26 @@ ladder sums (terms from the one-step ratio recurrence) go through
   g(N) t_N + sum_{m>=N} e(m) t_m with |e(m)| = O(m^-2) bounded from the
   coefficients of P and Q, so its width falls like t_N/N, not like N t_N.
 
+A single series runs a first chunk of 64 terms.  When its certified tail
+misses the test, the certifier also counts the further terms that shrink the
+bound to it, and the next chunk has that many, at most 4096: the geometric
+bound falls at least like R(n)^k, the first-order Raabe bound like
+(N+s)^-(sigma_lo-1) and the telescoped bracket like (N+s)^-(sigma_lo+1).  A
+short count costs one more chunk; without a count the chunks follow the ramp
+64, 256, 1024, 4096.
+
 A p > q + 1 series, or a p = q + 1 series off the closed disc, whose terms
 the budget cannot end raises NoConvergenceError at entry: no tail of it is
-ever certified.
+ever certified.  So does a p = q + 1 series on the circle whose index cannot
+pass every parameter's real part within the budget, as the Raabe tail needs.
 
 The outer ladder expansions (``closedforms.split_outer_sum``, batched one row
 per block; proven outer ratio) and the inner 2F1(-1) batch that sums each of
 their chunks (row-wise geometric envelope) go through ``chunked_rows``.  A
-single series runs chunks of 64, 256, 1024, then 4096 terms.  A batch's first
-chunk is round(log2(1/rel_tol)) + 8 terms, where terms decaying like 2^(-j)
-reach rel_tol with a few to spare; it runs twice, so a row that just misses
-its stop runs a short chunk, and chunks then double up to 4096.  The two loops
-stay apart: a single series run as a batch of one row is slower.
+batch's first chunk is round(log2(1/rel_tol)) + 8 terms, where terms decaying
+like 2^(-j) reach rel_tol with a few to spare; it runs twice, so a row that
+just misses its stop runs a short chunk, and chunks then double up to 4096.
+The two loops stay apart: a single series run as a batch of one row is slower.
 
 The loops and the term arithmetic are dtype-generic: each caller reads the
 dtype from its values at entry, so a series whose parameters and z are all
@@ -140,17 +148,17 @@ def convergence_class(params: PFQParams, z: complex) -> ConvergenceClass:
     return ConvergenceClass.DIVERGENT
 
 
-def _geometric_ratio_envelope(
-    upper: tuple[complex, ...], lower: tuple[complex, ...], az: float, n: int
-) -> float:
-    """Upper bound on |t_{m+1}/t_m| for every m >= n.
+def _geometric_ratio_envelope(alphas: list[float], betas: list[float], az: float, n: int) -> float:
+    """Upper bound R(n) on |t_{m+1}/t_m| for every m >= n, from alphas, the sorted
+    moduli |a| of the upper parameters, and betas, the sorted real parts Re(b)
+    of the lower ones with the 1 of n!, both sorted once per sum (with the
+    pairs of a weight (m+2)^d/(m+1)^d added to them).
 
     Uses |a+m| <= m+|a| and |b+m| >= m+Re(b); each paired factor
     (m+alpha)/(m+beta) is monotone, so its supremum over m >= n is
-    max(value at n, 1).  With p > q + 1 the ratios grow without bound: inf.
+    max(value at n, 1), and R(n) falls as n grows.  With p > q + 1 the ratios
+    grow without bound: inf.
     """
-    alphas = sorted(abs(u) for u in upper)
-    betas = sorted([l.real for l in lower] + [1.0])
     if betas[0] + n <= 0 or len(alphas) > len(betas):
         return float("inf")
     out = az
@@ -164,7 +172,7 @@ def _geometric_ratio_envelope(
 
 def chunked_sum(
     chunk_terms: Callable[[np.ndarray], tuple[np.ndarray, float]],
-    certify_tail: Callable[[int, np.ndarray, complex], tuple[complex, float] | None],
+    certify_tail: Callable[[int, np.ndarray, complex], tuple | None],
     policy: PrecisionPolicy,
     terminal: int | None = None,
 ) -> EvalResult:
@@ -172,21 +180,30 @@ def chunked_sum(
 
     chunk_terms(ns) gives the terms at indices ns and the inner-series error they
     carry; certify_tail(n, terms, total), after n terms, gives (value, truncation
-    bound) or None.  The accumulated inner error is added to every bound.
-    terminal, when given, is the index of the last nonzero term: the sum stops
-    there exactly, with no tail.  A terminal index past the budget counts as
-    none, so the certified tail closes the sum.  An exhausted budget returns the
-    last certified pair with converged=False; no certificate at all raises.
+    bound), optionally with a third item more(r), or None.  The accumulated inner
+    error is added to every bound.  terminal, when given, is the index of the last
+    nonzero term: the sum stops there exactly, with no tail.  A terminal index
+    past the budget counts as none, so the certified tail closes the sum.  An
+    exhausted budget returns the last certified pair with converged=False; no
+    certificate at all raises.
+
+    The first chunk has 64 terms.  A bound that misses the test by the factor
+    r = bound / (rel_tol * |total| + abs_tol) sizes the next chunk at more(r)
+    terms, the count its certifier predicts will shrink the bound by r, at most
+    4096; a short count costs one more chunk.  Without a count the chunks follow
+    the ramp 64, 256, 1024, 4096.
     """
     if terminal is not None and terminal >= policy.max_terms:
         terminal = None
+    cap = _CHUNK_RAMP[-1]
     total = 0.0  # takes the dtype of the terms
     inner_err = 0.0
     n = 0
     chunk_idx = 0
+    wanted = None  # the next chunk as the last certificate counts it
     pending: tuple[complex, float] | None = None
     while n < policy.max_terms:
-        chunk = _CHUNK_RAMP[min(chunk_idx, len(_CHUNK_RAMP) - 1)]
+        chunk = _CHUNK_RAMP[min(chunk_idx, len(_CHUNK_RAMP) - 1)] if wanted is None else wanted
         chunk_idx += 1
         chunk = min(chunk, policy.max_terms - n)
         if terminal is not None:
@@ -202,10 +219,14 @@ def chunked_sum(
                 return EvalResult(complex(total), inner_err, n, bool(inner_err <= scale))
             continue
         cert = certify_tail(n, terms, total)
+        wanted = None
         if cert is not None:
             pending = (cert[0], cert[1] + inner_err)
             if pending[1] <= scale:
                 return EvalResult(*pending, n, True)
+            if len(cert) > 2:
+                more = cert[2](pending[1] / scale) if scale > 0.0 else math.inf
+                wanted = max(1, math.ceil(more)) if more < cap else cap  # nan: the cap
     if pending is not None:
         return EvalResult(*pending, n, False)
     raise NoConvergenceError(f"tail not certified within {policy.max_terms} terms")
@@ -361,6 +382,12 @@ def _expand(roots: list[float]) -> list[float]:
     return c
 
 
+def _power_count(x: float, r: float, e: float) -> float:
+    """Further terms k such that ((x + k)/x)^e >= r: those that shrink a bound falling
+    like (n + s)^-e, x = n + s, by the factor r, with a margin of 2% and 8 terms."""
+    return 1.02 * x * math.expm1(min(math.log(r) / e, 700.0)) + 8.0
+
+
 def _series_sum(
     upper: tuple[complex, ...],
     lower: tuple[complex, ...],
@@ -376,19 +403,26 @@ def _series_sum(
     az = abs(z)
     terminal = _terminating_order(upper)
     p, q = len(upper), len(lower)
-    if (p > q + 1 or (p == q + 1 and az > 1.0 + _UNIT_CIRCLE_TOL)) and (
-        terminal is None or terminal >= policy.max_terms
-    ):  # term ratios that tend to infinity, or to |z| > 1: no tail is ever certified
-        raise NoConvergenceError(
-            f"tail not certified within {policy.max_terms} terms: the terms grow past the budget"
-        )
     raabe = abs(az - 1.0) <= _UNIT_CIRCLE_TOL and p == q + 1
+    floor = min(v.real for v in upper + lower)
+    if terminal is None or terminal >= policy.max_terms:  # the certified tail must close it
+        if p > q + 1 or (p == q + 1 and az > 1.0 + _UNIT_CIRCLE_TOL):
+            # term ratios that tend to infinity, or to |z| > 1: no tail is ever certified
+            raise NoConvergenceError(
+                f"tail not certified within {policy.max_terms} terms: "
+                "the terms grow past the budget"
+            )
+        if raabe and policy.max_terms + floor <= 0.0:
+            # the Raabe tail needs n + Re(parameter) > 0 for every parameter
+            raise NoConvergenceError(
+                f"tail not certified within {policy.max_terms} terms: the index cannot pass "
+                f"the parameter {floor!r} within the budget"
+            )
+    d = weight_power
+    # the ratio (m+A_i)/(m+B_i) pairs of the weight (m+2)^d/(m+1)^d and of n!
+    extra_a, extra_b = [2.0] * d + [1.0] * -d, [1.0] + [1.0] * d + [2.0] * -d
     if raabe:
         z = z / az if az > 1.0 else z  # past the circle the series diverges: summed at z/|z|
-        floor = min(v.real for v in upper + lower)
-        d = weight_power
-        # the ratio (m+A_i)/(m+B_i) pairs of the weight (m+2)^d/(m+1)^d and of n!
-        extra_a, extra_b = [2.0] * d + [1.0] * -d, [1.0] + [1.0] * d + [2.0] * -d
         B = sorted([l.real for l in lower] + extra_b)
         if real:  # the majorant is the ratio itself, the same at every n
             A = sorted(list(upper) + extra_a)
@@ -396,6 +430,9 @@ def _series_sum(
             telescope = _telescope(A, B) if z == 1.0 else None
         else:
             telescope = None
+    else:
+        alphas = sorted([abs(u) for u in upper] + extra_a)
+        betas = sorted([l.real for l in lower] + extra_b)
     t = 1.0  # first term of the next chunk
 
     def chunk_terms(ns: np.ndarray) -> tuple[np.ndarray, float]:
@@ -408,9 +445,12 @@ def _series_sum(
         return terms, 0.0
 
     def geometric_tail(n: int, terms: np.ndarray, total: complex):
-        rho = _geometric_ratio_envelope(upper, lower, az, n)
+        rho = _geometric_ratio_envelope(alphas, betas, az, n)
         if rho < 1.0:
-            return complex(total), float(abs(t)) / (1.0 - rho)
+            # k more terms multiply the bound by at most rho^k: rho bounds every later
+            # ratio, and 1 - rho only grows
+            more = lambda r: math.log(r) / -math.log(rho) + 1.0
+            return complex(total), float(abs(t)) / (1.0 - rho), more
         return None
 
     def raabe_tail(n: int, terms: np.ndarray, total: complex):
@@ -436,8 +476,10 @@ def _series_sum(
         # Sum r(m) <= (m+s)/(m+s+sigma_lo) by 2F1(x, 1; y; 1) = (y-1)/(y-x-1) bounds
         # sum_{m>=n} |t_m|: the first-order tail, all that complex terms or z != 1 get.
         upper_tail = float(abs(t)) * (n + s + sigma_lo - 1.0) / (sigma_lo - 1.0)
+        # |t_N| <= |t_n| ((n+s)/(N+s))^sigma_lo, so this bound falls like (N+s)^-(sigma_lo-1)
+        first_order = complex(total), upper_tail, lambda r: _power_count(n + s, r, sigma_lo - 1.0)
         if telescope is None:
-            return complex(total), upper_tail
+            return first_order
         # Real terms at z = 1 (see _telescope): T_n = g(n) t_n + sum e(m) t_m, with
         # |e(m)| <= sum_j |n_j| sup_{m>=n} m^j/Q(m) / (sigma-1) and that sup at most
         # prod_{i<j} max(n+B_i, n) / prod_i (n+B_i) over B ascending, as m/(m+B_i) is
@@ -451,7 +493,9 @@ def _series_sum(
         mid = complex(total + (n + alpha) / sm1 * t)
         # 1e-14 covers summation rounding over ~1e6 terms
         width = eps / sm1 * upper_tail + 1e-14 * abs(mid)
-        return (mid, width) if width < upper_tail else (complex(total), upper_tail)
+        if width < upper_tail:  # eps = O(n^-2): the width falls like (N+s)^-(sigma_lo+1)
+            return mid, width, lambda r: _power_count(n + s, r, sigma_lo + 1.0)
+        return first_order
 
     certify = raabe_tail if raabe else geometric_tail
     return chunked_sum(chunk_terms, certify, policy, terminal)

@@ -425,6 +425,12 @@ class TestVerify:
         assert code == 0
         assert doc["verification"]["residuals"] == [identity_residual("gauss", FamilyParams(a, b, c))]
 
+    def test_unconverged_side_exits_three(self, capsys):
+        # 64 terms leave the weighted sum at z = 1 unconverged: no residual is reported
+        code, text = run("verify", "--identity", "lemma-sec3-part2", "--max-terms", "64")
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err.startswith("no convergence: ")
+
     def test_deterministic_reports(self):
         _, first = run("verify", "--identity", "5f4-at-1", "--draws", "5", "--seed", "11")
         _, second = run("verify", "--identity", "5f4-at-1", "--draws", "5", "--seed", "11")

@@ -13,10 +13,15 @@ from hypergft.certifier import (
     hypergeometric_coefficients,
 )
 from hypergft.classes import ClassKind, ClassSpec, SourceClass, SourceKind
-from hypergft.errors import DivisionNearZeroError, InsufficientOrderError, NormalizationError
+from hypergft.errors import (
+    DivisionNearZeroError,
+    InsufficientOrderError,
+    NoConvergenceError,
+    NormalizationError,
+)
 from hypergft.closedforms import LEMMAS
 from hypergft.families import Family, FamilyParams
-from hypergft.numcore import DEFAULT_POLICY
+from hypergft.numcore import DEFAULT_POLICY, PrecisionPolicy
 from hypergft.oracle import (
     DEFAULT_GRID,
     IDENTITIES,
@@ -468,6 +473,16 @@ class TestIdentityResidual:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             identity_residual("nope", FamilyParams(1.0, 1.0, 3.0))
+
+    @pytest.mark.parametrize("tag, a, b, c", [
+        ("gauss", 1.5, 1.5, 3.3), ("lemma-sec2-part1", 0.5, 1.0, 2.8), ("euler-2f1", 0.5, 1.0, 2.8),
+    ])
+    def test_unconverged_side_raises(self, tag, a, b, c):
+        # 64 terms leave the direct series at z = 1 (gauss, the lemma) and at
+        # z = 0.99 (euler-2f1) unconverged
+        fp = FamilyParams(a, b, c, Family.SPLIT3)
+        with pytest.raises(NoConvergenceError):
+            identity_residual(tag, fp, z=0.99, policy=PrecisionPolicy(max_terms=64))
 
 
 class TestIdentityRegistry:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypergft import closedforms, series
 from hypergft.errors import ConstraintError, DivergentError, NoConvergenceError, PoleError
 from hypergft.families import Family, FamilyParams
 from hypergft.numcore import PrecisionPolicy, pochhammer
@@ -17,8 +18,10 @@ from hypergft.series import (
     PFQParams,
     _series_sum,
     chunked_rows,
+    chunked_sum,
     convergence_class,
     pfq_eval,
+    term_ratios,
     two_f1_neg1,
     weighted_pochhammer_sum,
 )
@@ -332,6 +335,19 @@ class TestEngineExits:
         with pytest.raises(NoConvergenceError, match="grow past the budget"):
             pfq_eval(PFQParams((-200000.0, 1.0, 1.0), ()), 1e-7)
 
+    @pytest.mark.filterwarnings("error")
+    def test_raabe_index_that_cannot_pass_a_parameter_raises_at_entry(self):
+        # 2F1(-200000, 1; 3; 1) ends at index 200000, past the budget, and its Raabe
+        # tail needs n - 200000 > 0.  Summed to the budget, its terms overflowed with
+        # RuntimeWarnings before the missing certificate raised.
+        with pytest.raises(NoConvergenceError, match="cannot pass the parameter -200000"):
+            pfq_eval(PFQParams((-200000.0, 1.0), (3.0,)), 1.0)
+        # a budget whose last index passes the parameter is summed
+        res = pfq_eval(PFQParams((-100.5, 1.0), (3.0,)), 1.0, PrecisionPolicy(max_terms=101))
+        assert res.terms_used == 101
+        with pytest.raises(NoConvergenceError, match="cannot pass"):
+            pfq_eval(PFQParams((-100.5, 1.0), (3.0,)), 1.0, PrecisionPolicy(max_terms=100))
+
     def test_rows_with_a_terminal_index_past_the_budget(self):
         # Row 0 (terms 0.5^n up to index 3) ends exactly; row 1 ends at index
         # 10^6, past the budget, so its geometric tail closes it.
@@ -506,6 +522,105 @@ class TestTelescopedTail:
             else:
                 ref = mpmath.hyper(upper, lower, 1)
         assert abs(res.value.real - ref) <= res.tail_bound
+
+
+U = 2.0**-53
+
+
+def _moduli_sum(upper, lower, z, d, n):
+    """sum_{m<n} |t_m| of sum (m+1)^d prod(upper)_m / prod(lower)_m / m! z^m: the scale
+    of the rounding of its first n terms, which no bound counts yet (ROADMAP item 1)."""
+    ms = np.arange(n - 1)
+    ratios = np.abs(term_ratios(upper, lower, z, ms)) * ((ms + 2.0) / (ms + 1.0)) ** d
+    return 1.0 + np.cumprod(ratios).sum()
+
+
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """The sizes of the chunks of every ``chunked_sum`` call, one list per call."""
+    calls = []
+
+    def spy(chunk_terms, *args, **kwargs):
+        sizes = []
+        calls.append(sizes)
+
+        def recorded(ns):
+            sizes.append(len(ns))
+            return chunk_terms(ns)
+
+        return chunked_sum(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(series, "chunked_sum", spy)
+    return calls
+
+
+class TestSizedChunks:
+    """After the first 64 terms each chunk has as many terms as the failing tail
+    certificate predicts, at most 4096, instead of the next step of the ramp
+    64, 256, 1024, 4096."""
+
+    @pytest.mark.parametrize("upper, lower, z", [
+        ((1.5, 2.0), (3.0,), 0.9),
+        ((2.5,), (1.5,), -20.0),
+    ], ids=["2f1", "1f1"])
+    def test_geometric_sum_finishes_in_its_second_chunk(self, upper, lower, z, chunk_sizes):
+        res = pfq_eval(PFQParams(upper, lower), z)
+        assert res.converged
+        [sizes] = chunk_sizes
+        assert sizes[0] == 64 and len(sizes) == 2 and sizes[1] < 256, sizes
+
+    def test_shpot_stops_short_of_the_ramp(self, chunk_sizes):
+        # the ramp ran 64 + 256 + 1024 + 4096 = 5440 terms here
+        a, b, c = 0.47, 2.1, 3.4
+        res = pfq_eval(PFQParams((a, b, c), (b + 1.0, c + 1.0)), 1.0)
+        assert res.converged and res.terms_used < 5440
+        assert len(chunk_sizes[0]) == 2
+        closed = closedforms.shpot_srivastava_3f2(a, b, c)
+        assert abs(res.value - closed.value) <= res.tail_bound + closed.tail_bound
+
+    def test_chunks_are_capped(self, chunk_sizes):
+        # excess 2.4 with complex parameters: the first-order bound asks for far more
+        res = pfq_eval(PFQParams((0.5 + 0.3j, 1.2), (4.1,)), 1.0, PrecisionPolicy(max_terms=20_000))
+        assert not res.converged and res.terms_used == 20_000
+        assert chunk_sizes == [[64] + [4096] * 4 + [3552]]
+
+    PATHS = ["geometric-real", "geometric-negative", "geometric-complex", "geometric-weighted",
+             "raabe-complex", "raabe-circle"] + [f"telescoped-d{d}" for d in range(-1, 4)]
+
+    @staticmethod
+    def _draws(path, rng):
+        """(upper, lower, z, d) draws of one certifier path."""
+        u = rng.uniform
+        cx = lambda lo, hi: cmath.rect(u(lo, hi), u(-math.pi, math.pi))
+        for _ in range(12):
+            if path == "geometric-real":
+                yield (u(0.1, 3.0), u(0.1, 3.0)), (u(0.5, 5.0),), u(0.5, 0.97), 0
+            elif path == "geometric-negative":
+                yield (u(0.1, 2.0), u(0.1, 2.0)), (u(1.0, 5.0),), u(-0.95, -0.3), 0
+            elif path == "geometric-complex":
+                c = complex(u(0.5, 5.0), u(-2.0, 2.0))
+                yield (cx(0.2, 3.0), cx(0.2, 3.0)), (c,), cx(0.5, 0.95), 0
+            elif path == "geometric-weighted":  # the weight's ratios are in the envelope too
+                yield (u(0.1, 2.0), u(0.1, 2.0)), (u(1.0, 5.0),), u(0.5, 0.95), rng.randint(-1, 3)
+            elif path == "raabe-complex":  # excess 5-8: the first-order bound closes these
+                a, b = complex(u(0.1, 2.0), u(-1.0, 1.0)), u(0.1, 2.0)
+                yield (a, b), (a + b + complex(u(5.0, 8.0), u(-1.0, 1.0)),), 1.0, 0
+            elif path == "raabe-circle":
+                a, b = u(0.1, 2.0), u(0.1, 2.0)
+                yield (a, b), (a + b + u(5.0, 8.0),), cmath.exp(1j * u(0.3, math.pi)), 0
+            else:
+                d = int(path[len("telescoped-d"):])
+                [(a, b, c)] = _real_draws(rng, 1, d=d)
+                yield (a, b), (c,), 1.0, d
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_each_certifier_path_covers_the_reference(self, path, weighted_reference):
+        for upper, lower, z, d in self._draws(path, random.Random(f"sized/{path}")):
+            res = _series_sum(upper, lower, z, PrecisionPolicy(), d)
+            ref = weighted_reference(upper, lower, z, d)
+            # converged or not: a d = 3 draw runs out of budget, its bound still honest
+            size = _moduli_sum(upper, lower, z, d, res.terms_used)
+            assert abs(res.value - ref) <= res.tail_bound + 64 * U * size, (upper, lower, z, d, res)
 
 
 def fp3(a, b, c):
