@@ -51,10 +51,9 @@ from .classes import ClassKind, ClassSpec, SourceClass, SourceKind
 from .closedforms import block_combination
 from .closedforms import ladder_sum_block  # noqa: F401  (re-exported)
 from .errors import HypothesisError
-from .families import Family, FamilyParams, part4_pole, weighted_sum_region
+from .families import Family, FamilyParams, closed_form_region, weighted_sum_region
 from .numcore import DEFAULT_POLICY, GAMMA_EVAL_REL, PrecisionPolicy
 from .oracle import normalized_coefficients
-from .series import term_ratios
 
 
 class Verdict(enum.Enum):
@@ -86,9 +85,8 @@ def _moduli(fp: FamilyParams) -> tuple[float, float, float]:
 
 
 def _hypothesis(am: float, bm: float, c: float, k: int, d: int) -> None:
-    """W_d converges at (|a|, |b|, c); the closed form of W_-1 also needs
-    |a| off its part-4 poles."""
-    violated = (d == -1 and part4_pole(am, bm, k)) or weighted_sum_region(am, bm, c, k, d)
+    """The closed form of W_d holds at (|a|, |b|, c) (``families.closed_form_region``)."""
+    violated = closed_form_region(am, bm, c, k, d)
     if violated:
         raise HypothesisError(f"requires {violated} (a, b taken as |a|, |b|)")
 
@@ -146,13 +144,14 @@ def hypergeometric_coefficients(fp: FamilyParams, N: int) -> np.ndarray:
         raise ValueError("need N >= 1")
     # A_{n+1}/A_n is the series term ratio at z = 1 and index n - 1.
     upper, lower, ns = fp.upper_params(), fp.lower_params(), np.arange(N - 1)
-    if any(v.imag for v in upper + lower):
-        return np.concatenate(([1.0 + 0.0j], np.cumprod(term_ratios(upper, lower, 1.0, ns))))
-    # Each division is a product with the reciprocal, as complex128 divides by a value
-    # with zero imaginary part: the coefficients are bit for bit those of the complex path.
+    if not any(v.imag for v in upper):  # float64; the lower ladder (c+j)/k is real
+        upper = tuple(u.real for u in upper)
     ratios = np.ones(N - 1)
     for u in upper:
-        ratios = ratios * (u.real + ns)
+        ratios = ratios * (u + ns)
+    # Each division is a product with the reciprocal, as complex128 divides by a value
+    # with zero imaginary part: in either dtype, the bits of the complex128 ratios of
+    # ``series.term_ratios``, up to the sign of an exact zero.
     for v in [l.real for l in lower] + [1.0]:  # the last is the (n+1) of the factorial
         ratios = ratios * (1.0 / (v + ns))
     return np.concatenate(([1.0], np.cumprod(ratios)))

@@ -115,11 +115,12 @@ def _parse_list(text: str) -> tuple[complex, ...]:
 MAX_GRID_POINTS = 1_000_000
 
 
-def _parse_range(text: str) -> tuple[float, float, int]:
-    """lo:hi:step inclusive grid as (lo, step, count), or a single value as (value, 0, 1)."""
+def _parse_range(text: str) -> list[float]:
+    """The points of a lo:hi:step inclusive grid, lo + i step rounded to 12 places,
+    or a single value as given."""
     parts = text.split(":")
     if len(parts) == 1:
-        return finite_float(parts[0]), 0.0, 1
+        return [finite_float(parts[0])]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"range must be lo:hi:step, got {text!r}")
     lo, hi, step = (finite_float(p) for p in parts)
@@ -128,14 +129,7 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     span = (hi - lo + 1e-12 * max(1.0, abs(hi))) / step
     if not span < MAX_GRID_POINTS:  # also an infinite span
         raise argparse.ArgumentTypeError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
-    return lo, step, math.floor(span) + 1
-
-
-def _range_points(lo: float, step: float, count: int) -> list[float]:
-    """The points of a parsed range, lo + i step rounded to 12 places; a single value as given."""
-    if not step:
-        return [lo]
-    return [round(lo + i * step, 12) for i in range(count)]
+    return [round(lo + i * step, 12) for i in range(math.floor(span) + 1)]
 
 
 def _jsonify(value: Any) -> Any:
@@ -384,11 +378,11 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
     axes = [args.a, args.b, args.c]
     default_beta = 0.0 if source_kind is SourceKind.RBETA else None
     for axis, default in ((args.lam, _default_lambda(kind, None)), (args.beta, default_beta)):
-        axes.append(axis or (default, 0.0, 1))
-    size = math.prod(count for _, _, count in axes)
+        axes.append(axis or [default])
+    size = math.prod(map(len, axes))
     if size > MAX_GRID_POINTS:
         raise ValueError(f"the grid has {size} points, more than {MAX_GRID_POINTS}")
-    points = itertools.product(*(_range_points(*axis) for axis in axes))
+    points = itertools.product(*axes)
     header = "family,source,class,a,b,c,lambda,beta,verdict,lhs,rhs,margin,error"
     lines = [header]
     with closedforms.shared_blocks():  # rows along a lambda or beta grid share every G_m

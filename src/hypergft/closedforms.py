@@ -68,7 +68,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import ConstraintError, PoleError
-from .families import Family, FamilyParams, part4_pole, weighted_sum_region
+from .families import Family, FamilyParams, closed_form_region
 from .numcore import (
     DEFAULT_POLICY,
     GAMMA_EVAL_REL,
@@ -78,6 +78,7 @@ from .numcore import (
     gamma_ratio_with_error,
     is_nonpositive_integer,
     pochhammer,
+    terminal_index,
 )
 from .quadrature import DEFAULT_BUDGET, adaptive_quad
 from .series import (
@@ -87,7 +88,6 @@ from .series import (
     half_power,
     pfq_eval,
     term_ratios,
-    terminal_index,
 )
 
 _INNER_POLICY = PrecisionPolicy(rel_tol=1e-17, max_terms=4096)
@@ -166,13 +166,13 @@ def _inner_2f1_batch(A: np.ndarray, m: np.ndarray, C: np.ndarray) -> tuple[np.nd
         t[live] = run[:, -1]
         return run[:, :-1], 0.0
 
-    def certify_tail(n: int, terms: np.ndarray, totals: np.ndarray, live: np.ndarray):
+    def certify_tail(n: int, terms: np.ndarray, live: np.ndarray) -> np.ndarray:
         env = 0.5 * np.maximum((n + alpha_lo[live]) / (n + beta_lo[live]), 1.0) * np.maximum(
             (n + alpha_hi[live]) / (n + beta_hi[live]), 1.0)
         ok = (env < 1.0) & (beta_lo[live] + n > 0.0)
         tails = np.full(len(live), np.inf)
         tails[ok] = np.abs(t[live[ok]]) / (1.0 - env[ok])
-        return totals, tails
+        return tails
 
     value, bound, _, _ = chunked_rows(chunk_terms, certify_tail, _INNER_POLICY, len(A))
     scale = half_power(A)
@@ -223,7 +223,7 @@ def _outer_sums(
         M[rows], inner_tails[rows] = _inner_2f1_batch(A[rows], m[rows], C[rows])
         return w * M, (np.abs(w) * inner_tails).sum(axis=-1)
 
-    def outer_tail(n: int, terms: np.ndarray, totals: np.ndarray, live: np.ndarray):
+    def outer_tail(n: int, terms: np.ndarray, live: np.ndarray) -> np.ndarray:
         J = n - 1
         rho = 0.5 * np.maximum(1.0, (np.abs(a[live]) + J) / (J + 1.0))
         ok = (m_fix[live].real > 0.0) & (b[live].real + J > 0.0) & (rho <= 0.95)
@@ -239,7 +239,7 @@ def _outer_sums(
             ]
         bounds = np.full(len(live), np.inf)
         bounds[ok] = major[ok] * rho[ok] / (1.0 - rho[ok])
-        return totals, bounds
+        return bounds
 
     # The sum stops on its unseeded bound; |seed| <= 1 only tightens it.
     floors = [policy.abs_tol / max(abs(seed), 1.0) for seed, _ in seeds]
@@ -428,7 +428,7 @@ def shpot_srivastava_3f2(a: float, b: float, c: float) -> EvalResult:
 def _unit_sum(fp: FamilyParams, family: Family, name: str, policy: PrecisionPolicy) -> EvalResult:
     if fp.family is not family:
         raise ValueError(f"{name} expects a {family.name} parameter set")
-    violated = weighted_sum_region(complex(fp.a).real, complex(fp.b).real, fp.c, fp.order, 0)
+    violated = closed_form_region(fp.a, fp.b, fp.c, fp.order, 0)
     if violated:
         raise ConstraintError(f"requires {violated}")
     return block_combination(fp.order, fp.a, fp.b, fp.c, {0: 1.0}, policy)
@@ -452,15 +452,10 @@ def lemma_closed_form(
         raise ValueError(
             f"{lemma_id.section.value} lemma applies to {lemma_id.section.family.name} parameters"
         )
-    a, b, c = complex(fp.a), complex(fp.b), complex(fp.c)
-    k = fp.order
-    part = lemma_id.part
-    violated = (part == 4 and part4_pole(a, b, k)) or weighted_sum_region(
-        a.real, b.real, c.real, k, lemma_id.power
-    )
+    violated = closed_form_region(fp.a, fp.b, fp.c, fp.order, lemma_id.power)
     if violated:
-        raise ConstraintError(f"part {part} requires {violated}")
-    return block_combination(k, a, b, c, {lemma_id.power: 1.0}, policy)
+        raise ConstraintError(f"part {lemma_id.part} requires {violated}")
+    return block_combination(fp.order, fp.a, fp.b, fp.c, {lemma_id.power: 1.0}, policy)
 
 
 # Euler level -> the (p, q) shape it requires; None: ``pfq`` takes any p <= q + 1.

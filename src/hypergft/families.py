@@ -56,6 +56,14 @@ def part4_pole(a: complex, b: complex, k: int) -> str | None:
     return None
 
 
+def closed_form_region(a: complex, b: complex, c: float, k: int, d: int) -> str | None:
+    """The condition that (a, b, c) violates, or None when the closed form of
+    W_d for the order-k ladder holds: off the poles of ``part4_pole`` when
+    d = -1, and W_d convergent (``weighted_sum_region``) at Re a, Re b."""
+    return (d == -1 and part4_pole(a, b, k)) or weighted_sum_region(
+        complex(a).real, complex(b).real, c, k, d)
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """The triple (a, b, c) feeding a split-ladder hypergeometric function.
@@ -77,6 +85,8 @@ class FamilyParams:
             raise ValueError("a must be nonzero")
         if abs(complex(self.b)) <= POLE_TOL:
             raise ValueError("b must be nonzero")
+        if complex(self.c).imag:
+            raise ValueError("c must be real")
         if not self.c > 0:
             raise ValueError("c must be positive")
         k = self.family.order

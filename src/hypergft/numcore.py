@@ -70,6 +70,15 @@ def is_nonpositive_integer(z: complex, tol: float = POLE_TOL) -> bool:
     return r <= 0 and abs(z.real - r) <= tol
 
 
+def terminal_index(a: complex) -> float:
+    """m where the upper parameter a is exactly -m, the index of the last nonzero
+    term of its sum, else inf.  A parameter within rounding of -m ends nothing:
+    its terms past m are small, not zero, though ``is_nonpositive_integer``
+    counts it as a pole."""
+    a = complex(a)
+    return -a.real if a.imag == 0.0 and a.real <= 0.0 and a.real.is_integer() else math.inf
+
+
 def _lanczos_log_gamma(z: complex) -> complex:
     # Valid for Re(z) >= 0.5.
     zm1 = z - 1.0
@@ -148,15 +157,15 @@ def pochhammer(a: complex, n: int):
 
     One direct product for every n: n roundings keep it within about n ulps
     (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).  An exact
-    interior zero (a a nonpositive integer with -a < n) returns 0 before the
+    interior zero (``terminal_index(a)`` below n) returns 0 before the
     factors ahead of it can overflow; a product beyond the float range raises
     ConstraintError.
     """
     if n < 0:
         raise ValueError("pochhammer order must be a natural number")
-    za = complex(a)
-    if za.imag == 0.0 and za.real.is_integer() and -n < za.real <= 0.0:
+    if terminal_index(a) < n:
         return _as_output(0.0 + 0.0j, a)
+    za = complex(a)
     out = 1.0 + 0.0j
     for j in range(n):
         out *= za + j

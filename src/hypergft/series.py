@@ -6,8 +6,8 @@ Each loop owns its chunk ramp, the running sum, the exact stop at a
 terminating index, the budget and the ``rel_tol * |total| + abs_tol`` test;
 each caller passes a chunk-term function and a tail certifier.  A sum ends
 early only at an exact nonpositive integer upper parameter
-(``terminal_index``); a terminal index past the term budget counts as none,
-so the certified tail closes that sum.  Plain pFq series and the weighted
+(``numcore.terminal_index``); a terminal index past the term budget counts as
+none, so the certified tail closes that sum.  Plain pFq series and the weighted
 ladder sums (terms from the one-step ratio recurrence) go through
 ``chunked_sum`` with one of two certifiers:
 
@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import ConstraintError, DivergentError, NoConvergenceError, PoleError
 from .families import FamilyParams, weighted_sum_region
-from .numcore import DEFAULT_POLICY, PrecisionPolicy, is_nonpositive_integer
+from .numcore import DEFAULT_POLICY, PrecisionPolicy, is_nonpositive_integer, terminal_index
 
 _UNIT_CIRCLE_TOL = 1e-14
 _CHUNK_RAMP = (64, 256, 1024, 4096)
@@ -105,14 +105,6 @@ class EvalResult:
     tail_bound: float
     terms_used: int
     converged: bool
-
-
-def terminal_index(a: complex) -> float:
-    """m where the upper parameter a is exactly -m, the index of the last nonzero
-    term of its sum, else inf.  A parameter within rounding of -m ends nothing:
-    its terms past m are small, not zero."""
-    a = complex(a)
-    return -a.real if a.imag == 0.0 and a.real <= 0.0 and a.real.is_integer() else math.inf
 
 
 def _terminating_order(upper: tuple[complex, ...]) -> int | None:
@@ -171,33 +163,27 @@ def _geometric_ratio_envelope(alphas: list[float], betas: list[float], az: float
 
 
 def chunked_sum(
-    chunk_terms: Callable[[np.ndarray], tuple[np.ndarray, float]],
-    certify_tail: Callable[[int, np.ndarray, complex], tuple | None],
+    chunk_terms: Callable[[np.ndarray], np.ndarray],
+    certify_tail: Callable[[int, complex], tuple | None],
     policy: PrecisionPolicy,
     terminal: int | None = None,
 ) -> EvalResult:
     """Sum one series chunk by chunk until its certified tail meets the policy.
 
-    chunk_terms(ns) gives the terms at indices ns and the inner-series error they
-    carry; certify_tail(n, terms, total), after n terms, gives (value, truncation
-    bound), optionally with a third item more(r), or None.  The accumulated inner
-    error is added to every bound.  terminal, when given, is the index of the last
-    nonzero term: the sum stops there exactly, with no tail.  A terminal index
-    past the budget counts as none, so the certified tail closes the sum.  An
-    exhausted budget returns the last certified pair with converged=False; no
-    certificate at all raises.
+    chunk_terms(ns) gives the terms at indices ns; certify_tail(n, total), after
+    n terms, gives (value, truncation bound, more) or None.  terminal, when
+    given, is the index of the last nonzero term within the budget: the sum
+    stops there exactly, with no tail.  An exhausted budget returns the last
+    certified pair with converged=False; no certificate at all raises.
 
     The first chunk has 64 terms.  A bound that misses the test by the factor
     r = bound / (rel_tol * |total| + abs_tol) sizes the next chunk at more(r)
     terms, the count its certifier predicts will shrink the bound by r, at most
-    4096; a short count costs one more chunk.  Without a count the chunks follow
-    the ramp 64, 256, 1024, 4096.
+    4096; a short count costs one more chunk.  Without a certificate the chunks
+    follow the ramp 64, 256, 1024, 4096.
     """
-    if terminal is not None and terminal >= policy.max_terms:
-        terminal = None
     cap = _CHUNK_RAMP[-1]
     total = 0.0  # takes the dtype of the terms
-    inner_err = 0.0
     n = 0
     chunk_idx = 0
     wanted = None  # the next chunk as the last certificate counts it
@@ -208,25 +194,21 @@ def chunked_sum(
         chunk = min(chunk, policy.max_terms - n)
         if terminal is not None:
             chunk = min(chunk, terminal + 1 - n)
-        ns = np.arange(n, n + chunk)
-        terms, err = chunk_terms(ns)
-        total = total + terms.sum()
-        inner_err += err
+        total = total + chunk_terms(np.arange(n, n + chunk)).sum()
         n += chunk
         scale = policy.rel_tol * abs(total) + policy.abs_tol
         if terminal is not None:
-            if n > terminal:
-                return EvalResult(complex(total), inner_err, n, bool(inner_err <= scale))
+            if n > terminal:  # a nan total is not converged
+                return EvalResult(complex(total), 0.0, n, bool(scale >= 0.0))
             continue
-        cert = certify_tail(n, terms, total)
+        cert = certify_tail(n, total)
         wanted = None
         if cert is not None:
-            pending = (cert[0], cert[1] + inner_err)
+            pending = cert[:2]
             if pending[1] <= scale:
                 return EvalResult(*pending, n, True)
-            if len(cert) > 2:
-                more = cert[2](pending[1] / scale) if scale > 0.0 else math.inf
-                wanted = max(1, math.ceil(more)) if more < cap else cap  # nan: the cap
+            more = cert[2](pending[1] / scale) if scale > 0.0 else math.inf
+            wanted = max(1, math.ceil(more)) if more < cap else cap  # nan: the cap
     if pending is not None:
         return EvalResult(*pending, n, False)
     raise NoConvergenceError(f"tail not certified within {policy.max_terms} terms")
@@ -234,7 +216,7 @@ def chunked_sum(
 
 def chunked_rows(
     chunk_terms: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, float | np.ndarray]],
-    certify_tail: Callable[..., tuple[np.ndarray, np.ndarray] | None],
+    certify_tail: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
     policy: PrecisionPolicy,
     rows: int,
     terminal: np.ndarray | None = None,
@@ -243,10 +225,12 @@ def chunked_rows(
     """Sum a batch of series, one row each along the last axis, each row stopping
     on its own; returns per-row (value, bound, terms used, converged) arrays.
 
-    chunk_terms(ns, live) and certify_tail(n, terms, totals, live) are those of
-    ``chunked_sum`` on the rows still live (an index array), with per-row errors
-    and per-row bounds (inf where no tail is certified yet).  A row whose bound
-    meets rel_tol * |total| + abs_tol keeps its value and bound, and later
+    chunk_terms(ns, live) gives the terms of the rows still live (an index
+    array) at indices ns and the inner-series error they carry, per row;
+    certify_tail(n, terms, live), after n terms, gives those rows' truncation
+    bounds (inf where no tail is certified yet), each closing the row's running
+    total.  The accumulated inner error is added to every bound.  A row whose
+    bound meets rel_tol * |total| + abs_tol keeps its value and bound, and later
     chunks skip it, so a row's value does not depend on the other rows of its
     batch.  terminal (inf: none) and abs_tol (default policy.abs_tol) are
     per-row arrays; a row stops after the chunk that passes its terminal
@@ -280,10 +264,9 @@ def chunked_rows(
         if value is None:  # the dtype of the terms
             value = np.empty(rows, terms.dtype)
             pending = np.zeros(rows, terms.dtype), np.full(rows, np.inf)
-        cert = certify_tail(n, terms, total, live)
-        if cert is not None:
-            got = np.isfinite(cert[1]) if ends is None else np.isfinite(cert[1]) & (ends == np.inf)
-            pending = np.where(got, cert[0], pending[0]), np.where(got, cert[1] + inner, pending[1])
+        tails = certify_tail(n, terms, live)
+        got = np.isfinite(tails) if ends is None else np.isfinite(tails) & (ends == np.inf)
+        pending = np.where(got, total, pending[0]), np.where(got, tails + inner, pending[1])
         counted = n
         if ends is not None:  # the terms past a terminal index are zeros, and not counted
             ended = n > ends
@@ -402,10 +385,12 @@ def _series_sum(
         upper, lower, z = tuple(u.real for u in upper), tuple(l.real for l in lower), z.real
     az = abs(z)
     terminal = _terminating_order(upper)
+    if terminal is not None and terminal >= policy.max_terms:
+        terminal = None  # past the budget: the certified tail must close it
     p, q = len(upper), len(lower)
     raabe = abs(az - 1.0) <= _UNIT_CIRCLE_TOL and p == q + 1
     floor = min(v.real for v in upper + lower)
-    if terminal is None or terminal >= policy.max_terms:  # the certified tail must close it
+    if terminal is None:
         if p > q + 1 or (p == q + 1 and az > 1.0 + _UNIT_CIRCLE_TOL):
             # term ratios that tend to infinity, or to |z| > 1: no tail is ever certified
             raise NoConvergenceError(
@@ -435,16 +420,16 @@ def _series_sum(
         betas = sorted([l.real for l in lower] + extra_b)
     t = 1.0  # first term of the next chunk
 
-    def chunk_terms(ns: np.ndarray) -> tuple[np.ndarray, float]:
+    def chunk_terms(ns: np.ndarray) -> np.ndarray:
         nonlocal t
         ratios = term_ratios(upper, lower, z, ns)
         if weight_power:
             ratios *= ((ns + 2.0) / (ns + 1.0)) ** weight_power
         terms = t * np.concatenate(([1.0], np.cumprod(ratios[:-1])))
         t = terms[-1] * ratios[-1]
-        return terms, 0.0
+        return terms
 
-    def geometric_tail(n: int, terms: np.ndarray, total: complex):
+    def geometric_tail(n: int, total: complex):
         rho = _geometric_ratio_envelope(alphas, betas, az, n)
         if rho < 1.0:
             # k more terms multiply the bound by at most rho^k: rho bounds every later
@@ -453,7 +438,7 @@ def _series_sum(
             return complex(total), float(abs(t)) / (1.0 - rho), more
         return None
 
-    def raabe_tail(n: int, terms: np.ndarray, total: complex):
+    def raabe_tail(n: int, total: complex):
         # r(m) = prod (m+A_i)/(m+B_i) >= |t_{m+1}/t_m| for m >= n (equal for real
         # parameters) pairs sorted upper with sorted lower parameters and the 1 of n!,
         # plus d pairs (2, 1) (one (1, 2) for d = -1); |u+m| <= m + Re u + (Im u)^2/
@@ -530,9 +515,11 @@ def two_f1_neg1(
 
     Terminating cases (a or b an exact nonpositive integer) are summed exactly at
     -1.  Otherwise the series is routed through the half-argument transform
-    2F1(a,b;c;-1) = 2^(-a) 2F1(a, c-b; c; 1/2), whose positive,
-    geometrically decaying terms certify cleanly; the direct alternating sum
-    at -1 stalls once b and c grow.
+    2F1(a,b;c;-1) = 2^(-a) 2F1(a, c-b; c; 1/2), whose geometrically decaying
+    terms certify cleanly; the direct alternating sum at -1 stalls once b and
+    c grow.  The terms are positive only for real a > 0 and c > max(b, 0):
+    with c < b they alternate, and their cancellation loses digits that no
+    bound counts yet (ROADMAP item 2).
     """
     a, b, c = complex(a), complex(b), complex(c)
     if is_nonpositive_integer(c):

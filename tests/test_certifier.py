@@ -129,6 +129,14 @@ class TestNonFiniteParameters:
             fp3(a, b, c)
 
 
+class TestComplexC:
+    @pytest.mark.parametrize("c", [6.0 + 1.0j, np.complex128(6.0 + 1.0j)])
+    def test_family_params_reject_a_complex_c(self, c):
+        # the coefficient recurrence reads the lower ladder (c+j)/k as real
+        with pytest.raises(ValueError, match="^c must be real"):
+            fp3(0.5, 0.5, c)
+
+
 class TestOperatorMappingCertificates:
     def test_rbeta_starlike_certifies(self):
         cert = certify_operator_mapping(fp3(0.1, 0.1, 25.0), RBETA0, STAR1)

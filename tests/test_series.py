@@ -356,8 +356,8 @@ class TestEngineExits:
         def chunk_terms(ns, live):
             return r[live, None] ** ns * (ns <= terminal[live, None]), 0.0
 
-        def certify_tail(n, terms, totals, live):
-            return totals, r[live] ** n / (1.0 - r[live])
+        def certify_tail(n, terms, live):
+            return r[live] ** n / (1.0 - r[live])
 
         value, bound, used, converged = chunked_rows(
             chunk_terms, certify_tail, PrecisionPolicy(max_terms=1000), 2, terminal)
