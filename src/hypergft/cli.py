@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import decimal
 import enum
 import itertools
 import json
@@ -116,8 +117,8 @@ MAX_GRID_POINTS = 1_000_000
 
 
 def _parse_range(text: str) -> list[float]:
-    """The points of a lo:hi:step inclusive grid, lo + i step rounded to 12 places,
-    or a single value as given."""
+    """The points of a lo:hi:step inclusive grid, each the float nearest to the
+    decimal lo + i step up to hi, or a single value as given."""
     parts = text.split(":")
     if len(parts) == 1:
         return [finite_float(parts[0])]
@@ -126,10 +127,11 @@ def _parse_range(text: str) -> list[float]:
     lo, hi, step = (finite_float(p) for p in parts)
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
-    span = (hi - lo + 1e-12 * max(1.0, abs(hi))) / step
-    if not span < MAX_GRID_POINTS:  # also an infinite span
+    lo, hi, step = (decimal.Decimal(p) for p in parts)  # as typed: no rounding to mend
+    span = (hi - lo) / step
+    if not span < MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
-    return [round(lo + i * step, 12) for i in range(math.floor(span) + 1)]
+    return [float(lo + i * step) for i in range(math.floor(span) + 1)]
 
 
 def _jsonify(value: Any) -> Any:

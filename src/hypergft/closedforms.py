@@ -38,10 +38,10 @@ combination subtracts, not with the (possibly much smaller) result.
 
 The batch loop of the series engine, ``series.chunked_rows``, sums the outer
 expansions S of every block a combination needs as one batch, one row per
-block (``_outer_sums``), and the inner 2F1(-1) values of each outer chunk, of
-all rows, as one more (``_inner_2f1_batch``).  In both a row stops once its
+block (``_ladder_blocks``), and the inner 2F1(-1) values of each outer chunk,
+of all rows, as one more (``_inner_2f1_batch``).  In both a row stops once its
 own tail is certified, so a block is bit-identical alone or batched;
-``split_outer_sum`` and ``ladder_sum_block`` are one-row calls.  Both
+``split_outer_sum`` (G_0) and ``ladder_sum_block`` are its one-row views.  Both
 batches read their chunk ramp from their policy, since both kinds of terms
 decay like 2^(-j): a first chunk of round(log2(1/rel_tol)) + 8 terms, 48
 outer ones at the default 1e-12 and 64 inner ones at ``_INNER_POLICY``'s
@@ -60,9 +60,9 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import dataclasses
 import enum
 import math
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -109,7 +109,7 @@ class Section(enum.Enum):
         return Family.SPLIT3 if self is Section.SEC2 else Family.SPLIT4
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class LemmaId:
     section: Section
     part: int
@@ -179,27 +179,67 @@ def _inner_2f1_batch(A: np.ndarray, m: np.ndarray, C: np.ndarray) -> tuple[np.nd
     return value * scale, bound * np.abs(scale)
 
 
-def _outer_sums(
-    order: int, a: list[complex], b: list[complex], c: list[complex], policy: PrecisionPolicy
-) -> list[tuple[EvalResult, float]]:
-    """``split_outer_sum`` of each row (a_r, b_r, c_r) in one ``chunked_rows`` batch,
-    each with the relative error bound of its seed Gamma(b_r)/Gamma(c_r - a_r).
+def split_outer_sum(
+    order: int,
+    a: complex,
+    b: complex,
+    c: complex,
+    policy: PrecisionPolicy = DEFAULT_POLICY,
+) -> EvalResult:
+    """The outer expansion S(a, b, c) for the given split order (3 or 4): the
+    block G_0 of ``_ladder_blocks``.
 
-    A row stops on its own: its value does not depend on the other rows.  Every
-    row's inner 2F1(-1) values of a chunk are one ``_inner_2f1_batch``.
+    The order selects the term ratio and the inner 2F1 parameters; in both
+    the term ratio tends to 1/2 in modulus.  The seed Gamma(b)/Gamma(c-a) multiplies
+    value and bound at the end, so at large c no running product leaves the float
+    range.  Term j is (a)_j/j! times the moment of u^j (|u| <= 1/2) of t^(b-1)
+    (1-t)^(m-1) (1+t)^(-e a) dt/Gamma(m), m = c-a-b, once Re m > 0 and Re b + j > 0,
+    so past the last index J the tail is at most M rho/(1-rho), rho = 1/2 max(1,
+    (|a|+J)/(J+1)), with M = |term J| for real parameters, else (|a|)_J/J! times the
+    |u|^J moment of the real measure (exponents Re b - 1, Re m - 1, -e Re a).  The
+    sum ends early only where a is an exact nonpositive integer.
+    """
+    return _ladder_blocks(order, a, b, c, (0,), policy)[0][0]
+
+
+def _ladder_blocks(
+    order: int, a: complex, b: complex, c: complex, shifts: tuple[int, ...],
+    policy: PrecisionPolicy,
+) -> list[tuple[EvalResult, float]]:
+    """The blocks G_m of ``ladder_sum_block`` for every m in shifts, each with the
+    relative error bound of its seed Gamma(b_m)/Gamma(c_m - a_m).
+
+    The outer sums S(a_m, b_m, c_m) = S(a+m, b+km, c+km) are one ``chunked_rows``
+    batch, one row per block.  A row stops on its own: its value does not depend
+    on the other rows.  Every row's inner 2F1(-1) values of a chunk are one
+    ``_inner_2f1_batch``.
     """
     if order not in (3, 4):
         raise ValueError("split order must be 3 or 4")
-    a, b, c = ([complex(v) for v in vs] for vs in (a, b, c))
-    seeds = []
-    for ar, br, cr in zip(a, b, c):
+    a, b, c = complex(a), complex(b), complex(c)
+    pres, seeds, points = [], [], []
+    for shift in shifts:
+        if shift < -1:
+            raise ValueError(f"shift must be at least -1, got {shift}")
+        if shift == -1:
+            if a == 1.0:
+                raise PoleError("the prefactor (c-a-b)/(a-1) of G_-1 has a pole at a = 1")
+            pre = (c - a - b) / (a - 1.0)
+        else:
+            den = pochhammer(c - a - b - shift, shift)
+            if den == 0:
+                raise PoleError(f"(c-a-b-m)_m vanishes at m = {shift}, c - a - b = {c - a - b}")
+            pre = pochhammer(a, shift) / den
+        ar, br, cr = a + shift, b + order * shift, c + order * shift
         if is_nonpositive_integer(br):
             raise PoleError(f"outer seed Gamma({br}) is at a pole")
         if is_nonpositive_integer(cr - ar):
             raise PoleError(f"outer seed 1/Gamma({cr - ar}) is at a pole")
+        pres.append(complex(pre))
         seeds.append(gamma_ratio_with_error([br], [cr - ar]))
-    real = not any(v.imag for v in a + b + c)  # float64 weights and inner rows
-    a, b, c = (np.array([v.real for v in vs] if real else vs) for vs in (a, b, c))
+        points.append((ar, br, cr))
+    real = not any(v.imag for point in points for v in point)  # float64 weights and inner rows
+    a, b, c = (np.array([v.real if real else v for v in vs]) for vs in zip(*points))
     ca, m_fix = c - a, c - a - b
     # Term j carries Gamma(b+kj)/Gamma(c-a+kj) 2F1(e a + (3-k) j, b+kj; c-a+kj; -1).
     k, e = (2, 1) if order == 3 else (1, 3)
@@ -245,61 +285,9 @@ def _outer_sums(
     floors = [policy.abs_tol / max(abs(seed), 1.0) for seed, _ in seeds]
     sums = chunked_rows(chunk_terms, outer_tail, policy, len(a), terminal, np.array(floors))
     return [
-        (EvalResult(seed * complex(v), abs(seed) * float(t), int(n), bool(ok)), rel)
-        for (seed, rel), v, t, n, ok in zip(seeds, *sums)
-    ]
-
-
-def split_outer_sum(
-    order: int,
-    a: complex,
-    b: complex,
-    c: complex,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> EvalResult:
-    """The outer expansion S(a, b, c) for the given split order (3 or 4): a
-    one-row ``_outer_sums``.
-
-    The order selects the term ratio and the inner 2F1 parameters; in both
-    the term ratio tends to 1/2 in modulus.  The seed Gamma(b)/Gamma(c-a) multiplies
-    value and bound at the end, so at large c no running product leaves the float
-    range.  Term j is (a)_j/j! times the moment of u^j (|u| <= 1/2) of t^(b-1)
-    (1-t)^(m-1) (1+t)^(-e a) dt/Gamma(m), m = c-a-b, once Re m > 0 and Re b + j > 0,
-    so past the last index J the tail is at most M rho/(1-rho), rho = 1/2 max(1,
-    (|a|+J)/(J+1)), with M = |term J| for real parameters, else (|a|)_J/J! times the
-    |u|^J moment of the real measure (exponents Re b - 1, Re m - 1, -e Re a).  The
-    sum ends early only where a is an exact nonpositive integer.
-    """
-    return _outer_sums(order, [a], [b], [c], policy)[0][0]
-
-
-def _ladder_blocks(
-    order: int, a: complex, b: complex, c: complex, shifts: tuple[int, ...],
-    policy: PrecisionPolicy,
-) -> list[tuple[EvalResult, float]]:
-    """The blocks G_m of ``ladder_sum_block`` for every m in shifts, their outer
-    sums one ``_outer_sums`` batch; each with the relative error bound of its seed."""
-    a, b, c = complex(a), complex(b), complex(c)
-    k = order
-    pres = []
-    for shift in shifts:
-        if shift < -1:
-            raise ValueError(f"shift must be at least -1, got {shift}")
-        if shift == -1:
-            if a == 1.0:
-                raise PoleError("the prefactor (c-a-b)/(a-1) of G_-1 has a pole at a = 1")
-            pre = (c - a - b) / (a - 1.0)
-        else:
-            den = pochhammer(c - a - b - shift, shift)
-            if den == 0:
-                raise PoleError(f"(c-a-b-m)_m vanishes at m = {shift}, c - a - b = {c - a - b}")
-            pre = pochhammer(a, shift) / den
-        pres.append(complex(pre))
-    sums = _outer_sums(order, [a + m for m in shifts], [b + k * m for m in shifts],
-                       [c + k * m for m in shifts], policy)
-    return [
-        (EvalResult(pre * s.value, abs(pre) * s.tail_bound, s.terms_used, s.converged), rel)
-        for pre, (s, rel) in zip(pres, sums)
+        (EvalResult(pre * (seed * complex(v)), abs(pre) * (abs(seed) * float(t)), int(n), bool(ok)),
+         rel)
+        for pre, (seed, rel), v, t, n, ok in zip(pres, seeds, *sums)
     ]
 
 
@@ -536,11 +524,7 @@ def euler_integral(
             return (1.0 - z * t) ** (-a_pow)
     else:
         upper, lower = params.upper[1:], params.lower[1:]
-        inner_policy = PrecisionPolicy(
-            rel_tol=min(policy.rel_tol, quad_tol * 1e-3),
-            abs_tol=policy.abs_tol,
-            max_terms=policy.max_terms,
-        )
+        inner_policy = dataclasses.replace(policy, rel_tol=min(policy.rel_tol, quad_tol * 1e-3))
         inner = pfq_eval(PFQParams(upper, lower), z, inner_policy)
         ratios = term_ratios(upper, lower, z, np.arange(inner.terms_used - 1))
 

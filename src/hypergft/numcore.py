@@ -61,13 +61,13 @@ class PrecisionPolicy:
 DEFAULT_POLICY = PrecisionPolicy()
 
 
-def is_nonpositive_integer(z: complex, tol: float = POLE_TOL) -> bool:
-    """True when z lies within tol of 0, -1, -2, ..."""
+def is_nonpositive_integer(z: complex) -> bool:
+    """True when z lies within POLE_TOL of 0, -1, -2, ..."""
     z = complex(z)
-    if abs(z.imag) > tol:
+    if abs(z.imag) > POLE_TOL:
         return False
     r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= tol
+    return r <= 0 and abs(z.real - r) <= POLE_TOL
 
 
 def terminal_index(a: complex) -> float:

@@ -35,9 +35,10 @@ the budget cannot end raises NoConvergenceError at entry: no tail of it is
 ever certified.  So does a p = q + 1 series on the circle whose index cannot
 pass every parameter's real part within the budget, as the Raabe tail needs.
 
-The outer ladder expansions (``closedforms.split_outer_sum``, batched one row
-per block; proven outer ratio) and the inner 2F1(-1) batch that sums each of
-their chunks (row-wise geometric envelope) go through ``chunked_rows``.  A
+The outer ladder expansions (``closedforms._ladder_blocks``, one row per
+block, whose one-row views are ``split_outer_sum`` and ``ladder_sum_block``;
+proven outer ratio) and the inner 2F1(-1) batch that sums each of their
+chunks (row-wise geometric envelope) go through ``chunked_rows``.  A
 batch's first chunk is round(log2(1/rel_tol)) + 8 terms, where terms decaying
 like 2^(-j) reach rel_tol with a few to spare; it runs twice, so a row that
 just misses its stop runs a short chunk, and chunks then double up to 4096.

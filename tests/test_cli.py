@@ -15,7 +15,7 @@ import hypergft
 from hypergft import closedforms
 from hypergft.certifier import certify_function_class
 from hypergft.classes import ClassKind, ClassSpec
-from hypergft.cli import _COMMANDS, DEFAULT_TOLERANCES, main
+from hypergft.cli import _COMMANDS, DEFAULT_TOLERANCES, _parse_range, main
 from hypergft.errors import InsufficientOrderError, NoConvergenceError
 from hypergft.families import Family, FamilyParams
 from hypergft.numcore import DEFAULT_POLICY
@@ -538,6 +538,23 @@ class TestSweep:
         assert code == 0
         cs = [row.split(",")[5] for row in text.splitlines()[1:]]
         assert len(cs) == 190 and cs[-1] == "106.3" and "103.3" in cs
+
+    def test_a_step_below_the_old_pad_ends_at_hi(self):
+        code, text = run("sweep", "--family", "split3", "--class", "sp", "--source", "rbeta",
+                         "--beta", "0:3e-12:1e-12", "--c", "9")
+        assert code == 0
+        betas = [float(row.split(",")[7]) for row in text.splitlines()[1:]]
+        assert betas == [0.0, 1e-12, 2e-12, 3e-12]
+
+    @pytest.mark.parametrize("text, points", [
+        ("1000000:1000000.000003:0.000001",
+         [1000000.0, 1000000.000001, 1000000.000002, 1000000.000003]),
+        # hi - lo rounds to 8.99995 steps in float64; the decimal grid still reaches hi
+        ("1000000:1000000.000009:0.000001", [float(f"1000000.00000{i}") for i in range(10)]),
+        ("1e-13:5e-13:1e-13", [1e-13, 2e-13, 3e-13, 4e-13, 5e-13]),
+    ])
+    def test_range_points_are_the_decimal_grid(self, text, points):
+        assert _parse_range(text) == points
 
     def test_empty_grid_exit_one(self):
         code, _ = run(

@@ -403,6 +403,24 @@ class TestSplitOuterSum:
         with pytest.raises(PoleError, match="a = 1"):
             ladder_sum_block(3, 1.0, 0.5, 5.0, -1)
 
+    @pytest.mark.parametrize("order, a, b, c, match", [
+        (3, 0.5, -3.0, 10.0, "outer seed Gamma"),  # b + 3 = 0
+        (4, 0.5, -4.0, 10.0, "outer seed Gamma"),  # b + 4 = 0
+        (3, 12.0, 0.5, 10.0, "outer seed 1/Gamma"),  # (c + 3) - (a + 1) = 0
+    ])
+    def test_seed_pole_of_a_shifted_row(self, order, a, b, c, match):
+        with pytest.raises(PoleError, match=match):
+            ladder_sum_block(order, a, b, c, 1)
+
+    def test_outer_sum_is_the_block_g0(self):
+        rng = random.Random(27)
+        for i in range(200):
+            order = 3 + i % 2
+            b, c = rng.uniform(0.1, 3.0), rng.uniform(4.0, 30.0)
+            a = (rng.uniform(-3.0, 3.0), complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)),
+                 float(-rng.randint(0, 6)))[i % 3]
+            assert split_outer_sum(order, a, b, c) == ladder_sum_block(order, a, b, c, 0), (a, b, c)
+
     def test_inner_matches_scalar_two_f1(self):
         # The batched half-argument kernel agrees with the scalar evaluator.
         a, b, c = 0.35, 1.4, 6.0
