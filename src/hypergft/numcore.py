@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConstraintError, PoleError, ZeroError
@@ -54,8 +55,9 @@ class PrecisionPolicy:
             raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
         if not 0 <= self.abs_tol < math.inf:
             raise ValueError(f"abs_tol must be finite and at least 0, got {self.abs_tol}")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
+        n = self.max_terms
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"max_terms must be a whole number of at least 1, got {n!r}")
 
 
 DEFAULT_POLICY = PrecisionPolicy()

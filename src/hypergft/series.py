@@ -7,9 +7,9 @@ terminating index, the budget and the ``rel_tol * |total| + abs_tol`` test;
 each caller passes a chunk-term function and a tail certifier.  A sum ends
 early only at an exact nonpositive integer upper parameter
 (``numcore.terminal_index``); a terminal index past the term budget counts as
-none, so the certified tail closes that sum.  Plain pFq series and the weighted
-ladder sums (terms from the one-step ratio recurrence) go through
-``chunked_sum`` with one of two certifiers:
+none, so the certified tail closes that sum.  Plain pFq series (terms from the
+one-step ratio recurrence) go through ``chunked_sum`` with one of two
+certifiers:
 
 * geometric - for |z| < 1 (or p <= q) the future term ratios are bounded by
   a monotone rational envelope R(n) built from parameter moduli, giving
@@ -144,8 +144,7 @@ def convergence_class(params: PFQParams, z: complex) -> ConvergenceClass:
 def _geometric_ratio_envelope(alphas: list[float], betas: list[float], az: float, n: int) -> float:
     """Upper bound R(n) on |t_{m+1}/t_m| for every m >= n, from alphas, the sorted
     moduli |a| of the upper parameters, and betas, the sorted real parts Re(b)
-    of the lower ones with the 1 of n!, both sorted once per sum (with the
-    pairs of a weight (m+2)^d/(m+1)^d added to them).
+    of the lower ones with the 1 of n!, both sorted once per sum.
 
     Uses |a+m| <= m+|a| and |b+m| >= m+Re(b); each paired factor
     (m+alpha)/(m+beta) is monotone, so its supremum over m >= n is
@@ -174,7 +173,8 @@ def chunked_sum(
     chunk_terms(ns) gives the terms at indices ns; certify_tail(n, total), after
     n terms, gives (value, truncation bound, more) or None.  terminal, when
     given, is the index of the last nonzero term within the budget: the sum
-    stops there exactly, with no tail.  An exhausted budget returns the last
+    stops there exactly, with no tail.  An overflowed or nan total ends the sum
+    with bound inf and converged=False.  An exhausted budget returns the last
     certified pair with converged=False; no certificate at all raises.
 
     The first chunk has 64 terms.  A bound that misses the test by the factor
@@ -198,9 +198,11 @@ def chunked_sum(
         total = total + chunk_terms(np.arange(n, n + chunk)).sum()
         n += chunk
         scale = policy.rel_tol * abs(total) + policy.abs_tol
+        if not math.isfinite(scale):  # an overflowed or nan total: no bound holds
+            return EvalResult(complex(total), math.inf, n, False)
         if terminal is not None:
-            if n > terminal:  # a nan total is not converged
-                return EvalResult(complex(total), 0.0, n, bool(scale >= 0.0))
+            if n > terminal:
+                return EvalResult(complex(total), 0.0, n, True)
             continue
         cert = certify_tail(n, total)
         wanted = None
@@ -246,8 +248,9 @@ def chunked_rows(
     first = max(1, round(math.log2(1.0 / policy.rel_tol)) + 8)
     live = np.arange(rows)
     floor = np.full(rows, policy.abs_tol) if abs_tol is None else abs_tol
-    # None, or per row (inf: none, and for an index the budget cannot reach)
-    ends = None if terminal is None else np.where(terminal < policy.max_terms, terminal, np.inf)
+    # per row (inf: none, and for an index the budget cannot reach)
+    ends = np.full(rows, np.inf) if terminal is None else terminal
+    ends = np.where(ends < policy.max_terms, ends, np.inf)
     total, inner = 0.0, np.zeros(rows)
     pending = None  # per live row: the last certified (value, bound), bound inf if none
     value = None  # per row, filled as rows stop, like these:
@@ -266,24 +269,21 @@ def chunked_rows(
             value = np.empty(rows, terms.dtype)
             pending = np.zeros(rows, terms.dtype), np.full(rows, np.inf)
         tails = certify_tail(n, terms, live)
-        got = np.isfinite(tails) if ends is None else np.isfinite(tails) & (ends == np.inf)
+        got = np.isfinite(tails) & (ends == np.inf)
         pending = np.where(got, total, pending[0]), np.where(got, tails + inner, pending[1])
-        counted = n
-        if ends is not None:  # the terms past a terminal index are zeros, and not counted
-            ended = n > ends
-            pending = np.where(ended, total, pending[0]), np.where(ended, inner, pending[1])
-            counted = np.where(ended, ends + 1, n)
+        ended = n > ends
+        pending = np.where(ended, total, pending[0]), np.where(ended, inner, pending[1])
         met = pending[1] <= policy.rel_tol * np.abs(total) + floor
-        stop = met if ends is None else met | ended
+        stop = met | ended
         if stop.any():
             done = live[stop]
             value[done], bound[done] = pending[0][stop], pending[1][stop]
             converged[done] = met[stop]
-            used[done] = counted if ends is None else counted[stop]
+            used[done] = np.minimum(ends[stop] + 1, n)  # not the zeros past a terminal index
             keep = ~stop
             live, total, inner, floor = live[keep], total[keep], inner[keep], floor[keep]
+            ends = ends[keep]
             pending = pending[0][keep], pending[1][keep]
-            ends = None if ends is None else ends[keep]
     if live.size:  # the budget ran out: the last certified pairs, converged=False
         if not np.all(np.isfinite(pending[1])):
             raise NoConvergenceError(f"tail not certified within {policy.max_terms} terms")
@@ -377,9 +377,8 @@ def _series_sum(
     lower: tuple[complex, ...],
     z: complex,
     policy: PrecisionPolicy,
-    weight_power: int = 0,
 ) -> EvalResult:
-    """Sum sum_n (n+1)^weight_power * prod(a)_n/prod(b)_n/(1)_n * z^n with a certified tail."""
+    """Sum sum_n prod(a)_n/prod(b)_n/(1)_n * z^n with a certified tail."""
     z = complex(z)
     real = z.imag == 0.0 and all(v.imag == 0.0 for v in upper + lower)
     if real:  # float64 terms
@@ -390,7 +389,7 @@ def _series_sum(
         terminal = None  # past the budget: the certified tail must close it
     p, q = len(upper), len(lower)
     raabe = abs(az - 1.0) <= _UNIT_CIRCLE_TOL and p == q + 1
-    floor = min(v.real for v in upper + lower)
+    floor = min((v.real for v in upper + lower), default=math.inf)
     if terminal is None:
         if p > q + 1 or (p == q + 1 and az > 1.0 + _UNIT_CIRCLE_TOL):
             # term ratios that tend to infinity, or to |z| > 1: no tail is ever certified
@@ -404,34 +403,28 @@ def _series_sum(
                 f"tail not certified within {policy.max_terms} terms: the index cannot pass "
                 f"the parameter {floor!r} within the budget"
             )
-    d = weight_power
-    # the ratio (m+A_i)/(m+B_i) pairs of the weight (m+2)^d/(m+1)^d and of n!
-    extra_a, extra_b = [2.0] * d + [1.0] * -d, [1.0] + [1.0] * d + [2.0] * -d
+    B = sorted([l.real for l in lower] + [1.0])  # with the 1 of n!
     if raabe:
         z = z / az if az > 1.0 else z  # past the circle the series diverges: summed at z/|z|
-        B = sorted([l.real for l in lower] + extra_b)
         if real:  # the majorant is the ratio itself, the same at every n
-            A = sorted(list(upper) + extra_a)
+            A = sorted(upper)
             real_shape = _raabe_shape(A, B)
             telescope = _telescope(A, B) if z == 1.0 else None
         else:
             telescope = None
     else:
-        alphas = sorted([abs(u) for u in upper] + extra_a)
-        betas = sorted([l.real for l in lower] + extra_b)
+        alphas = sorted(abs(u) for u in upper)
     t = 1.0  # first term of the next chunk
 
     def chunk_terms(ns: np.ndarray) -> np.ndarray:
         nonlocal t
         ratios = term_ratios(upper, lower, z, ns)
-        if weight_power:
-            ratios *= ((ns + 2.0) / (ns + 1.0)) ** weight_power
         terms = t * np.concatenate(([1.0], np.cumprod(ratios[:-1])))
         t = terms[-1] * ratios[-1]
         return terms
 
     def geometric_tail(n: int, total: complex):
-        rho = _geometric_ratio_envelope(alphas, betas, az, n)
+        rho = _geometric_ratio_envelope(alphas, B, az, n)
         if rho < 1.0:
             # k more terms multiply the bound by at most rho^k: rho bounds every later
             # ratio, and 1 - rho only grows
@@ -440,16 +433,15 @@ def _series_sum(
         return None
 
     def raabe_tail(n: int, total: complex):
-        # r(m) = prod (m+A_i)/(m+B_i) >= |t_{m+1}/t_m| for m >= n (equal for real
-        # parameters) pairs sorted upper with sorted lower parameters and the 1 of n!,
-        # plus d pairs (2, 1) (one (1, 2) for d = -1); |u+m| <= m + Re u + (Im u)^2/
-        # (2(n + Re u)).  With sigma = sum(B - A), s = sum(B^2 - A^2)/(2 sigma), (m+s)
-        # log(1/r(m)) = sigma + sum int_A^B (s-x)/(m+x) dx, whose negative parts shrink
+        # r(m) = prod (m+A_i)/(m+B_i) >= |t_{m+1}/t_m| for m >= n (equal for real parameters)
+        # pairs sorted upper with sorted lower parameters and the 1 of n!; |u+m| <= m + Re u
+        # + (Im u)^2/(2(n + Re u)).  With sigma = sum(B - A), s = sum(B^2 - A^2)/(2 sigma),
+        # (m+s) log(1/r(m)) = sigma + sum int_A^B (s-x)/(m+x) dx, whose negative parts shrink
         # as m grows: it is at least sigma_lo for all m >= n.
         if n + floor <= 0.0:
             return None
         if not real:
-            A = sorted([u.real + u.imag**2 / (2.0 * (n + u.real)) for u in upper] + extra_a)
+            A = sorted(u.real + u.imag**2 / (2.0 * (n + u.real)) for u in upper)
         shape = real_shape if real else _raabe_shape(A, B)
         if shape is None or n + shape[1] <= 0.0:
             return None
@@ -541,7 +533,8 @@ def weighted_pochhammer_sum(
     """Direct summation of sum_n w(n) (a)_n prod((b+j)/k)_n / [prod((c+j)/k)_n (1)_n].
 
     This is the ground-truth side of the ladder lemmas; w is one of
-    1/(n+1), 1, (n+1), (n+1)^2, (n+1)^3.
+    1/(n+1), 1, (n+1), (n+1)^2, (n+1)^3.  As (2)_n/(1)_n = n + 1, the weight
+    (n+1)^d is d more parameter pairs (2; 1), or one (1; 2) for d = -1.
     """
     if weight not in _WEIGHT_POWERS:
         raise ValueError(f"unknown weight {weight!r}")
@@ -549,4 +542,6 @@ def weighted_pochhammer_sum(
     violated = weighted_sum_region(complex(fp.a).real, complex(fp.b).real, fp.c, fp.order, d)
     if violated:
         raise ConstraintError(f"weight {weight} requires {violated}")
-    return _series_sum(fp.upper_params(), fp.lower_params(), 1.0, policy, weight_power=d)
+    upper = fp.upper_params() + (2.0,) * d + (1.0,) * -d
+    lower = fp.lower_params() + (1.0,) * d + (2.0,) * -d
+    return _series_sum(upper, lower, 1.0, policy)

@@ -39,6 +39,7 @@ class TestPrecisionPolicy:
     @pytest.mark.parametrize("field, value", [
         ("rel_tol", math.inf), ("rel_tol", math.nan), ("rel_tol", -1e-12),
         ("abs_tol", -1.0), ("abs_tol", math.nan), ("abs_tol", math.inf),
+        ("max_terms", 70.5), ("max_terms", math.nan), ("max_terms", math.inf), ("max_terms", True),
     ])
     def test_rejects_non_finite_or_negative_tolerances(self, field, value):
         with pytest.raises(ValueError, match=field):

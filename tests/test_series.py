@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from hypergft import closedforms, series
 from hypergft.errors import ConstraintError, DivergentError, NoConvergenceError, PoleError
-from hypergft.families import Family, FamilyParams
-from hypergft.numcore import PrecisionPolicy, pochhammer
+from hypergft.families import Family, FamilyParams, weighted_sum_region
+from hypergft.numcore import DEFAULT_POLICY, PrecisionPolicy, pochhammer
 from hypergft.series import (
     ConvergenceClass,
     EvalResult,
@@ -25,6 +25,15 @@ from hypergft.series import (
     two_f1_neg1,
     weighted_pochhammer_sum,
 )
+
+
+def _weighted_sum(upper, lower, z, policy, d):
+    """``_series_sum`` of sum_n (n+1)^d prod(upper)_n / prod(lower)_n / n! z^n: as
+    (2)_n/(1)_n = n + 1, the weight is d more parameter pairs (2; 1), or one (1; 2)
+    for d = -1, appended as ``weighted_pochhammer_sum`` appends them."""
+    upper = tuple(upper) + (2.0,) * d + (1.0,) * -d
+    lower = tuple(lower) + (1.0,) * d + (2.0,) * -d
+    return _series_sum(upper, lower, z, policy)
 
 
 def rel_err(x, y):
@@ -93,6 +102,13 @@ class TestPFQEval:
         oracle = -math.log(0.5) / 0.5
         assert res.converged
         assert rel_err(res.value, oracle) < 1e-12
+
+    @pytest.mark.parametrize("z", [0.5, -2.0, 2 + 1j])
+    def test_zero_f_zero_is_exp(self, z):
+        # no parameters at all: the geometric envelope pairs only the 1 of n!
+        res = pfq_eval(PFQParams((), ()), z)
+        assert res.converged
+        assert abs(res.value - cmath.exp(z)) <= res.tail_bound + 4 * U * math.exp(abs(z))
 
     def test_binomial_closed_form(self):
         # 1F0(a;;z) = (1-z)^(-a)
@@ -365,6 +381,35 @@ class TestEngineExits:
         assert converged.all() and 0.0 < bound[1] <= 1e-12 * 2.0
         assert abs(value[1] - 2.0) <= bound[1] + 1e-15
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("upper, lower, z, nan", [
+        ((1.0,), (1.0,), 710.0, False),  # e^710 overflows float64
+        ((0.5,), (1.5,), -800.0, True),  # terms past 1e308 of both signs
+        ((-200.0,), (), 1e10, True),  # the terminal path: (1 - 1e10)^200
+    ], ids=["inf", "nan", "terminal-nan"])
+    def test_overflowed_total_is_not_converged(self, upper, lower, z, nan):
+        # once |total| is inf or nan, no bound holds: the sum ends there
+        res = pfq_eval(PFQParams(upper, lower), z)
+        assert not res.converged and res.tail_bound == math.inf
+        assert res.terms_used < DEFAULT_POLICY.max_terms
+        assert cmath.isnan(res.value) if nan else math.isinf(res.value.real)
+
+    def test_rows_without_a_terminal_index_are_rows_whose_index_is_inf(self):
+        rng = np.random.default_rng(29)
+        r = rng.uniform(-0.95, 0.95, 16)
+
+        def chunk_terms(ns, live):
+            return r[live, None] ** ns, 1e-20 * np.abs(r[live])
+
+        def certify_tail(n, terms, live):
+            return np.abs(r[live]) ** n / (1.0 - np.abs(r[live]))
+
+        plain = chunked_rows(chunk_terms, certify_tail, PrecisionPolicy(), 16)
+        ends = chunked_rows(chunk_terms, certify_tail, PrecisionPolicy(), 16, np.full(16, np.inf))
+        assert plain[2].min() < plain[2].max()  # the rows stop one by one
+        for x, y in zip(plain, ends):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
     def test_plain_python_numbers(self):
         for res in (
             pfq_eval(PFQParams((1.5, 2.0), (3.0,)), 0.5),
@@ -394,7 +439,7 @@ class TestRaabeEngineExits:
         exits = 0
         for max_terms in range(2, 2000):
             try:
-                res = _series_sum((a, b), (c,), z, PrecisionPolicy(max_terms=max_terms), d)
+                res = _weighted_sum((a, b), (c,), z, PrecisionPolicy(max_terms=max_terms), d)
             except NoConvergenceError:  # no certificate before n passes the parameters
                 continue
             if res.converged:
@@ -462,7 +507,7 @@ class TestTelescopedTail:
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             for a, b, c in _real_draws(random.Random(100 + d), 8, d=d):
-                res = _series_sum((a, b), (c,), 1.0, PrecisionPolicy(), d)
+                res = _weighted_sum((a, b), (c,), 1.0, PrecisionPolicy(), d)
                 self.covers(res, _gauss_weighted(mpmath, *map(mpmath.mpf, (a, b, c)), d))
 
     def test_shpot(self):
@@ -616,7 +661,7 @@ class TestSizedChunks:
     @pytest.mark.parametrize("path", PATHS)
     def test_each_certifier_path_covers_the_reference(self, path, weighted_reference):
         for upper, lower, z, d in self._draws(path, random.Random(f"sized/{path}")):
-            res = _series_sum(upper, lower, z, PrecisionPolicy(), d)
+            res = _weighted_sum(upper, lower, z, PrecisionPolicy(), d)
             ref = weighted_reference(upper, lower, z, d)
             # converged or not: a d = 3 draw runs out of budget, its bound still honest
             size = _moduli_sum(upper, lower, z, d, res.terms_used)
@@ -648,6 +693,21 @@ class TestWeightedPochhammerSum:
                 for w in ("inv", "one", "linear", "square")
             }
             assert vals["square"] >= vals["linear"] >= vals["one"] >= vals["inv"]
+
+    @pytest.mark.parametrize("weight", ["inv", "one", "linear", "square", "cube"])
+    def test_weight_is_parameter_pairs(self, weight):
+        # bit for bit the pFq of the appended pairs (2; 1), or (1; 2) for inv, at z = 1
+        d = series._WEIGHT_POWERS[weight]
+        rng = random.Random(f"pairs/{weight}")
+        for family in (Family.SPLIT3, Family.SPLIT4):
+            for _ in range(4):
+                a, b = rng.uniform(0.05, 0.9), rng.uniform(0.1, 3.0)
+                c = a + b + max(d, family.value - 1) + rng.uniform(0.2, 4.0)
+                fp = FamilyParams(a, b, c, family)
+                assert weighted_sum_region(a, b, c, fp.order, d) is None
+                upper = fp.upper_params() + (2.0,) * d + (1.0,) * -d
+                lower = fp.lower_params() + (1.0,) * d + (2.0,) * -d
+                assert weighted_pochhammer_sum(fp, weight) == pfq_eval(PFQParams(upper, lower), 1.0)
 
     def test_constraint_errors(self):
         with pytest.raises(ConstraintError):
