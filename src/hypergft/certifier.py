@@ -19,7 +19,9 @@ by n.  The source's extremal modulus scale * n^s (``SourceClass``) shifts
 the power: the function itself s = 0, S (|a_n| <= n) s = +1, R(beta)
 (|a_n| <= 2(1-beta)/n) s = -1; the scale divides out, so K = 1 + 1/scale:
 2, or 1 + 1/(2(1-beta)) for R(beta).  The left side is the weighted sum
-itself, so the n = 1 term theta sits on both sides.
+itself, so the n = 1 term theta sits on both sides.  Every term of it is at
+least 0, so an evaluation whose lhs + bound falls below theta is wrong: such a
+verdict is ``inconclusive``, never ``certified``.
 
 W_d converges for c > |a| + |b| + d (``families.weighted_sum_region`` at
 (|a|, |b|)), the hypothesis when D + s >= 1.  When
@@ -92,14 +94,16 @@ def _hypothesis(am: float, bm: float, c: float, k: int, d: int) -> None:
 
 
 def _certificate(
-    fp: FamilyParams, weights: Mapping[int, float], rhs: float, tag: str,
+    fp: FamilyParams, weights: Mapping[int, float], rhs: float, theta: float, tag: str,
     policy: PrecisionPolicy,
 ) -> Certificate:
     am, bm, c = _moduli(fp)
     res = block_combination(fp.order, am, bm, c, weights, policy)
     lhs = float(res.value.real)
     tail = float(res.tail_bound + abs(res.value.imag) + GAMMA_EVAL_REL)
-    return Certificate(lhs, rhs, rhs - lhs, _decide(lhs, rhs, tail), tail, tag)
+    # the n = 1 term alone is theta: a smaller lhs + tail is a wrong evaluation
+    verdict = _decide(lhs, rhs, tail) if lhs + tail >= theta else Verdict.INCONCLUSIVE
+    return Certificate(lhs, rhs, rhs - lhs, verdict, tail, tag)
 
 
 def certify_function_class(
@@ -128,13 +132,13 @@ def certify_operator_mapping(
     ):
         # The quartic corollary: lam = 1 drops W_-1 and relaxes the region.
         _hypothesis(am, bm, c, fp.order, 0)
-        return _certificate(fp, {0: 1.0}, rhs, tag + ".lambda1", policy)
+        return _certificate(fp, {0: 1.0}, rhs, spec.threshold, tag + ".lambda1", policy)
     power, alpha, beta = spec.weight
     d = power + source.shift
     _hypothesis(am, bm, c, fp.order, d if d >= 1 else -1)
     if d == 0 and weighted_sum_region(am, bm, c, fp.order, 0):  # W_0 diverges
         return Certificate(math.inf, rhs, -math.inf, Verdict.NOT_CERTIFIED, 0.0, tag)
-    return _certificate(fp, {d: alpha, d - 1: beta}, rhs, tag, policy)
+    return _certificate(fp, {d: alpha, d - 1: beta}, rhs, spec.threshold, tag, policy)
 
 
 def hypergeometric_coefficients(fp: FamilyParams, N: int) -> np.ndarray:

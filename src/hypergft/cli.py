@@ -5,7 +5,7 @@ are serialized with repr (JSON) or %.17g (CSV), and keys are sorted, so a
 fixed invocation yields byte-identical output.
 
 Exit codes
-  eval    0 ok / 1 bad input / 2 constraint violation / 3 convergence failure
+  eval    0 ok / 1 bad input / 2 constraint violation / 3 convergence failure or unconverged result
   certify 0 certified / 4 hypothesis violated / 5 not certified / 6 inconclusive / 1 bad input
           (--allow-hypothesis-error writes the violation as a report in --format, still exit 4)
   verify  0 all residuals within tolerance / 5 residual failure / 3 a side did not converge
@@ -251,7 +251,7 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
     body = {**dataclasses.asdict(res), "value": v}
     body["terms"] = body.pop("terms_used")
     _render(args, "result", body, params, rows, text, out)
-    return 0
+    return 0 if res.converged else 3
 
 
 # ---------------------------------------------------------------- certify

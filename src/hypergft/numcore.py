@@ -95,8 +95,15 @@ def _log_sin_pi_upper(z: complex) -> complex:
     # Continuous logarithm of sin(pi z) on the closed upper half-plane:
     # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 pi i z}), and 1 - e^{2 pi i z}
     # stays in the closed right half-plane, so the principal log never jumps.
-    w = cmath.exp(2j * cmath.pi * z)
-    return 0.5j * cmath.pi - math.log(2.0) - 1j * cmath.pi * z + cmath.log(1.0 - w)
+    # z = n + w with n = round(Re z): w is exact near an integer (Sterbenz), so
+    # 1 - e^{x+iy}, x = -2 pi Im w, y = 2 pi Re w, keeps the distance to n; the
+    # real part 1 - e^x cos y is summed as 2 sin^2(y/2) - expm1(x) cos y.
+    n = round(z.real)
+    w = z - n
+    x, y = -2.0 * math.pi * w.imag, 2.0 * math.pi * w.real
+    re = 2.0 * math.sin(0.5 * y) ** 2 - math.expm1(x) * math.cos(y)
+    rest = complex(re, -math.exp(x) * math.sin(y))
+    return 0.5j * cmath.pi - math.log(2.0) - 1j * cmath.pi * w - 1j * cmath.pi * n + cmath.log(rest)
 
 
 def log_gamma(z: complex) -> complex:

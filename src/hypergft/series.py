@@ -5,11 +5,11 @@ last axis, each row stopping on its own; the caller picks the one it needs.
 Each loop owns its chunk ramp, the running sum, the exact stop at a
 terminating index, the budget and the ``rel_tol * |total| + abs_tol`` test;
 each caller passes a chunk-term function and a tail certifier.  A sum ends
-early only at an exact nonpositive integer upper parameter
-(``numcore.terminal_index``); a terminal index past the term budget counts as
-none, so the certified tail closes that sum.  Plain pFq series (terms from the
-one-step ratio recurrence) go through ``chunked_sum`` with one of two
-certifiers:
+early only at an exact nonpositive integer upper parameter, its terminal index
+(``numcore.terminal_index``, inf: none); each loop counts an index at or past
+the term budget as none, so the certified tail closes that sum.  Plain pFq
+series (terms from the one-step ratio recurrence) go through ``chunked_sum``
+with one of two certifiers:
 
 * geometric - for |z| < 1 (or p <= q) the future term ratios are bounded by
   a monotone rational envelope R(n) built from parameter moduli, giving
@@ -108,18 +108,10 @@ class EvalResult:
     converged: bool
 
 
-def _terminating_order(upper: tuple[complex, ...]) -> int | None:
-    """Smallest m such that some upper parameter is exactly -m, else None."""
-    m = min(map(terminal_index, upper), default=math.inf)
-    return None if m == math.inf else int(m)
-
-
 def convergence_class(params: PFQParams, z: complex) -> ConvergenceClass:
     """Convergence trichotomy in (p, q, z) with the unit-circle refinement."""
     z = complex(z)
-    if z == 0:
-        return ConvergenceClass.ABSOLUTELY_CONVERGENT
-    if _terminating_order(params.upper) is not None:
+    if z == 0 or min(map(terminal_index, params.upper), default=math.inf) < math.inf:
         return ConvergenceClass.ABSOLUTELY_CONVERGENT
     p, q = params.p, params.q
     if p <= q:
@@ -148,10 +140,9 @@ def _geometric_ratio_envelope(alphas: list[float], betas: list[float], az: float
 
     Uses |a+m| <= m+|a| and |b+m| >= m+Re(b); each paired factor
     (m+alpha)/(m+beta) is monotone, so its supremum over m >= n is
-    max(value at n, 1), and R(n) falls as n grows.  With p > q + 1 the ratios
-    grow without bound: inf.
+    max(value at n, 1), and R(n) falls as n grows.
     """
-    if betas[0] + n <= 0 or len(alphas) > len(betas):
+    if betas[0] + n <= 0:
         return float("inf")
     out = az
     npair = len(alphas)
@@ -166,16 +157,17 @@ def chunked_sum(
     chunk_terms: Callable[[np.ndarray], np.ndarray],
     certify_tail: Callable[[int, complex], tuple | None],
     policy: PrecisionPolicy,
-    terminal: int | None = None,
+    terminal: float = math.inf,
 ) -> EvalResult:
     """Sum one series chunk by chunk until its certified tail meets the policy.
 
     chunk_terms(ns) gives the terms at indices ns; certify_tail(n, total), after
-    n terms, gives (value, truncation bound, more) or None.  terminal, when
-    given, is the index of the last nonzero term within the budget: the sum
-    stops there exactly, with no tail.  An overflowed or nan total ends the sum
-    with bound inf and converged=False.  An exhausted budget returns the last
-    certified pair with converged=False; no certificate at all raises.
+    n terms, gives (value, truncation bound, more) or None.  The sum stops
+    exactly, with no tail, at terminal, the index of its last nonzero term (inf:
+    none; an index past the budget counts as none, so the certified tail closes
+    the sum).  An overflowed or nan total ends the sum with bound inf and
+    converged=False.  An exhausted budget returns the last certified pair with
+    converged=False; no certificate at all raises.
 
     The first chunk has 64 terms.  A bound that misses the test by the factor
     r = bound / (rel_tol * |total| + abs_tol) sizes the next chunk at more(r)
@@ -192,17 +184,15 @@ def chunked_sum(
     while n < policy.max_terms:
         chunk = _CHUNK_RAMP[min(chunk_idx, len(_CHUNK_RAMP) - 1)] if wanted is None else wanted
         chunk_idx += 1
-        chunk = min(chunk, policy.max_terms - n)
-        if terminal is not None:
-            chunk = min(chunk, terminal + 1 - n)
+        chunk = int(min(chunk, policy.max_terms - n, terminal + 1 - n))
         total = total + chunk_terms(np.arange(n, n + chunk)).sum()
         n += chunk
         scale = policy.rel_tol * abs(total) + policy.abs_tol
         if not math.isfinite(scale):  # an overflowed or nan total: no bound holds
             return EvalResult(complex(total), math.inf, n, False)
-        if terminal is not None:
-            if n > terminal:
-                return EvalResult(complex(total), 0.0, n, True)
+        if n > terminal:
+            return EvalResult(complex(total), 0.0, n, True)
+        if terminal < policy.max_terms:
             continue
         cert = certify_tail(n, total)
         wanted = None
@@ -222,7 +212,7 @@ def chunked_rows(
     certify_tail: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
     policy: PrecisionPolicy,
     rows: int,
-    terminal: np.ndarray | None = None,
+    terminal: float | np.ndarray = math.inf,
     abs_tol: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sum a batch of series, one row each along the last axis, each row stopping
@@ -235,10 +225,11 @@ def chunked_rows(
     total.  The accumulated inner error is added to every bound.  A row whose
     bound meets rel_tol * |total| + abs_tol keeps its value and bound, and later
     chunks skip it, so a row's value does not depend on the other rows of its
-    batch.  terminal (inf: none) and abs_tol (default policy.abs_tol) are
-    per-row arrays; a row stops after the chunk that passes its terminal
-    index, whose later terms chunk_terms gives as zeros.  A terminal index
-    past the budget counts as none: the certified tail closes that row.
+    batch.  terminal (inf: none) is a scalar or a per-row array, abs_tol
+    (default policy.abs_tol) a per-row array; a row stops after the chunk that
+    passes its terminal index, whose later terms chunk_terms gives as zeros.  A
+    terminal index past the budget counts as none: the certified tail closes
+    that row.
 
     The first chunk, round(log2(1/rel_tol)) + 8 terms, is where terms decaying
     like 2^(-j) from the first reach rel_tol with a few to spare (48 at 1e-12,
@@ -248,9 +239,7 @@ def chunked_rows(
     first = max(1, round(math.log2(1.0 / policy.rel_tol)) + 8)
     live = np.arange(rows)
     floor = np.full(rows, policy.abs_tol) if abs_tol is None else abs_tol
-    # per row (inf: none, and for an index the budget cannot reach)
-    ends = np.full(rows, np.inf) if terminal is None else terminal
-    ends = np.where(ends < policy.max_terms, ends, np.inf)
+    ends = np.full(rows, np.where(terminal < policy.max_terms, terminal, np.inf))
     total, inner = 0.0, np.zeros(rows)
     pending = None  # per live row: the last certified (value, bound), bound inf if none
     value = None  # per row, filled as rows stop, like these:
@@ -384,13 +373,11 @@ def _series_sum(
     if real:  # float64 terms
         upper, lower, z = tuple(u.real for u in upper), tuple(l.real for l in lower), z.real
     az = abs(z)
-    terminal = _terminating_order(upper)
-    if terminal is not None and terminal >= policy.max_terms:
-        terminal = None  # past the budget: the certified tail must close it
+    terminal = min(map(terminal_index, upper), default=math.inf)
     p, q = len(upper), len(lower)
     raabe = abs(az - 1.0) <= _UNIT_CIRCLE_TOL and p == q + 1
     floor = min((v.real for v in upper + lower), default=math.inf)
-    if terminal is None:
+    if terminal >= policy.max_terms:  # no terminal index within the budget
         if p > q + 1 or (p == q + 1 and az > 1.0 + _UNIT_CIRCLE_TOL):
             # term ratios that tend to infinity, or to |z| > 1: no tail is ever certified
             raise NoConvergenceError(
@@ -517,7 +504,7 @@ def two_f1_neg1(
     a, b, c = complex(a), complex(b), complex(c)
     if is_nonpositive_integer(c):
         raise PoleError(f"lower parameter c={c} is a nonpositive integer")
-    if _terminating_order((a, b)) is not None:
+    if min(map(terminal_index, (a, b)), default=math.inf) < math.inf:
         return _series_sum((a, b), (c,), -1.0, policy)
     res = _series_sum((a, c - b), (c,), 0.5, policy)
     scale = complex(half_power(a))

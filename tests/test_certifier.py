@@ -305,3 +305,15 @@ class TestVerdictLogic:
         assert _decide(1.0, 2.0, 0.5) is Verdict.CERTIFIED
         assert _decide(2.4, 2.0, 0.1) is Verdict.NOT_CERTIFIED
         assert _decide(2.05, 2.0, 0.2) is Verdict.INCONCLUSIVE
+
+    def test_lhs_below_its_first_term_is_inconclusive(self, monkeypatch):
+        # every term of the left side is >= 0 and its first is theta = lambda: an
+        # evaluation whose lhs + bound falls below theta is wrong, never certified
+        import hypergft.certifier as certifier
+        from hypergft.series import EvalResult
+
+        wrong = EvalResult(-2.44 + 0.0j, 0.109, 1, True)
+        monkeypatch.setattr(certifier, "block_combination", lambda *args: wrong)
+        spec = ClassSpec(ClassKind.STARLIKE, 0.005)
+        cert = certify_operator_mapping(fp4(0.5, 2.0000003, 8.527), RBETA0, spec)
+        assert cert.lhs == -2.44 and cert.verdict is Verdict.INCONCLUSIVE

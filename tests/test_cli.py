@@ -91,6 +91,15 @@ class TestEval:
                       "--z", "-1")
         assert code == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ("--pfq", "2F1", "--upper", "1.5,2", "--lower", "3", "--z", "0.99", "--max-terms", "64"),
+        ("--pfq", "1F1", "--upper", "1", "--lower", "1", "--z", "710"),  # e^710 overflows
+    ], ids=["budget", "overflow"])
+    def test_unconverged_result_exits_three_with_its_report(self, argv):
+        code, doc = run_json("eval", *argv)
+        assert code == 3 and doc["result"]["converged"] is False
+
     def test_bad_input_exits_one(self):
         code, _ = run("eval", "--pfq", "2F1", "--upper", "1", "--lower", "2", "--z", "0.5")
         assert code == 1
@@ -303,6 +312,17 @@ class TestCertify:
             "--class", "starlike", "--lambda", "1",
         )
         assert code == 5
+
+    def test_a_point_next_to_a_part4_pole_is_not_certified(self):
+        # b = 2 + 3e-7 puts log-gamma within 1e-7 of a pole: W_-1 once came out at
+        # -2.44 and certified; its true lhs 0.0083494 lies above the rhs 0.0075
+        code, doc = run_json(
+            "certify", "--family", "split4", "--class", "starlike", "--source", "rbeta",
+            "--a", "0.5", "--b", "2.0000003", "--c", "8.527", "--lambda", "0.005", "--beta", "0",
+        )
+        assert code == 5 and doc["certificate"]["verdict"] == "not_certified"
+        cert = doc["certificate"]
+        assert abs(cert["lhs"] - 0.0083494125) <= cert["lhs_tail_bound"]
 
     def test_with_oracle_attaches_reports(self):
         code, doc = run_json(

@@ -331,6 +331,20 @@ class TestLemmaClosedForm:
                 1e-8 * abs(lhs.value) + lhs.tail_bound + rhs.tail_bound
             )
 
+    @pytest.mark.parametrize("order, b, c", [
+        (3, 1.0000002, 6.0), (3, 0.9999998, 6.0), (4, 2.0000003, 8.527), (4, 1.00001, 8.527),
+    ])
+    def test_part4_near_its_poles_is_within_its_bound(self, order, b, c):
+        # W_-1 next to the part-4 poles b = 1, 2 reflects log-gamma at arguments
+        # within 1e-7 of an integer; each of these was off by 1e-4 to 2.5, past its bound
+        mpmath = pytest.importorskip("mpmath")
+        res = closedforms.block_combination(order, 0.5, b, c, {-1: 1.0})
+        with mpmath.workdps(30):
+            upper = [0.5] + [(mpmath.mpf(b) + j) / order for j in range(order)] + [1]
+            lower = [(mpmath.mpf(c) + j) / order for j in range(order)] + [2]
+            ref = complex(mpmath.hyper(upper, lower, 1))
+        assert abs(res.value - ref) <= res.tail_bound
+
     def test_quartic_outer_divergence_boundary(self):
         # The ledger's quartic-part3-example-point (0.25, 0.5, 6): there the
         # t^2 expansion of (1+t^2)^(-a) stops decaying (2a+b-c+2m-1 = 0),

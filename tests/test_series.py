@@ -410,6 +410,24 @@ class TestEngineExits:
         for x, y in zip(plain, ends):
             assert x.dtype == y.dtype and np.array_equal(x, y)
 
+    def test_a_single_series_index_past_the_budget_is_no_index(self):
+        # with no terminal index, with inf, and with one past the budget, the
+        # geometric tail closes the sum, bit for bit the same
+        r = np.random.default_rng(31).uniform(-0.95, 0.95)
+        policy = PrecisionPolicy(max_terms=1000)
+
+        def chunk_terms(ns):
+            return r**ns
+
+        def certify_tail(n, total):
+            more = lambda ratio: math.log(ratio) / -math.log(abs(r)) + 1.0
+            return complex(total), abs(r) ** n / (1.0 - abs(r)), more
+
+        runs = [chunked_sum(chunk_terms, certify_tail, policy, *t) for t in ((), (math.inf,), (10**6,))]
+        assert runs[0].converged and runs[0].terms_used < 1000
+        assert abs(runs[0].value - 1.0 / (1.0 - r)) <= runs[0].tail_bound + 1e-15
+        assert repr(runs[1]) == repr(runs[0]) and repr(runs[2]) == repr(runs[0])
+
     def test_plain_python_numbers(self):
         for res in (
             pfq_eval(PFQParams((1.5, 2.0), (3.0,)), 0.5),
