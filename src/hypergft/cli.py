@@ -32,6 +32,8 @@ import random
 import sys
 from typing import Any, Sequence
 
+import numpy as np
+
 from . import closedforms
 from .certifier import certify_operator_mapping, hadamard_convolve, hypergeometric_coefficients
 from .classes import ClassKind, ClassSpec, SourceClass, SourceKind
@@ -240,7 +242,9 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
         for flag in flags:
             if flag not in reads and getattr(args, flag) is not None:
                 raise ValueError(f"--{flag.replace('_', '-')} is not read by --{chosen[0]}")
-    res, params = evaluate(args)
+    # an overflowing sum ends with converged = false (exit 3), not numpy warnings on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        res, params = evaluate(args)
     v = complex(res.value)
     row = (_g17(v.real), _g17(v.imag), _g17(res.tail_bound), str(res.terms_used), str(res.converged).lower())
     rows = ["value_re,value_im,tail_bound,terms,converged", ",".join(row)]

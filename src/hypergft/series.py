@@ -3,7 +3,7 @@
 ``chunked_sum`` sums one series and ``chunked_rows`` a batch of rows along the
 last axis, each row stopping on its own; the caller picks the one it needs.
 Each loop owns its chunk ramp, the running sum, the exact stop at a
-terminating index, the budget and the ``rel_tol * |total| + abs_tol`` test;
+terminating index, the budget and the ``rel_tol * |value| + abs_tol`` test;
 each caller passes a chunk-term function and a tail certifier.  A sum ends
 early only at an exact nonpositive integer upper parameter, its terminal index
 (``numcore.terminal_index``, inf: none); each loop counts an index at or past
@@ -17,16 +17,16 @@ with one of two certifiers:
 * Raabe - on the unit circle with p = q + 1 a real majorant of the term
   ratios read from the parameters bounds the tail from index N by
   |t_N| (N+s+sigma_lo-1)/(sigma_lo-1).  A real series at z = 1 is closed by
-  a second-order telescoped bracket instead (``_telescope``): with the term
-  ratio P(m)/Q(m) and g(m) = (m+alpha)/(sigma-1), the tail is
-  g(N) t_N + sum_{m>=N} e(m) t_m with |e(m)| = O(m^-2) bounded from the
-  coefficients of P and Q, so its width falls like t_N/N, not like N t_N.
+  a fourth-order telescoped bracket instead (``_telescope``): with the term
+  ratio P(m)/Q(m) and g(m) = G(m)/((m+1)(m+2)), G cubic, the tail is
+  g(N) t_N + sum_{m>=N} e(m) t_m with |e(m)| = O(m^-4) bounded from the
+  coefficients of P and Q, so its width falls like t_N/N^3, not like N t_N.
 
 A single series runs a first chunk of 64 terms.  When its certified tail
 misses the test, the certifier also counts the further terms that shrink the
 bound to it, and the next chunk has that many, at most 4096: the geometric
 bound falls at least like R(n)^k, the first-order Raabe bound like
-(N+s)^-(sigma_lo-1) and the telescoped bracket like (N+s)^-(sigma_lo+1).  A
+(N+s)^-(sigma_lo-1) and the telescoped bracket like (N+s)^-(sigma_lo+3).  A
 short count costs one more chunk; without a count the chunks follow the ramp
 64, 256, 1024, 4096.
 
@@ -167,10 +167,12 @@ def chunked_sum(
     none; an index past the budget counts as none, so the certified tail closes
     the sum).  An overflowed or nan total ends the sum with bound inf and
     converged=False.  An exhausted budget returns the last certified pair with
-    converged=False; no certificate at all raises.
+    converged=False; no certificate at all raises.  The test is
+    bound <= rel_tol * |value| + abs_tol on the certified value, which a
+    telescoped tail moves past the running total.
 
     The first chunk has 64 terms.  A bound that misses the test by the factor
-    r = bound / (rel_tol * |total| + abs_tol) sizes the next chunk at more(r)
+    r = bound / (rel_tol * |value| + abs_tol) sizes the next chunk at more(r)
     terms, the count its certifier predicts will shrink the bound by r, at most
     4096; a short count costs one more chunk.  Without a certificate the chunks
     follow the ramp 64, 256, 1024, 4096.
@@ -187,8 +189,7 @@ def chunked_sum(
         chunk = int(min(chunk, policy.max_terms - n, terminal + 1 - n))
         total = total + chunk_terms(np.arange(n, n + chunk)).sum()
         n += chunk
-        scale = policy.rel_tol * abs(total) + policy.abs_tol
-        if not math.isfinite(scale):  # an overflowed or nan total: no bound holds
+        if not math.isfinite(abs(total)):  # an overflowed or nan total: no bound holds
             return EvalResult(complex(total), math.inf, n, False)
         if n > terminal:
             return EvalResult(complex(total), 0.0, n, True)
@@ -198,6 +199,8 @@ def chunked_sum(
         wanted = None
         if cert is not None:
             pending = cert[:2]
+            # the certified value, not the running total, which can sit far from it
+            scale = policy.rel_tol * abs(pending[0]) + policy.abs_tol
             if pending[1] <= scale:
                 return EvalResult(*pending, n, True)
             more = cert[2](pending[1] / scale) if scale > 0.0 else math.inf
@@ -305,53 +308,88 @@ def _raabe_shape(A: list[float], B: list[float]) -> tuple[float, float, list] | 
     return sigma, s, [cut for a, c, b in zip(A, clipped, B) for cut in ((a, c), (c, b))]
 
 
-def _telescope(A: list[float], B: list[float]) -> tuple[float, float, list[float]] | None:
-    """The second-order tail bracket of a real series at z = 1 whose term ratio
-    is r(m) = P(m)/Q(m), P = prod(m + A_i), Q = prod(m + B_i), built once per sum.
+def _telescope(A: list[float], B: list[float]) -> tuple[list[float], list[float], list[float]] | None:
+    """The fourth-order tail bracket of a real series at z = 1 whose term ratio
+    is r(m) = P(m)/Q(m), P = prod(m + A_i), Q = prod(m + B_i), D factors each,
+    built once per sum.
 
-    With sigma = sum(B) - sum(A) and g(m) = (m + alpha)/(sigma - 1), every term
+    With g(m) = G(m)/((m+1)(m+2)), G = sum_j g_j m^j cubic, every term
     telescopes: t_m = g(m) t_m - g(m+1) t_{m+1} + e(m) t_m, where
-    e(m) = 1 - g(m) + g(m+1) r(m) = n(m) / ((sigma - 1) Q(m)) and
-    n(m) = (sigma - 1) Q + (m + alpha)(P - Q) + P.  As g(M) t_M -> 0 for
-    sigma > 1, the tail from N is T_N = g(N) t_N + sum_{m >= N} e(m) t_m.  The m^D
-    coefficient of n(m) is 0, and alpha = ((sigma-1) q_1 + p_1 + p_2 - q_2)/sigma,
-    p_k and q_k the m^(D-k) coefficients of P and Q, cancels the m^(D-1) one,
-    so e(m) = O(m^-2).  The identity holds for whatever alpha and sigma - 1 are
-    used, so the bound does not rest on that cancellation: it takes every
-    coefficient n_j, j = 0..D, each raised by (2D + 8) u times its magnitude sum
-    (the coefficients of the same build on absolute values) for the rounding
-    of the build.  Returns (alpha, sigma - 1, those |n_j| bounds), or None
-    unless sigma > 1.
+    e(m) = 1 - g(m) + g(m+1) r(m) = n(m) / ((m+1)(m+2)(m+3) Q(m)) and
+    n(m) = (m+1)(m+2)(m+3) Q - G(m)(m+3) Q + G(m+1)(m+1) P.  For
+    sigma = sum(B) - sum(A) > 1, g(M) grows like M and t_M falls like
+    M^-sigma, so g(M) t_M -> 0 and the tail from N is
+    T_N = g(N) t_N + sum_{m >= N} e(m) t_m.  In n = (m+1)(m+2)(m+3) Q +
+    sum_j g_j V_j, V_j = (m+1)^(j+1) P - m^j (m+3) Q has m^(D+j+1) coefficient
+    0 and m^(D+j) coefficient j - 2 - sigma, so the m^(D+3) .. m^D
+    coefficients of n are a triangular system in g_3 .. g_0 with pivots
+    1 - sigma, -sigma, -1 - sigma, -2 - sigma, nonzero for sigma > 1
+    (g_3 = 1/(sigma - 1), the second-order slope).  Solved top-down, it leaves
+    n of degree D - 1, so e(m) = O(m^-4).  The identity holds for whatever
+    g_j are used, so the bound does not rest on that cancellation: it takes
+    every computed coefficient n_j, j = 0..D+3, each raised by gamma =
+    k u/(1 - k u), k = 2D + 16, times its magnitude sum (the same build on
+    |A_i|, |B_i| and |g_j|, with V_j a sum) for the rounding of the build.
+    Along any path of it a coefficient rounds at most 2D + 10 times: twice
+    per factor m + A_i, once per factor m + 1, once in V_j, once in g_j V_j
+    and four times in the sum; six more cover the rounding of the magnitude
+    sum and of the bound itself.  Returns (g_0..g_3, the offsets of
+    (m+1)(m+2)(m+3) Q sorted ascending, those |n_j| bounds), or None unless
+    sigma > 1.
     """
     sigma = sum(B) - sum(A)
     if sigma <= 1.0:
         return None
     D = len(A)
-    P, Q = _expand(A), _expand(B)
-    # the magnitude sums: the same build on |A_i| and |B_i|
-    Pm = P if A[0] >= 0.0 else _expand([abs(a) for a in A])
-    Qm = Q if B[0] >= 0.0 else _expand([abs(b) for b in B])
-    sm1 = sigma - 1.0
-    p2_q2 = P[D - 2] - Q[D - 2] if D >= 2 else 0.0
-    alpha = (sm1 * Q[D - 1] + P[D - 1] + p2_q2) / sigma
-    # P - Q from index 1, so that diff[k] is the m^k coefficient of m (P - Q); its
-    # m^(D+1) coefficient P[D] - Q[D] is 0 and is left out
-    diff = [0.0] + [x - y for x, y in zip(P, Q)]
-    dmag = [0.0] + [x + y for x, y in zip(Pm, Qm)]
-    u = (2 * D + 8) * 2.0**-53
-    gamma = u / (1.0 - u)
-    return alpha, sm1, [  # |n_k| for k = 0..D
-        abs(sm1 * Q[k] + alpha * diff[k + 1] + diff[k] + P[k])
-        + gamma * (sm1 * Qm[k] + abs(alpha) * dmag[k + 1] + dmag[k] + Pm[k])
-        for k in range(D + 1)
-    ]
+
+    def chains(A: list[float], B: list[float]) -> tuple[list[list[float]], list[list[float]]]:
+        # (m+1)^(j+1) P and m^j (m+3) Q for j = 0..3 up to m^(D+3): only (m+1)^4 P and
+        # m^3 (m+3) Q reach m^(D+4), both with coefficient exactly 1, which cancel in V_3
+        P, Q3 = _expand(A, 3), _expand(B + [3.0], 2)
+        rising = []
+        for _ in range(4):  # P times m + 1, in place from the top
+            for i in range(D + 3, 0, -1):
+                P[i] += P[i - 1]
+            rising.append(P[:])
+        return rising, [[0.0] * j + Q3 for j in range(4)]
+
+    def build(g: list[float], sign: float, parts: tuple) -> list[float]:
+        # (m^2 + 3m + 2) (m+3) Q + sum_j g_j ((m+1)^(j+1) P + sign m^j (m+3) Q)
+        g0, g1, g2, g3 = g
+        return [
+            q2 + 3.0 * q1 + 2.0 * q0 + g0 * (p0 + sign * q0) + g1 * (p1 + sign * q1)
+            + g2 * (p2 + sign * q2) + g3 * (p3 + sign * q3)
+            for p0, p1, p2, p3, q0, q1, q2, q3 in zip(*parts[0], *parts[1])
+        ]
+
+    # n = (m+1)(m+2)(m+3) Q + sum_j g_j V_j, V_j = (m+1)^(j+1) P - m^j (m+3) Q: the
+    # m^(D+j) coefficient of n with g_0 .. g_(j-1) still 0 gives g_j
+    values = chains(A, B)
+    rising, shifted = values
+    g = [0.0] * 4
+    for j in (3, 2, 1, 0):
+        top = shifted[2][D + j] + 3.0 * shifted[1][D + j] + 2.0 * shifted[0][D + j]
+        for i in range(j + 1, 4):
+            top += g[i] * (rising[i][D + j] - shifted[i][D + j])
+        g[j] = top / (sigma + 2.0 - j)
+    n = build(g, -1.0, values)
+    # the magnitude sum: the same build on |A_i|, |B_i| and |g_j|, with V_j a sum
+    if min(A[0], B[0]) < 0.0:
+        values = chains([abs(a) for a in A], [abs(b) for b in B])
+    nm = build([abs(x) for x in g], 1.0, values)
+    k = 2 * D + 16
+    gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+    return g, sorted(B + [1.0, 2.0, 3.0]), [abs(x) + gamma * y for x, y in zip(n, nm)]
 
 
-def _expand(roots: list[float]) -> list[float]:
-    """Ascending coefficients of prod(m + r) over the roots; the last is exactly 1."""
-    c = [1.0]
-    for r in roots:
-        c = [r * x + y for x, y in zip(c + [0.0], [0.0] + c)]
+def _expand(roots: list[float], pad: int = 0) -> list[float]:
+    """Ascending coefficients of prod(m + r) over the roots, the last exactly 1,
+    followed by pad zeros."""
+    c = [1.0] + [0.0] * (len(roots) + pad)
+    for k, r in enumerate(roots, 1):  # c times (m + r), in place from the top
+        for i in range(k, 0, -1):
+            c[i] = c[i - 1] + r * c[i]
+        c[0] *= r
     return c
 
 
@@ -446,20 +484,20 @@ def _series_sum(
         if telescope is None:
             return first_order
         # Real terms at z = 1 (see _telescope): T_n = g(n) t_n + sum e(m) t_m, with
-        # |e(m)| <= sum_j |n_j| sup_{m>=n} m^j/Q(m) / (sigma-1) and that sup at most
-        # prod_{i<j} max(n+B_i, n) / prod_i (n+B_i) over B ascending, as m/(m+B_i) is
-        # at most max(1, n/(n+B_i)) and 1/(m+B_i) falls; n + B_i > 0 was checked above.
-        alpha, sm1, nbound = telescope
-        sup = 1.0 / math.prod(n + b for b in B)
+        # |e(m)| <= sum_j |n_j| sup_{m>=n} m^j / ((m+1)(m+2)(m+3) Q(m)) and that sup at
+        # most prod_{i<j} max(n+b_i, n) / prod_i (n+b_i) over the offsets b ascending, as
+        # m/(m+b) is at most max(1, n/(n+b)) and 1/(m+b) falls; n + b > 0 was checked above.
+        G, offsets, nbound = telescope
+        sup = 1.0 / math.prod(n + b for b in offsets)
         eps = nbound[0] * sup
-        for j, b in enumerate(B, 1):
+        for j, b in enumerate(offsets, 1):
             sup *= max(n + b, n)
             eps += nbound[j] * sup
-        mid = complex(total + (n + alpha) / sm1 * t)
+        mid = complex(total + (((G[3] * n + G[2]) * n + G[1]) * n + G[0]) / ((n + 1) * (n + 2)) * t)
         # 1e-14 covers summation rounding over ~1e6 terms
-        width = eps / sm1 * upper_tail + 1e-14 * abs(mid)
-        if width < upper_tail:  # eps = O(n^-2): the width falls like (N+s)^-(sigma_lo+1)
-            return mid, width, lambda r: _power_count(n + s, r, sigma_lo + 1.0)
+        width = eps * upper_tail + 1e-14 * abs(mid)
+        if width < upper_tail:  # eps = O(n^-4): the width falls like (N+s)^-(sigma_lo+3)
+            return mid, width, lambda r: _power_count(n + s, r, sigma_lo + 3.0)
         return first_order
 
     certify = raabe_tail if raabe else geometric_tail

@@ -91,7 +91,8 @@ class TestEval:
                       "--z", "-1")
         assert code == 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # an overflowing sum warns nothing: the report and the exit code say it
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
         ("--pfq", "2F1", "--upper", "1.5,2", "--lower", "3", "--z", "0.99", "--max-terms", "64"),
         ("--pfq", "1F1", "--upper", "1", "--lower", "1", "--z", "710"),  # e^710 overflows

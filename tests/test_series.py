@@ -464,7 +464,8 @@ class TestRaabeEngineExits:
                 break
             exits += 1
             assert abs(res.value - ref) <= res.tail_bound, (max_terms, res, ref)
-        assert exits >= 30
+        # the fourth-order bracket closes the real sums at d = -1 and 0 by their 20th term
+        assert exits >= 12
 
 
 def _gauss(mpmath, a, b, c):
@@ -490,20 +491,34 @@ def _shpot(mpmath, a, b, c):
     return b * c / (c - b) * g(1 - a) * (g(b) / g(1 + b - a) - g(c) / g(1 + c - a))
 
 
-def _real_draws(rng, count, d=0):
-    """(a, b, c) with c - a - b - max(d, 0) in (0.75, 5), a possibly negative, c > 0.2."""
+def _ladder_integral(mpmath, a, b, c, k):
+    """sum_n (a)_n (b)_{kn} / ((c)_{kn} n!), the ladder pFq at z = 1, as
+    int_0^1 t^(b-1) (1-t)^(s-1) (1 + t + ... + t^(k-1))^(-a) dt / B(b, c-b), s = c - a - b
+    (from (b)_{kn}/(c)_{kn} = B(b+kn, c-b)/B(b, c-b) and sum_n (a)_n x^n/n! = (1-x)^(-a)).
+    Split at 1/2, with t = w^(1/b) on the left and 1 - t = v^(1/s) on the right, so that
+    neither endpoint power is singular: mpmath.hyper does not converge at small s."""
+    s = c - a - b
+    rung = lambda t: mpmath.fsum(t**j for j in range(k)) ** -a
+    half = mpmath.mpf(0.5)
+    left = mpmath.quad(lambda w: (1 - w ** (1 / b)) ** (s - 1) * rung(w ** (1 / b)), [0, half**b]) / b
+    right = mpmath.quad(lambda v: (1 - v ** (1 / s)) ** (b - 1) * rung(1 - v ** (1 / s)), [0, half**s]) / s
+    return (left + right) / mpmath.beta(b, c - b)
+
+
+def _real_draws(rng, count, d=0, excess=(0.75, 5.0)):
+    """(a, b, c) with c - a - b - max(d, 0) in excess, a possibly negative, c > 0.2."""
     out = []
     while len(out) < count:
         a, b = rng.uniform(-2.5, 3.0), rng.uniform(0.05, 3.0)
-        c = a + b + max(d, 0) + rng.uniform(0.75, 5.0)
+        c = a + b + max(d, 0) + rng.uniform(*excess)
         if c > 0.2:
             out.append((a, b, c))
     return out
 
 
 class TestTelescopedTail:
-    """Real series at z = 1 close on the second-order telescoped bracket:
-    value +- bound must cover a 30-digit reference."""
+    """Real series at z = 1 close on the fourth-order telescoped bracket, whose
+    width falls like t_N/N^3: value +- bound must cover a 30-digit reference."""
 
     @staticmethod
     def covers(res, ref):
@@ -564,6 +579,67 @@ class TestTelescopedTail:
         ref = weighted_reference(fp.upper_params(), fp.lower_params(), 1.0, d)
         assert res.converged
         assert abs(res.value - ref) <= res.tail_bound, (res, ref)
+
+    SMALL = (0.1, 0.75)  # c - a - b - max(d, 0), below the range of _real_draws
+    # a small excess leaves large coefficients in n(m): these draws take up to ~6,000 terms
+    SMALL_TERMS = 8192
+
+    @pytest.mark.parametrize("d", [-1, 0, 1, 2, 3])
+    def test_small_excess_weighted_gauss(self, d):
+        # the second-order bracket ran most of these out of the 100,000-term budget
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for a, b, c in _real_draws(random.Random(200 + d), 6, d=d, excess=self.SMALL):
+                res = _weighted_sum((a, b), (c,), 1.0, PrecisionPolicy(), d)
+                self.covers(res, _gauss_weighted(mpmath, *map(mpmath.mpf, (a, b, c)), d))
+                assert res.terms_used < self.SMALL_TERMS, (a, b, c, res)
+
+    def test_small_excess_shpot(self):
+        # excess (b+1) + (c+1) - (a+b+c) = 2 - a in SMALL
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(27)
+        grid = lambda x: round(x * 2.0**40) / 2.0**40  # b + 1.0 and c + 1.0 exact
+        with mpmath.workdps(30):
+            for _ in range(8):
+                a, b = 2.0 - rng.uniform(*self.SMALL), grid(rng.uniform(0.1, 4.0))
+                c = grid(max(b + rng.choice((-1, 1)) * rng.uniform(0.05, 2.0), 0.07))
+                res = pfq_eval(PFQParams((a, b, c), (b + 1.0, c + 1.0)), 1.0)
+                self.covers(res, _shpot(mpmath, *map(mpmath.mpf, (a, b, c))))
+                assert res.terms_used < self.SMALL_TERMS, (a, b, c, res)
+
+    def test_small_excess_ladder(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(31)
+        with mpmath.workdps(30):
+            for _ in range(6):
+                a, b = rng.uniform(0.05, 1.5), rng.uniform(0.1, 4.0)
+                fp = FamilyParams(a, b, a + b + rng.uniform(*self.SMALL), Family.SPLIT3)
+                res = pfq_eval(PFQParams(fp.upper_params(), fp.lower_params()), 1.0)
+                self.covers(res, _ladder_integral(mpmath, *map(mpmath.mpf, (a, b, fp.c)), 3))
+                assert res.terms_used < self.SMALL_TERMS, (a, b, fp.c, res)
+
+    def test_small_excess_cube_weight(self):
+        # excess 0.86 with a < 0: 100,000 terms, converged=False and bound 1.24e-12
+        # under the second-order bracket
+        mpmath = pytest.importorskip("mpmath")
+        a, b, c = -1.3788394819984173, 2.8347701105384044, 5.314535439158883
+        res = _weighted_sum((a, b), (c,), 1.0, PrecisionPolicy(), 3)
+        assert res.terms_used <= 4096
+        with mpmath.workdps(30):
+            self.covers(res, _gauss_weighted(mpmath, *map(mpmath.mpf, (a, b, c)), 3))
+
+    @pytest.mark.parametrize("a, b, c", [
+        (2.553659, 2.599753, 6.27737),
+        (2.730352, 2.779518, 6.548411),
+    ])
+    def test_slowest_gauss_sums_of_series_eval(self, a, b, c):
+        # the two slowest seed-1 series-eval inputs: 32,172 and 48,547 terms under the
+        # second-order bracket
+        mpmath = pytest.importorskip("mpmath")
+        res = pfq_eval(PFQParams((a, b), (c,)), 1.0)
+        assert res.terms_used <= 512
+        with mpmath.workdps(30):
+            self.covers(res, _gauss(mpmath, *map(mpmath.mpf, (a, b, c))))
 
     @pytest.mark.parametrize("upper, lower", [
         # ladder-4f3-at-1 at (a, b, c) = (1.021953, 1.434531, 3.757656)
