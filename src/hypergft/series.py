@@ -382,7 +382,7 @@ def _telescope(A: list[float], B: list[float]) -> tuple[list[float], list[float]
     return g, sorted(B + [1.0, 2.0, 3.0]), [abs(x) + gamma * y for x, y in zip(n, nm)]
 
 
-def _expand(roots: list[float], pad: int = 0) -> list[float]:
+def _expand(roots: list[float], pad: int) -> list[float]:
     """Ascending coefficients of prod(m + r) over the roots, the last exactly 1,
     followed by pad zeros."""
     c = [1.0] + [0.0] * (len(roots) + pad)
@@ -429,14 +429,13 @@ def _series_sum(
                 f"the parameter {floor!r} within the budget"
             )
     B = sorted([l.real for l in lower] + [1.0])  # with the 1 of n!
+    telescope = None
     if raabe:
         z = z / az if az > 1.0 else z  # past the circle the series diverges: summed at z/|z|
         if real:  # the majorant is the ratio itself, the same at every n
             A = sorted(upper)
             real_shape = _raabe_shape(A, B)
             telescope = _telescope(A, B) if z == 1.0 else None
-        else:
-            telescope = None
     else:
         alphas = sorted(abs(u) for u in upper)
     t = 1.0  # first term of the next chunk
@@ -496,6 +495,12 @@ def _series_sum(
         mid = complex(total + (((G[3] * n + G[2]) * n + G[1]) * n + G[0]) / ((n + 1) * (n + 2)) * t)
         # 1e-14 covers summation rounding over ~1e6 terms
         width = eps * upper_tail + 1e-14 * abs(mid)
+        # A bracket still open at the budget is not returned.  Its rounding-level n_D..n_(D+3)
+        # give it a floor that falls only like upper_tail, which can keep it open to the
+        # budget, and a width near that floor can sit below the head sum's rounding, which no
+        # part counts; the first-order pair is wider.  Before the budget it only sizes a chunk.
+        if n >= policy.max_terms and width > policy.rel_tol * abs(mid) + policy.abs_tol:
+            return first_order
         if width < upper_tail:  # eps = O(n^-4): the width falls like (N+s)^-(sigma_lo+3)
             return mid, width, lambda r: _power_count(n + s, r, sigma_lo + 3.0)
         return first_order
