@@ -1,8 +1,9 @@
 """Command-line front end: evaluate, certify, verify, sweep.
 
 All reports are reproducible: randomized suites take explicit seeds, floats
-are serialized with repr (JSON) or %.17g (CSV), and keys are sorted, so a
-fixed invocation yields byte-identical output.
+are serialized with repr (JSON; a non-finite one as the string "Infinity",
+"-Infinity" or "NaN", since RFC 8259 has no such number) or %.17g (CSV), and
+keys are sorted, so a fixed invocation yields byte-identical output.
 
 Exit codes
   eval    0 ok / 1 bad input / 2 constraint violation / 3 convergence failure or unconverged result
@@ -153,6 +154,10 @@ def _g17(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _csv_quoted(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"'
+
+
 def _render(
     args: argparse.Namespace, body_key: str, body: Any, params: dict[str, Any],
     rows: list[str], text: str, out,
@@ -161,7 +166,8 @@ def _render(
     if args.format == "json":
         doc = {"schema": SCHEMA, "command": args.command, "params": params, body_key: body,
                "precision": args.policy, "seed": args.seed}
-        text = json.dumps(doc, default=_jsonify, sort_keys=True, indent=2)
+        doc = json.loads(json.dumps(doc, default=_jsonify), parse_constant=str)
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     elif args.format == "csv":
         text = "\n".join(rows)
     out.write(text)
@@ -301,7 +307,7 @@ def cmd_certify(args: argparse.Namespace, out) -> int:
     except HypothesisError as exc:
         msg = str(exc)
         if args.allow_hypothesis_error:
-            rows = ["hypothesis_error", '"' + msg.replace('"', '""') + '"']
+            rows = ["hypothesis_error", _csv_quoted(msg)]
             text = f"hypothesis violated: {msg}"
             _render(args, "certificate", {"hypothesis_error": msg}, params, rows, text, out)
         else:
@@ -410,7 +416,7 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
                 cert = certify_operator_mapping(fp, source, spec, args.policy)
                 base += [cert.verdict.value, _g17(cert.lhs), _g17(cert.rhs), _g17(cert.margin), ""]
             except HypergftError as exc:
-                base += ["error", "", "", "", type(exc).__name__]
+                base += ["error", "", "", "", _csv_quoted(f"{type(exc).__name__}: {exc}")]
             lines.append(",".join(base))
     _render(args, "rows", lines[1:], {"header": header}, lines, "\n".join(lines), out)
     return 0

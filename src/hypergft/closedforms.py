@@ -31,10 +31,10 @@ the affine term sitting outside the prefactor product (``_PART_COEFFS``
 holds the G-basis of each power d, ``part4_affine`` the affine term).
 
 ``block_combination`` is the one place a sum of weighted powers
-sum_d coeff_d W_d and its bound are assembled, for the closed forms at
-z = 1 (W_0), the lemmas (W_1, W_2, W_3, W_-1) and every certificate (two
-adjacent powers); its gamma allowance scales with the blocks a cancelling
-combination subtracts, not with the (possibly much smaller) result.
+sum_d coeff_d W_d and its bound are assembled: for one W_d by ``_ladder_sum``
+(the closed forms at z = 1, W_0, and the lemmas) and for every certificate
+(two adjacent powers); its gamma allowance scales with the blocks a
+cancelling combination subtracts, not with the (possibly much smaller) result.
 
 The batch loop of the series engine, ``series.chunked_rows``, sums the outer
 expansions S of every block a combination needs as one batch, one row per
@@ -413,37 +413,33 @@ def shpot_srivastava_3f2(a: float, b: float, c: float) -> EvalResult:
     return EvalResult(value, bound, 1, True)
 
 
-def _unit_sum(fp: FamilyParams, family: Family, name: str, policy: PrecisionPolicy) -> EvalResult:
+def _ladder_sum(
+    fp: FamilyParams, family: Family, d: int, name: str, policy: PrecisionPolicy
+) -> EvalResult:
     if fp.family is not family:
         raise ValueError(f"{name} expects a {family.name} parameter set")
-    violated = closed_form_region(fp.a, fp.b, fp.c, fp.order, 0)
+    violated = closed_form_region(fp.a, fp.b, fp.c, fp.order, d)
     if violated:
-        raise ConstraintError(f"requires {violated}")
-    return block_combination(fp.order, fp.a, fp.b, fp.c, {0: 1.0}, policy)
+        raise ConstraintError(f"{name} requires {violated}")
+    return block_combination(fp.order, fp.a, fp.b, fp.c, {d: 1.0}, policy)
 
 
 def four_f3_at_1(fp: FamilyParams, policy: PrecisionPolicy = DEFAULT_POLICY) -> EvalResult:
-    """Closed form of the cubic-ladder 4F3 at z = 1."""
-    return _unit_sum(fp, Family.SPLIT3, "four_f3_at_1", policy)
+    """Closed form of the cubic-ladder 4F3 at z = 1: W_0 of the order-3 ladder."""
+    return _ladder_sum(fp, Family.SPLIT3, 0, "four_f3_at_1", policy)
 
 
 def five_f4_at_1(fp: FamilyParams, policy: PrecisionPolicy = DEFAULT_POLICY) -> EvalResult:
-    """Closed form of the quartic-ladder 5F4 at z = 1."""
-    return _unit_sum(fp, Family.SPLIT4, "five_f4_at_1", policy)
+    """Closed form of the quartic-ladder 5F4 at z = 1: W_0 of the order-4 ladder."""
+    return _ladder_sum(fp, Family.SPLIT4, 0, "five_f4_at_1", policy)
 
 
 def lemma_closed_form(
     lemma_id: LemmaId, fp: FamilyParams, policy: PrecisionPolicy = DEFAULT_POLICY
 ) -> EvalResult:
-    """Right-hand side of the weighted ladder-sum identities, parts 1-4."""
-    if lemma_id.section.family is not fp.family:
-        raise ValueError(
-            f"{lemma_id.section.value} lemma applies to {lemma_id.section.family.name} parameters"
-        )
-    violated = closed_form_region(fp.a, fp.b, fp.c, fp.order, lemma_id.power)
-    if violated:
-        raise ConstraintError(f"part {lemma_id.part} requires {violated}")
-    return block_combination(fp.order, fp.a, fp.b, fp.c, {lemma_id.power: 1.0}, policy)
+    """Right-hand side of the weighted ladder-sum identities, parts 1-4: W_d, d = lemma_id.power."""
+    name = f"lemma-{lemma_id.section.value}-part{lemma_id.part}"
+    return _ladder_sum(fp, lemma_id.section.family, lemma_id.power, name, policy)
 
 
 # Euler level -> the (p, q) shape it requires; None: ``pfq`` takes any p <= q + 1.

@@ -13,7 +13,8 @@ Two kinds of evidence, deliberately unsophisticated:
   when the dropped coefficients could still matter.
 
 ``IDENTITIES`` registers the checked identities behind ``hypergft verify``
-and ``identity_residual``.
+and ``identity_residual``; the ladder sums W_d (the 4F3 and 5F4 at z = 1 are
+W_0, the lemmas) share one residual, ``_ladder_residual``.
 """
 from __future__ import annotations
 
@@ -341,13 +342,6 @@ def _shpot_srivastava(p, policy):
     return _reldiff(series, closed)
 
 
-def _split_at_1(closed_form, p, policy):
-    fp = _ladder(p)
-    closed = closed_form(fp, policy)
-    series = pfq_eval(PFQParams(fp.upper_params(), fp.lower_params()), 1.0, policy)
-    return _reldiff(series, closed)
-
-
 def _sample_lemma(lemma, rng):
     k = lemma.section.family.order
     if lemma.part == 4:
@@ -360,11 +354,13 @@ def _sample_lemma(lemma, rng):
     return IdentityPoint(a, b, c, k)
 
 
-def _lemma(lemma, p, policy):
+def _closed_form(name, *args):  # looked up per call, so that perfbench's spans see it
+    return lambda fp, policy: getattr(closedforms, name)(*args, fp, policy)
+
+
+def _ladder_residual(weight, closed_form, p, policy):
     fp = _ladder(p)
-    lhs = weighted_pochhammer_sum(fp, lemma.weight, policy)
-    rhs = closedforms.lemma_closed_form(lemma, fp, policy)
-    return _reldiff(lhs, rhs)
+    return _reldiff(weighted_pochhammer_sum(fp, weight, policy), closed_form(fp, policy))
 
 
 # Each Euler-integral level: the series it represents at a point, and the m
@@ -400,15 +396,16 @@ IDENTITIES: dict[str, Identity] = {
     "shpot-srivastava": Identity(1e-7, Family.SPLIT3, _sample_shpot_srivastava, _shpot_srivastava),
     "4f3-at-1": Identity(
         1e-6, Family.SPLIT3, _above((0.05, 1.5), (0.1, 4.0), (0.75, 5.0), 3),
-        lambda p, policy: _split_at_1(closedforms.four_f3_at_1, p, policy),
+        partial(_ladder_residual, "one", _closed_form("four_f3_at_1")),
     ),
     "5f4-at-1": Identity(
         1e-6, Family.SPLIT4, _above((0.05, 0.45), (0.1, 3.0), (0.75, 5.0), 4),
-        lambda p, policy: _split_at_1(closedforms.five_f4_at_1, p, policy),
+        partial(_ladder_residual, "one", _closed_form("five_f4_at_1")),
     ),
 }
 IDENTITIES.update(
-    (tag, Identity(1e-6, lemma.section.family, partial(_sample_lemma, lemma), partial(_lemma, lemma)))
+    (tag, Identity(1e-6, lemma.section.family, partial(_sample_lemma, lemma),
+                   partial(_ladder_residual, lemma.weight, _closed_form("lemma_closed_form", lemma))))
     for tag, lemma in closedforms.LEMMAS.items()
 )
 IDENTITIES.update(

@@ -63,7 +63,8 @@ from .families import FamilyParams, weighted_sum_region
 from .numcore import DEFAULT_POLICY, PrecisionPolicy, is_nonpositive_integer, terminal_index
 
 _UNIT_CIRCLE_TOL = 1e-14
-_CHUNK_RAMP = (64, 256, 1024, 4096)
+_CHUNK_CAP = 4096  # the longest chunk of either loop
+_CHUNK_RAMP = (64, 256, 1024, _CHUNK_CAP)
 
 
 class ConvergenceClass(enum.Enum):
@@ -177,7 +178,6 @@ def chunked_sum(
     4096; a short count costs one more chunk.  Without a certificate the chunks
     follow the ramp 64, 256, 1024, 4096.
     """
-    cap = _CHUNK_RAMP[-1]
     total = 0.0  # takes the dtype of the terms
     n = 0
     chunk_idx = 0
@@ -204,7 +204,7 @@ def chunked_sum(
             if pending[1] <= scale:
                 return EvalResult(*pending, n, True)
             more = cert[2](pending[1] / scale) if scale > 0.0 else math.inf
-            wanted = max(1, math.ceil(more)) if more < cap else cap  # nan: the cap
+            wanted = max(1, math.ceil(more)) if more < _CHUNK_CAP else _CHUNK_CAP  # nan: the cap
     if pending is not None:
         return EvalResult(*pending, n, False)
     raise NoConvergenceError(f"tail not certified within {policy.max_terms} terms")
@@ -251,7 +251,7 @@ def chunked_rows(
     chunk_idx = 0
     while live.size and n < policy.max_terms:
         # first twice, then doubling up to 4096
-        chunk = min(first << max(chunk_idx - 1, 0), 4096, policy.max_terms - n)
+        chunk = min(first << max(chunk_idx - 1, 0), _CHUNK_CAP, policy.max_terms - n)
         chunk_idx += 1
         terms, err = chunk_terms(np.arange(n, n + chunk), live)
         total = total + terms.sum(axis=-1)

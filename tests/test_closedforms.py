@@ -373,6 +373,20 @@ class TestLemmaClosedForm:
             LemmaId(Section.SEC2, 5)
 
 
+@pytest.mark.parametrize("closed_form, family, name", [
+    (four_f3_at_1, Family.SPLIT3, "four_f3_at_1"),
+    (five_f4_at_1, Family.SPLIT4, "five_f4_at_1"),
+    (lambda fp: lemma_closed_form(LemmaId(Section.SEC3, 2), fp), Family.SPLIT4, "lemma-sec3-part2"),
+])
+def test_errors_name_the_closed_form(closed_form, family, name):
+    # every W_d closed form runs one family check and one region check
+    other = Family.SPLIT4 if family is Family.SPLIT3 else Family.SPLIT3
+    with pytest.raises(ValueError, match=f"^{name} expects a {family.name} parameter set$"):
+        closed_form(FamilyParams(0.5, 1.0, 6.0, other))
+    with pytest.raises(ConstraintError, match=f"^{name} requires c > a \\+ b"):
+        closed_form(FamilyParams(2.0, 2.0, 4.0, family))
+
+
 class TestLadderReordering:
     def test_series_symmetric_in_ladder_order(self):
         # The closed forms are fed ladders; the underlying series does not

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypergft import oracle
+from hypergft import closedforms, oracle
 from hypergft.certifier import (
     Verdict,
     certify_operator_mapping,
@@ -32,6 +32,7 @@ from hypergft.oracle import (
     identity_residual,
     worst_case_coefficients,
 )
+from hypergft.series import PFQParams, pfq_eval, weighted_pochhammer_sum
 
 STAR1 = ClassSpec(ClassKind.STARLIKE, 1.0)
 CONV1 = ClassSpec(ClassKind.CONVEX, 1.0)
@@ -506,6 +507,29 @@ class TestIdentityRegistry:
         fp = FamilyParams(0.4, 1.5, 7.0, Family.SPLIT3)
         residual = IDENTITIES["lemma-sec2-part2"].residual(IdentityPoint(0.4, 1.5, 7.0, 3), DEFAULT_POLICY)
         assert residual == identity_residual("lemma-sec2-part2", fp)
+
+    @pytest.mark.parametrize("tag", ["4f3-at-1", "5f4-at-1"])
+    def test_unit_weight_sum_is_the_ladder_pfq_at_one(self, tag):
+        # the residual's direct side of W_0, bit for bit the pFq series at z = 1
+        rng = random.Random(tag)
+        for _ in range(20):
+            p = IDENTITIES[tag].sample(rng)
+            fp = FamilyParams(p.a, p.b, p.c, Family(p.k))
+            series = pfq_eval(PFQParams(fp.upper_params(), fp.lower_params()), 1.0)
+            assert weighted_pochhammer_sum(fp, "one") == series
+
+    @pytest.mark.parametrize("tag, name", [
+        ("4f3-at-1", "four_f3_at_1"), ("5f4-at-1", "five_f4_at_1"),
+        ("lemma-sec3-part2", "lemma_closed_form"),
+    ])
+    def test_closed_form_is_looked_up_per_call(self, tag, name, monkeypatch):
+        # a wrapper set on closedforms after import, as perfbench's spans are, sees the call
+        calls = []
+        original = getattr(closedforms, name)
+        monkeypatch.setattr(closedforms, name, lambda *args: calls.append(args) or original(*args))
+        identity = IDENTITIES[tag]
+        identity.residual(identity.sample(random.Random(3)), DEFAULT_POLICY)
+        assert len(calls) == 1
 
     def test_malformed_lemma_tag_is_unknown(self):
         with pytest.raises(ValueError):
