@@ -331,9 +331,14 @@ def block_combination(
     The bound is |pref| sum |coeff| (tail_m + rel_m |G_m|) + GAMMA_EVAL_REL |affine|,
     rel_m the rounding of pref and of the seed of G_m (``gamma_ratio_with_error``);
     zero coefficients are skipped.  Blocks come from the memo of an open
-    ``shared_blocks`` when it holds them.
+    ``shared_blocks`` when it holds them.  ConstraintError for a power whose
+    ``closed_form_region`` (a, b, Re c) violates, before any block is evaluated.
     """
     a, b, c = complex(a), complex(b), complex(c)
+    for power in weights:
+        violated = closed_form_region(a, b, c.real, order, power)
+        if violated:
+            raise ConstraintError(f"requires {violated}")
     combo: dict[int, float] = {}
     for power, weight in weights.items():
         for shift, coeff in _PART_COEFFS[power]:
@@ -466,13 +471,13 @@ def euler_integral(
     """Integral representation cross-check for the series evaluator.
 
     level fixes the shape of the input (``EULER_LEVELS``: 2f1, 3f2quad and 4f3
-    one each, pfq any p <= q + 1), and the input picks the kernel:
+    one each, pfq any 2 <= p <= q + 1), and the input picks the kernel:
       3f2quad - the half-ladder 3F2 against (1 - z t^2)^(-a)
       a 2F1   - over (upper[0], lower[0]) against the closed kernel
                 (1 - z t)^(-upper[1]) (DLMF 15.6.1), at level 2f1 or pfq
       others  - the inner (p-1)F(q-1) at z*t
     Integration always pairs the first upper with the first lower parameter;
-    endpoint power singularities are removed by the substitution t = u^(1/s).
+    one substitution, u^(1/s) the distance from either end, serves both halves.
     Every kernel is evaluated on a whole quadrature rule's array of nodes.
     The inner series is summed once, at z: its term n at z*t is t^n times the
     term at z, so for every node t in [0, 1] the same N terms (the running
@@ -496,10 +501,8 @@ def euler_integral(
         cc = _require_half_ladder((params.lower[0], params.lower[1]), "lower ladder")
         p_exp, q_exp = bb, cc - bb
     else:
-        if params.p > params.q + 1:
-            raise ConstraintError("integral representation needs p <= q+1")
-        if params.p < 2:
-            raise ConstraintError("need at least two upper parameters")
+        if not 2 <= params.p <= params.q + 1:
+            raise ConstraintError(f"{lv} needs 2 <= p <= q + 1, got {params.p}F{params.q}")
         p_exp = params.upper[0]
         q_exp = params.lower[0] - params.upper[0]
     if not (q_exp.real > 0 and p_exp.real > 0):
@@ -535,25 +538,23 @@ def euler_integral(
     pref = gamma_ratio([p_exp + q_exp], [p_exp, q_exp])
     seg_tol = 0.5 * quad_tol / max(abs(pref), 1e-300)
 
-    # Left half with t = u^(1/s0), right half with 1 - t = u^(1/s1); s < 1
-    # removes an endpoint power singularity, s = 1 is the plain integrand.
-    s0 = min(p_exp.real, 1.0)
-    s1 = min(q_exp.real, 1.0)
+    def half(x: complex, y: complex, flip: bool, budget: int):
+        # t^(x-1) (1-t)^(y-1) K(t) over the half at the end where t^(x-1) sits
+        # (t = 1 when flip: t and 1 - t trade places), with v = u^(1/s) the
+        # distance from that end; s < 1 removes its power singularity.
+        s = min(x.real, 1.0)
 
-    def left(u: np.ndarray) -> np.ndarray:
-        t = u ** (1.0 / s0)
-        return (1.0 / s0) * (t ** (p_exp - s0)) * ((1.0 - t) ** (q_exp - 1.0)) * kernel(t)
+        def f(u: np.ndarray) -> np.ndarray:
+            v = u ** (1.0 / s)
+            w = 1.0 - v
+            return (1.0 / s) * (v ** (x - s)) * (w ** (y - 1.0)) * kernel(w if flip else v)
+        return adaptive_quad(f, 0.0, 0.5 ** s, seg_tol, budget)
 
-    def right(u: np.ndarray) -> np.ndarray:
-        sv = u ** (1.0 / s1)
-        t = 1.0 - sv
-        return (1.0 / s1) * (sv ** (q_exp - s1)) * (t ** (p_exp - 1.0)) * kernel(t)
-
-    left_res = adaptive_quad(left, 0.0, 0.5 ** s0, seg_tol, budget)
-    right_res = adaptive_quad(right, 0.0, 0.5 ** s1, seg_tol, budget - left_res.evaluations)
-    total = left_res.value + right_res.value
-    err = left_res.error + right_res.error
-    evals = left_res.evaluations + right_res.evaluations
+    left = half(p_exp, q_exp, False, budget)
+    right = half(q_exp, p_exp, True, budget - left.evaluations)
+    total = left.value + right.value
+    err = left.error + right.error
+    evals = left.evaluations + right.evaluations
 
     # |int w (K - K_N)| <= tail * int t^(Re p - 1) (1 - t)^(Re q - 1) dt = tail * B(Re p, Re q)
     kernel_err = 0.0

@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -385,6 +387,25 @@ def test_errors_name_the_closed_form(closed_form, family, name):
         closed_form(FamilyParams(0.5, 1.0, 6.0, other))
     with pytest.raises(ConstraintError, match=f"^{name} requires c > a \\+ b"):
         closed_form(FamilyParams(2.0, 2.0, 4.0, family))
+
+
+@pytest.mark.parametrize("order, a, b, c, weights, violated", [
+    (4, 1.7, 0.9999996, 4.0, {-1: 1.0}, "c > max(a + 3, a + b - 1)"),
+    (4, 0.3, 0.4, 2.5, {2: 1.0}, "c > a + b + 2"),
+])
+def test_block_combination_refuses_points_outside_its_region(
+    order, a, b, c, weights, violated, monkeypatch
+):
+    # Outside closed_form_region the first point came back converged and 720,000 times
+    # its bound off; the second ran 100,000 outer terms into overflow warnings.
+    def no_blocks(*args):
+        raise AssertionError("a block was evaluated")
+
+    monkeypatch.setattr(closedforms, "_ladder_blocks", no_blocks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstraintError, match=f"^requires {re.escape(violated)}$"):
+            closedforms.block_combination(order, a, b, c, weights)
 
 
 class TestLadderReordering:

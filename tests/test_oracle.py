@@ -123,6 +123,11 @@ class TestCoefficientCheck:
         with pytest.raises(InsufficientOrderError):
             coefficient_condition_check(f, STAR1)
 
+    def test_one_positive_term_has_no_tail(self):
+        # a_4 is the only nonzero coefficient past a_1: no ratio to extrapolate
+        rep = coefficient_condition_check(np.array([1.0, 0.0, 0.0, 0.01]), STAR1)
+        assert rep.passed and rep.worst_value == pytest.approx(0.04)
+
     def test_normalization_required(self):
         with pytest.raises(NormalizationError):
             coefficient_condition_check(series(2.0, 0.1), STAR1)

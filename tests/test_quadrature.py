@@ -32,3 +32,11 @@ def test_one_array_call_per_rule():
 def test_nan_integrand_raises():
     with pytest.raises(QuadratureError):
         adaptive_quad(lambda x: np.full(x.shape, math.nan), 0.0, 1.0, 1e-8)
+
+
+def test_exhausted_interval_raises():
+    # [1, 1 + 2 ulps] splits into single ulps, which cannot be bisected again: a step
+    # there never meets tol 1e-300, and the loop ends with the budget unspent.
+    hi = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
+    with pytest.raises(QuadratureError, match="after 75 evaluations"):
+        adaptive_quad(lambda x: np.where(x > 1.0, 1.0, 0.0), 1.0, hi, 1e-300)

@@ -300,6 +300,40 @@ class TestEngineExits:
         assert res.converged and res.tail_bound == 0.0 and res.terms_used == 4
         assert rel_err(res.value, float(exact)) < 1e-15
 
+    def test_terminating_sum_past_its_first_chunk(self):
+        # 2F1(-300, 1/2; 3/2; -1/2) ends at index 300, several chunks in; exact rationals
+        # as reference.  Its bound is not pinned: a counted rounding part may join it.
+        z = Fraction(-1, 2)
+        exact, term = Fraction(0), Fraction(1)
+        for n in range(301):
+            exact += term
+            term *= Fraction((n - 300) * (2 * n + 1), (2 * n + 3) * (n + 1)) * z
+        res = pfq_eval(PFQParams((-300.0, 0.5), (1.5,)), -0.5)
+        assert res.converged and res.terms_used == 301
+        assert rel_err(res.value, float(exact)) < 4e-15
+
+    def test_lower_parameter_below_minus_n_has_no_envelope(self):
+        # 2F1(1, 1; -100.5; 1/2): no ratio envelope holds while -100.5 + n <= 0, so the
+        # tail is certified only past index 100.  The rational sum of 1000 terms leaves
+        # less than 1e-157 out.
+        z, c = Fraction(1, 2), Fraction(-201, 2)
+        exact, term = Fraction(0), Fraction(1)
+        for n in range(1000):
+            exact += term
+            term *= (1 + n) / (c + n) * z
+        res = pfq_eval(PFQParams((1.0, 1.0), (-100.5,)), 0.5)
+        assert res.converged and 101 < res.terms_used < 1000
+        assert abs(res.value - float(exact)) <= res.tail_bound
+
+    def test_complex_parameters_on_the_circle_run_to_the_budget(self):
+        # 2F1(1/2 + 15i, 1/2; 5/2; 1) converges (Re excess 3/2), but the Raabe bracket
+        # takes real parameters only: the sum ends unconverged at its budget, and its
+        # bound still covers Gauss's value.
+        res = pfq_eval(PFQParams((0.5 + 15j, 0.5), (2.5,)), 1.0)
+        gauss = closedforms.gauss_2f1_at_1(0.5 + 15j, 0.5, 2.5)
+        assert not res.converged and res.terms_used == DEFAULT_POLICY.max_terms
+        assert abs(res.value - gauss.value) <= res.tail_bound + gauss.tail_bound
+
     def test_near_integer_upper_is_summed_in_full(self):
         # An upper parameter within POLE_TOL of -3 is not -3: only an exact nonpositive
         # integer ends the sum.  Cut after its fourth term, this sum missed by 0.44.
