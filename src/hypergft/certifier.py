@@ -56,6 +56,7 @@ from .errors import HypothesisError
 from .families import Family, FamilyParams, closed_form_region, weighted_sum_region
 from .numcore import DEFAULT_POLICY, GAMMA_EVAL_REL, PrecisionPolicy
 from .oracle import normalized_coefficients
+from .series import term_ratios
 
 
 class Verdict(enum.Enum):
@@ -142,23 +143,16 @@ def certify_operator_mapping(
 
 
 def hypergeometric_coefficients(fp: FamilyParams, N: int) -> np.ndarray:
-    """Coefficient array A_1..A_N of z * (split-ladder series) by stable recurrence:
-    float64 when every parameter is real (imaginary part exactly 0), else complex128."""
+    """Coefficient array A_1..A_N of z * (split-ladder series): the running product of
+    the series term ratios at z = 1 (``series.term_ratios``), as A_{n+1}/A_n is the
+    ratio at index n - 1.  Its real part in float64 when every parameter is real
+    (imaginary part exactly 0), else complex128."""
     if N < 1:
         raise ValueError("need N >= 1")
-    # A_{n+1}/A_n is the series term ratio at z = 1 and index n - 1.
-    upper, lower, ns = fp.upper_params(), fp.lower_params(), np.arange(N - 1)
-    if not any(v.imag for v in upper):  # float64; the lower ladder (c+j)/k is real
-        upper = tuple(u.real for u in upper)
-    ratios = np.ones(N - 1)
-    for u in upper:
-        ratios = ratios * (u + ns)
-    # Each division is a product with the reciprocal, as complex128 divides by a value
-    # with zero imaginary part: in either dtype, the bits of the complex128 ratios of
-    # ``series.term_ratios``, up to the sign of an exact zero.
-    for v in [l.real for l in lower] + [1.0]:  # the last is the (n+1) of the factorial
-        ratios = ratios * (1.0 / (v + ns))
-    return np.concatenate(([1.0], np.cumprod(ratios)))
+    upper = fp.upper_params()
+    ratios = term_ratios(upper, fp.lower_params(), 1.0, np.arange(N - 1))
+    coeffs = np.concatenate(([1.0], np.cumprod(ratios)))
+    return coeffs if any(v.imag for v in upper) else coeffs.real.copy()
 
 
 def hadamard_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -95,12 +95,14 @@ def normalized_coefficients(f, name: str = "series") -> np.ndarray:
     """f as a coefficient array a_1..a_N of z + sum_{n>=2} a_n z^n.
 
     A list or tuple is converted and an array is used as is, never written
-    to; ValueError unless non-empty and 1-D, NormalizationError (naming
-    ``name``) unless a_1 = 1.
+    to; ValueError unless non-empty, 1-D and finite, NormalizationError
+    (naming ``name``) unless a_1 = 1.
     """
     f = np.asarray(f)
     if f.ndim != 1 or not f.size:
         raise ValueError(f"{name} needs a non-empty coefficient array a_1..a_N")
+    if not np.isfinite(f).all():
+        raise ValueError(f"{name} has a non-finite coefficient")
     if abs(f[0] - 1.0) > NORMALIZATION_TOL:
         raise NormalizationError(f"{name} is not normalized to a_1 = 1")
     return f

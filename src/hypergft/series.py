@@ -308,18 +308,17 @@ def _raabe_shape(A: list[float], B: list[float]) -> tuple[float, float, list] | 
     return sigma, s, [cut for a, c, b in zip(A, clipped, B) for cut in ((a, c), (c, b))]
 
 
-def _telescope(A: list[float], B: list[float]) -> tuple[list[float], list[float], list[float]] | None:
+def _telescope(A: list[float], B: list[float], sigma: float) -> tuple[list[float], list[float], list[float]]:
     """The fourth-order tail bracket of a real series at z = 1 whose term ratio
     is r(m) = P(m)/Q(m), P = prod(m + A_i), Q = prod(m + B_i), D factors each,
-    built once per sum.
+    built once per sum from its sigma = sum(B) - sum(A) > 1 (``_raabe_shape``).
 
     With g(m) = G(m)/((m+1)(m+2)), G = sum_j g_j m^j cubic, every term
     telescopes: t_m = g(m) t_m - g(m+1) t_{m+1} + e(m) t_m, where
     e(m) = 1 - g(m) + g(m+1) r(m) = n(m) / ((m+1)(m+2)(m+3) Q(m)) and
-    n(m) = (m+1)(m+2)(m+3) Q - G(m)(m+3) Q + G(m+1)(m+1) P.  For
-    sigma = sum(B) - sum(A) > 1, g(M) grows like M and t_M falls like
-    M^-sigma, so g(M) t_M -> 0 and the tail from N is
-    T_N = g(N) t_N + sum_{m >= N} e(m) t_m.  In n = (m+1)(m+2)(m+3) Q +
+    n(m) = (m+1)(m+2)(m+3) Q - G(m)(m+3) Q + G(m+1)(m+1) P.  As sigma > 1,
+    g(M) grows like M and t_M falls like M^-sigma, so g(M) t_M -> 0 and the
+    tail from N is T_N = g(N) t_N + sum_{m >= N} e(m) t_m.  In n = (m+1)(m+2)(m+3) Q +
     sum_j g_j V_j, V_j = (m+1)^(j+1) P - m^j (m+3) Q has m^(D+j+1) coefficient
     0 and m^(D+j) coefficient j - 2 - sigma, so the m^(D+3) .. m^D
     coefficients of n are a triangular system in g_3 .. g_0 with pivots
@@ -334,12 +333,8 @@ def _telescope(A: list[float], B: list[float]) -> tuple[list[float], list[float]
     per factor m + A_i, once per factor m + 1, once in V_j, once in g_j V_j
     and four times in the sum; six more cover the rounding of the magnitude
     sum and of the bound itself.  Returns (g_0..g_3, the offsets of
-    (m+1)(m+2)(m+3) Q sorted ascending, those |n_j| bounds), or None unless
-    sigma > 1.
+    (m+1)(m+2)(m+3) Q sorted ascending, those |n_j| bounds), never None.
     """
-    sigma = sum(B) - sum(A)
-    if sigma <= 1.0:
-        return None
     D = len(A)
 
     def chains(A: list[float], B: list[float]) -> tuple[list[list[float]], list[list[float]]]:
@@ -435,7 +430,7 @@ def _series_sum(
         if real:  # the majorant is the ratio itself, the same at every n
             A = sorted(upper)
             real_shape = _raabe_shape(A, B)
-            telescope = _telescope(A, B) if z == 1.0 else None
+            telescope = _telescope(A, B, real_shape[0]) if z == 1.0 and real_shape else None
     else:
         alphas = sorted(abs(u) for u in upper)
     t = 1.0  # first term of the next chunk
@@ -493,7 +488,8 @@ def _series_sum(
             sup *= max(n + b, n)
             eps += nbound[j] * sup
         mid = complex(total + (((G[3] * n + G[2]) * n + G[1]) * n + G[0]) / ((n + 1) * (n + 2)) * t)
-        # 1e-14 covers summation rounding over ~1e6 terms
+        # 1e-14 |mid| is an allowance for the head sum's rounding, not a bound on it: it
+        # does not grow with the terms summed (ROADMAP item 1)
         width = eps * upper_tail + 1e-14 * abs(mid)
         # A bracket still open at the budget is not returned.  Its rounding-level n_D..n_(D+3)
         # give it a floor that falls only like upper_tail, which can keep it open to the

@@ -451,6 +451,22 @@ class TestCoefficientArrays:
         with pytest.raises(ValueError, match="non-empty"):
             check(np.array([]))
 
+    @pytest.mark.parametrize("check", [
+        lambda f: hadamard_convolve(f, np.ones(3)),
+        lambda f: hadamard_convolve(np.ones(3), f),
+        lambda f: coefficient_condition_check(f, SP),
+        lambda f: disc_sample_check(f, SP, SMALL_GRID),
+    ], ids=["hadamard-left", "hadamard-right", "coeff-sum", "disc-sample"])
+    @pytest.mark.parametrize("coeffs", [
+        [1.0, 0.5, np.inf], [1.0, np.nan, 0.0], [np.nan, 0.5, 0.0],
+        [1.0, 1e-3, complex(np.nan, 0.0)], [1.0, complex(0.0, -np.inf), 0.0],
+    ], ids=["inf", "nan", "nan-a1", "complex-nan", "complex-inf"])
+    def test_non_finite_coefficient_is_a_value_error(self, coeffs, check):
+        # an inf once set the disc oracle's trim threshold to inf and a nan compared
+        # false, so the trim dropped both and a_1 alone passed
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            check(np.array(coeffs))
+
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_hadamard_names_the_unnormalized_operand(self, side):
         ok, bad = np.ones(3), np.array([2.0, 1.0, 1.0])
@@ -507,6 +523,12 @@ class TestIdentityRegistry:
         for _ in range(200):
             p = IDENTITIES["euler-4f3"].sample(rng)
             assert p.c / 3 > p.a > 0
+
+    def test_shpot_sampler_redraws_c_near_b(self):
+        # seed 12 draws c = 2.699 first, within 0.05 of b = 2.664: the 3F2's closed form
+        # cancels as c -> b, so the sampler draws c again
+        p = IDENTITIES["shpot-srivastava"].sample(random.Random(12))
+        assert abs(p.c - p.b) >= 0.05 and 0.1 <= p.c <= 4.0
 
     def test_residual_is_identity_residual_at_the_same_point(self):
         fp = FamilyParams(0.4, 1.5, 7.0, Family.SPLIT3)

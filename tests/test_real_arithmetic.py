@@ -93,7 +93,7 @@ class TestTermDtype:
 
 
 class TestCoefficientDtype:
-    """The oracle target of real parameters is float64 from the start."""
+    """The oracle target of real parameters is float64, the real part of the complex one."""
 
     @pytest.mark.parametrize("family", [Family.SPLIT3, Family.SPLIT4])
     def test_hypergeometric_coefficients(self, family):
